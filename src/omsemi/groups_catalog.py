@@ -15,16 +15,21 @@ def cyclic_group(n):
     return FiniteSemigroup.cyclic(1, n)
 
 
-def _pair_group(ms, ks, op, m_id=None):
+def _group(table):
+    """The one semigroup on `table`, its neutral element the identity."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
+            return FiniteSemigroup(table, identity=e)
+    raise ValueError("construction produced no identity")
+
+
+def _pair_group(ms, ks, op):
     """Table over the element list ms x ks under op, identity detected."""
     elems = [(i, j) for i in ms for j in ks]
     idx = {e: k for k, e in enumerate(elems)}
     table = [[idx[op(a, b)] for b in elems] for a in elems]
-    S = FiniteSemigroup(table)
-    e = S.find_identity()
-    if e is None:
-        raise ValueError("construction produced no identity")
-    return FiniteSemigroup(table, identity=e)
+    return _group(table)
 
 
 def semidirect_cyclic(m, k, r):
@@ -77,11 +82,7 @@ def _closure_group(gens, compose):
                 queue.append(b)
     idx = {e: k for k, e in enumerate(elems)}
     table = [[idx[compose(a, b)] for b in elems] for a in elems]
-    S = FiniteSemigroup(table)
-    e = S.find_identity()
-    if e is None:
-        raise ValueError("closure is not a group")
-    return FiniteSemigroup(table, identity=e)
+    return _group(table)
 
 
 def _perm_compose(f, g):

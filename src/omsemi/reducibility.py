@@ -102,16 +102,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _require_monoid(M):
-    if M.identity is None:
-        raise ValueError("operation needs a monoid (identity element set)")
+def _step(M, e, g):
+    """e g in M, where e = None stands for the empty word outside M."""
+    return g if e is None else M.table[e][g]
 
 
 def simple_path_word(M, gens, target):
-    """Shortest word reaching `target` from 1 in the right Cayley graph.
+    """Shortest word reaching `target` from the empty word (M.identity, or
+    a vertex outside M if that is None) in the right Cayley graph.
 
-    The path is simple, so the word has length < |M|."""
-    _require_monoid(M)
+    The path is simple, so the word has length < |M^1|."""
     start = M.identity
     if target == start:
         return ""
@@ -121,7 +121,7 @@ def simple_path_word(M, gens, target):
     while queue:
         m = queue.popleft()
         for ch in letters:
-            nxt = M.table[m][gens(ch)]
+            nxt = _step(M, m, gens(ch))
             if nxt not in parent:
                 parent[nxt] = (m, ch)
                 if nxt == target:
@@ -136,16 +136,16 @@ def simple_path_word(M, gens, target):
 
 
 def loop_removal(w, M, gens):
-    """Excise loops from the Cayley-graph path that w traces from 1.
+    """Excise loops from the Cayley-graph path that w traces from the
+    empty word (M.identity, or a vertex outside M when that is None).
 
     Output: a scattered subword of w with the same image whose path is
-    simple, hence of length < |M|.  Loops are removed leftmost-innermost,
+    simple, hence of length < |M^1|.  Loops are removed leftmost-innermost,
     which fixes one representative among the many valid ones."""
-    _require_monoid(M)
     stack = [M.identity]
     kept = []
     for ch in w:
-        nxt = M.table[stack[-1]][gens(ch)]
+        nxt = _step(M, stack[-1], gens(ch))
         if nxt in stack:
             i = stack.index(nxt)
             del stack[i + 1:]
@@ -157,19 +157,10 @@ def loop_removal(w, M, gens):
 
 
 def _image_of(gens, word):
+    """Image of a word; the empty word's is the identity, or None."""
     if word == "":
-        M = gens.target
-        _require_monoid(M)
-        return M.identity
+        return gens.target.identity
     return gens.image_of_word(word)
-
-
-def _monoid_setting(S, gens):
-    """Lift (S, gens) into a monoid; element indices are preserved."""
-    if S.identity is not None:
-        return S, gens
-    M = S.with_identity_adjoined()
-    return M, GeneratorMap(M, dict(gens.assignment))
 
 
 def jplus_word_solution(triple, u, v):
@@ -186,9 +177,8 @@ def jplus_word_solution(triple, u, v):
         raise NotASolution("u does not evaluate to s")
     if eval_term(S, gens, v) != triple.t:
         raise NotASolution("v does not evaluate to t")
-    M, mgens = _monoid_setting(S, gens)
     u_word = unroll(u, [(S, gens)])
-    u_simple = loop_removal(u_word, M, mgens)
+    u_simple = loop_removal(u_word, S, gens)
     v_word = unroll(v, [(S, gens)], pad=len(u_simple) + 1)
     if not scattered_subword(u_simple, v_word):
         raise SubwordObstruction(
@@ -207,12 +197,13 @@ def jplus_word_solution(triple, u, v):
     gaps.append("".join(current))
     parts = []
     for i, gap in enumerate(gaps):
-        parts.append(simple_path_word(M, mgens, _image_of(mgens, gap)))
+        parts.append(simple_path_word(S, gens, _image_of(gens, gap)))
         if i < len(u_simple):
             parts.append(u_simple[i])
     v_out = "".join(parts)
-    assert _image_of(mgens, u_simple) == triple.s
-    assert _image_of(mgens, v_out) == triple.t
+    if (_image_of(gens, u_simple), _image_of(gens, v_out)) != \
+            (triple.s, triple.t):
+        raise AssertionError("the images of u' and v' are not s and t")
     return u_simple, v_out
 
 

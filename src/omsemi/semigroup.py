@@ -10,7 +10,7 @@ distinguished identity element; a monoid is just a semigroup whose
 
 from dataclasses import dataclass
 
-from .errors import NotAssociative, NotAPartialOrder
+from .errors import NotAssociative, NotAPartialOrder, ParseError
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,10 @@ class FiniteSemigroup:
         return None
 
     def with_identity_adjoined(self):
-        """The monoid completion: self if an identity exists, else S^1."""
+        """S^1: self if an identity is declared, else S with a fresh one
+        adjoined (an undeclared neutral element is not taken as one)."""
         if self.identity is not None:
             return self
-        e = self.find_identity()
-        if e is not None:
-            return FiniteSemigroup(self.table, labels=self.labels,
-                                   order=self.order, identity=e)
         n = self.n
         table = [row + [i] for i, row in enumerate(self.table)] + \
                 [list(range(n)) + [n]]
@@ -396,22 +393,40 @@ def semigroup_to_text(S):
 
 
 def semigroup_from_text(text):
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    n = int(head[0])
-    ordered = "ordered" in head[1:]
+    """Parse the plain text exchange format; malformed text raises
+    ParseError naming its line."""
+    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()]
+    if not rows:
+        raise ParseError("no header line")
+
+    def ints(no, fields):
+        try:
+            return [int(v) for v in fields]
+        except ValueError:
+            raise ParseError("line %d: expected integers" % no) from None
+
+    no, head = rows[0]
+    n = ints(no, head[:1])[0]
     identity = None
     for tok in head[1:]:
         if tok.startswith("monoid="):
-            identity = int(tok.split("=", 1)[1])
-    table = [[int(v) for v in lines[1 + i].split()] for i in range(n)]
+            identity = ints(no, [tok[len("monoid="):]])[0]
+            if not 0 <= identity < n:
+                raise ParseError("line %d: identity out of range" % no)
+    if len(rows) <= n:
+        raise ParseError("line %d: expected %d table rows"
+                         % (rows[-1][0], n))
+    table = [ints(no, fields) for no, fields in rows[1:1 + n]]
     order = None
-    rest = lines[1 + n:]
-    if rest and rest[0] == "order:":
+    rest = rows[1 + n:]
+    if rest and rest[0][1] == ["order:"]:
         order = []
-        for ln in rest[1:]:
-            i, j = ln.split("<=")
-            order.append((int(i), int(j)))
-    elif ordered and not rest:
+        for no, fields in rest[1:]:
+            pair = ints(no, "".join(fields).split("<="))
+            if len(pair) != 2:
+                raise ParseError("line %d: expected an order pair i<=j" % no)
+            order.append(tuple(pair))
+    elif "ordered" in head[1:] and not rest:
         order = []
     return FiniteSemigroup(table, order=order, identity=identity)

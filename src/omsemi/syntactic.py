@@ -25,10 +25,12 @@ class SyntacticPresentation:
         self.elements = elements
         self.index = {t: i for i, t in enumerate(elements)}
         self.words = words
-        self.semigroup = FiniteSemigroup(table, labels=list(words))
+        # the identity is the class of a word acting as the empty word does
+        self.semigroup = FiniteSemigroup(
+            table, labels=list(words),
+            identity=self.index.get(tuple(range(dfa.n_states))))
         self.gens = GeneratorMap(self.semigroup, dict(letter_map))
         self._order = None
-        self._monoid = None
 
     @property
     def alphabet(self):
@@ -48,29 +50,10 @@ class SyntacticPresentation:
             t = step if t is None else _compose(t, step)
         return self.index[t]
 
-    def monoid_completion(self):
-        """The syntactic monoid: the semigroup if some class acts as the
-        identity on states, else the semigroup with a fresh identity."""
-        if self._monoid is None:
-            ident = tuple(range(self.dfa.n_states))
-            if ident in self.index:
-                m = FiniteSemigroup(self.semigroup.table,
-                                    labels=self.semigroup.labels,
-                                    identity=self.index[ident])
-            else:
-                m = self.semigroup.with_identity_adjoined()
-            self._monoid = m
-        return self._monoid
-
-    def monoid_generator_map(self):
-        m = self.monoid_completion()
-        return GeneratorMap(m, dict(self.gens.assignment))
-
     def _monoid_actions(self):
-        ident = tuple(range(self.dfa.n_states))
         acts = list(self.elements)
-        if ident not in self.index:
-            acts.append(ident)
+        if self.semigroup.identity is None:
+            acts.append(tuple(range(self.dfa.n_states)))
         return acts
 
     def syntactic_order(self):
@@ -94,10 +77,12 @@ class SyntacticPresentation:
         return self._order
 
     def ordered_semigroup(self):
-        """The syntactic semigroup carrying its syntactic order."""
-        return FiniteSemigroup(self.semigroup.table,
-                               labels=self.semigroup.labels,
-                               order=self.syntactic_order())
+        """The syntactic semigroup, with its syntactic order attached once
+        the order has been proven stable."""
+        S = self.semigroup
+        if S.order is None:
+            S.order = S._check_order(self.syntactic_order())
+        return S
 
     def class_language(self, e):
         """Minimal DFA for the set of nonempty words in class e."""

@@ -166,7 +166,7 @@ class _TermParser:
             if inner == "w":
                 self.take()
                 sign = self.take()
-                if sign not in "+-":
+                if sign not in ("+", "-"):
                     raise ParseError("expected + or - after w")
                 k = self.number()
                 if self.take() != ")":

@@ -6,8 +6,6 @@ contiguous subsequence.  The two notions are never mixed up under a shared
 name here.
 """
 
-import numpy as np
-
 
 def scattered_subword(u, v):
     """True iff u embeds in v as a subsequence (greedy two-pointer scan)."""
@@ -77,23 +75,25 @@ def ptm_iterate(n):
 def is_cube_free(w):
     """True iff no factor of w has the shape fff.
 
-    Vectorised over the candidate period: for each l, positions where
-    w[i] == w[i+l] are found in one pass, and a cube of period l exists iff
-    2l consecutive positions all match.
+    Over k-byte letter codes (k = 1 for ASCII words, else 4), the XOR of
+    w with w shifted by l letters is zero exactly at the letters where
+    w[i] == w[i+l]; a cube of period l exists iff 2l consecutive letters
+    match, i.e. 2l*k zero bytes start on a letter boundary.
     """
     n = len(w)
-    if n < 3:
-        return True
-    arr = np.frombuffer(w.encode("utf-8"), dtype=np.uint8)
-    if len(arr) != n:
-        # non-ascii letters: fall back to integer codes
-        arr = np.fromiter((ord(c) for c in w), dtype=np.int64, count=n)
+    if w.isascii():
+        b, k = w.encode("ascii"), 1
+    else:
+        b, k = w.encode("utf-32-le"), 4
     for l in range(1, n // 3 + 1):
-        eq = arr[:-l] == arr[l:]
-        c = np.concatenate(([0], np.cumsum(eq)))
-        # a cube starting at i needs eq[i .. i+2l-1] all true
-        width = 2 * l
-        if np.any(c[width:] - c[:-width] == width):
+        size = (n - l) * k
+        x = (int.from_bytes(b[:size], "little")
+             ^ int.from_bytes(b[l * k:], "little")).to_bytes(size, "little")
+        run = bytes(2 * l * k)
+        pos = x.find(run)
+        while pos > 0 and pos % k:
+            pos = x.find(run, pos - pos % k + k)
+        if pos >= 0:
             return False
     return True
 

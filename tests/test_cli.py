@@ -63,6 +63,12 @@ def test_eval_with_letter_map():
     assert r.stdout == "class 17 [babb]\n"
 
 
+def test_eval_bad_term_exits_2():
+    r = run_cli("eval", "--regex", "b*ab*", "--term", "x^(w")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+
+
 def test_eval_bad_map_exits_2():
     r = run_cli("eval", "--regex", "b*ab*", "--term", "x", "--map", "xy=a")
     assert r.returncode == 2

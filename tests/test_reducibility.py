@@ -1,9 +1,12 @@
 """Tests for word solutions, bounded term search, and the verifiers."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
+from omsemi.dfa import Dfa
 from omsemi.errors import NotASolution, SizeTooLarge, SubwordObstruction, Unreachable
 from omsemi.reducibility import (
     COM_LANGUAGE,
@@ -28,7 +31,12 @@ from omsemi.syntactic import syntactic_semigroup
 from omsemi.terms import Letter, eval_term, format_term, parse_term
 from omsemi.words import scattered_subword
 
-from util import random_superterm, random_term, random_transition_monoid
+from util import (
+    random_dfa,
+    random_superterm,
+    random_term,
+    random_transition_monoid,
+)
 
 
 def shortest_distances(M, gens, letters):
@@ -81,11 +89,14 @@ def test_simple_path_word_unreachable():
         simple_path_word(C2, g, 0)
 
 
-def test_simple_path_word_needs_identity():
+def test_simple_path_word_without_identity():
+    # the empty word lies outside S, so paths are those of S^1
     S = FiniteSemigroup.cyclic(2, 2)
-    g = GeneratorMap(S, {"x": 0})
-    with pytest.raises(ValueError):
-        simple_path_word(S, g, 0)
+    M = S.with_identity_adjoined()
+    g, gm = GeneratorMap(S, {"x": 0}), GeneratorMap(M, {"x": 0})
+    for target in range(S.n):
+        assert simple_path_word(S, g, target) == \
+            simple_path_word(M, gm, target)
 
 
 def test_simple_path_word_is_shortest_and_simple():
@@ -116,11 +127,20 @@ def test_loop_removal_cyclic():
     assert loop_removal("", C3, g) == ""
 
 
-def test_loop_removal_needs_identity():
+def test_loop_removal_without_identity():
     S = FiniteSemigroup.cyclic(2, 2)
-    g = GeneratorMap(S, {"x": 0})
-    with pytest.raises(ValueError):
-        loop_removal("xx", S, g)
+    M = S.with_identity_adjoined()
+    g, gm = GeneratorMap(S, {"x": 0}), GeneratorMap(M, {"x": 0})
+    for k in range(8):
+        assert loop_removal("x" * k, S, g) == loop_removal("x" * k, M, gm)
+    rng = random.Random(20243)
+    for _ in range(40):
+        sp = syntactic_semigroup(random_dfa(rng, max_states=3))
+        S = sp.semigroup
+        M = S.with_identity_adjoined()
+        gm = GeneratorMap(M, dict(sp.gens.assignment))
+        w = "".join(rng.choice("ab") for _ in range(rng.randrange(30)))
+        assert loop_removal(w, S, sp.gens) == loop_removal(w, M, gm)
 
 
 def test_loop_removal_postconditions():
@@ -149,6 +169,50 @@ def test_jplus_word_solution_identity_instance():
     assert wu == "x"
     assert scattered_subword(wu, wv)
     assert eval_term(S, g, parse_term(" ".join(wv))) == triple.t
+
+
+def test_jplus_word_solution_identity_not_the_empty_word():
+    # [bbb] is a two-sided identity of the table, but it does not act on
+    # the minimal DFA as the empty word does, so u' may not be empty
+    d = Dfa("ab", [[3, 1], [1, 3], [3, 1], [1, 2]], 0, {0, 1, 3})
+    u, v = parse_term("(y^w)^w"), parse_term("y y x (y^w)^w y")
+    triple = syntactic_solution_triple(d, {"x": "a", "y": "b"}, u, v,
+                                       mode="inequality")
+    S, bbb = triple.S, triple.gens.image_of_word("yyy")
+    assert all(S.table[bbb][j] == j == S.table[j][bbb] for j in range(S.n))
+    assert S.identity is None
+    wu, wv = jplus_word_solution(triple, u, v)
+    assert wu and triple.gens.image_of_word(wu) == triple.s
+    assert triple.gens.image_of_word(wv) == triple.t
+    assert scattered_subword(wu, wv)
+
+
+_POSTCONDITION_SCRIPT = """
+import omsemi.reducibility as r
+assert not __debug__
+u, v = r.parse_term("x"), r.parse_term(%r)
+triple = r.syntactic_solution_triple("b*ab*", {"x": "a", "y": "b"}, u, v,
+                                     mode="inequality")
+r.%s = lambda *args: "xx"
+try:
+    r.jplus_word_solution(triple, u, v)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("v, patched", [
+    ("x y x", "loop_removal"),
+    ("y x y", "simple_path_word"),
+])
+def test_jplus_postconditions_checked_under_optimize(v, patched):
+    # "xx" embeds in the unrolling of v, but its image [aa] is not s = [a],
+    # and not t = [a] for v = y x y; the checks must survive python -O
+    r = subprocess.run([sys.executable, "-O", "-c",
+                        _POSTCONDITION_SCRIPT % (v, patched)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "the images of u' and v' are not s and t\n"
 
 
 def test_jplus_word_solution_requires_inequality_mode():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from omsemi.errors import NotAssociative, NotAPartialOrder
+from omsemi.errors import NotAssociative, NotAPartialOrder, ParseError
 from omsemi.semigroup import (
     FiniteSemigroup,
     green_classes,
@@ -188,10 +188,11 @@ def test_with_identity_adjoined():
     # a semigroup that already has a neutral element is not extended
     G = FiniteSemigroup.cyclic(1, 3)
     assert G.with_identity_adjoined() is G
-    # neutral element present but not declared: completion just marks it
+    # a neutral element that is not declared is not the identity: a fresh
+    # one is adjoined
     H = FiniteSemigroup([[0, 1], [1, 0]])
     M2 = H.with_identity_adjoined()
-    assert M2.n == 2 and M2.identity == 0
+    assert M2.n == 3 and M2.identity == 2
 
 
 def test_direct_product():
@@ -227,6 +228,19 @@ def test_text_roundtrip_ordered_monoid():
     T = semigroup_from_text(text)
     assert T.table == S.table and T.identity == 0
     assert T.order == S.order
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "no header"),
+    ("2\n0 1", "line 2"),
+    ("2\n0 1\n1 x", "line 3"),
+    ("2 monoid=\n0 1\n1 1", "line 1"),
+    ("2 monoid=5\n0 1\n1 1", "line 1"),
+    ("2 ordered\n0 1\n1 1\norder:\n0<1", "line 5"),
+])
+def test_text_malformed_raises_parse_error(text, where):
+    with pytest.raises(ParseError, match=where):
+        semigroup_from_text(text)
 
 
 def test_generator_map():

@@ -5,6 +5,7 @@ import pytest
 
 from omsemi.dfa import compile_min_dfa, languages_equal
 from omsemi.errors import ElementNotWordImage, SizeTooLarge
+from omsemi.semigroup import GeneratorMap
 from omsemi.syntactic import syntactic_semigroup
 
 from test_regex_dfa import random_regex
@@ -39,9 +40,8 @@ def test_words_containing_a():
     assert len(sp.elements) == 2
     ca, cb = sp.classof("a"), sp.classof("b")
     assert ca != cb
-    # b acts as the identity, so the monoid completion adjoins nothing
-    m = sp.monoid_completion()
-    assert m.n == 2 and m.identity == cb
+    # b acts as the empty word does, so its class is the identity
+    assert sp.semigroup.identity == cb
     # 1 <= [a]: appending letters can only help membership
     order = sp.syntactic_order()
     assert (cb, ca) in order and (ca, cb) not in order
@@ -131,11 +131,19 @@ def test_class_language_rejects_empty_word():
 def test_monoid_completion_adjoins_when_needed():
     # in (ab)* no nonempty word acts as the identity on the minimal DFA
     sp = syntactic_semigroup("(ab)*")
-    m = sp.monoid_completion()
+    assert sp.semigroup.identity is None
+    m = sp.semigroup.with_identity_adjoined()
     assert m.n == len(sp.elements) + 1
     assert m.identity == m.n - 1
-    gm = sp.monoid_generator_map()
+    gm = GeneratorMap(m, dict(sp.gens.assignment))
     assert gm.image_of_word("ab") == sp.classof("ab")
+
+
+def test_ordered_semigroup_is_the_semigroup():
+    sp = syntactic_semigroup("b*ab*")
+    S = sp.ordered_semigroup()
+    assert S is sp.semigroup and sp.gens.target is S
+    assert S.order == sp.syntactic_order()
 
 
 def test_size_guard():

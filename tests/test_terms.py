@@ -72,7 +72,7 @@ def test_parse_composite_term():
 
 def test_parse_errors():
     for bad in ["", "()", "x^0", "x^(w*1)", "(x", "x)", "x^", "x^(4^w)",
-                "x^(w+)", "2x", "x^-1"]:
+                "x^(w+)", "2x", "x^-1", "x^(w"]:
         with pytest.raises(ParseError):
             parse_term(bad)
 

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import time
 
 from omsemi.words import (
@@ -95,13 +97,25 @@ def naive_cube_free(w):
 
 def test_is_cube_free_against_naive():
     rng = random.Random(9)
-    for _ in range(300):
-        w = "".join(rng.choice("ab") for _ in range(rng.randrange(0, 25)))
-        assert is_cube_free(w) == naive_cube_free(w)
+    for alphabet in ("ab", "abc", "a\u0161b", "\u0100\u0101a",
+                     "a\U0001f600b"):
+        for _ in range(300):
+            w = "".join(rng.choice(alphabet)
+                        for _ in range(rng.randrange(0, 25)))
+            assert is_cube_free(w) == naive_cube_free(w), w
+    # equal high bytes around a matching pair must not pass for a cube
+    assert is_cube_free("baa\u0161")
     assert not is_cube_free("aaa")
     assert not is_cube_free("xabcabcabcz")
     assert is_cube_free("")
     assert is_cube_free("xy")
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, omsemi; print('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0 and r.stdout == "False\n"
 
 
 def test_thue_morse_iterates_cube_free():

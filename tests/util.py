@@ -128,6 +128,7 @@ def random_transition_monoid(rng, max_states=6, alphabet="ab",
     """Transition monoid of a random language, resampled until it fits
     under max_elements.  Returns (monoid, letter -> element map)."""
     from omsemi.errors import SizeTooLarge
+    from omsemi.semigroup import GeneratorMap
     from omsemi.syntactic import syntactic_semigroup
     while True:
         d = random_dfa(rng, max_states, alphabet)
@@ -135,9 +136,9 @@ def random_transition_monoid(rng, max_states=6, alphabet="ab",
             pres = syntactic_semigroup(d, max_elements=max_elements)
         except SizeTooLarge:
             continue
-        m = pres.monoid_completion()
+        m = pres.semigroup.with_identity_adjoined()
         if m.n <= max_elements:
-            return m, pres.monoid_generator_map()
+            return m, GeneratorMap(m, dict(pres.gens.assignment))
 
 
 def term_spine(t):
