@@ -9,6 +9,11 @@ class NotAssociative(OmsemiError):
     """Multiplication table fails associativity."""
 
 
+class MalformedTable(OmsemiError, ValueError):
+    """Multiplication table, labels, identity or generators of the wrong
+    shape or out of range."""
+
+
 class NotAPartialOrder(OmsemiError):
     """Order relation is not a stable partial order."""
 

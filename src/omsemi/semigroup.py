@@ -1,16 +1,24 @@
 """Finite semigroups as explicit multiplication tables.
 
 Elements are integers 0..n-1.  A table is a list of n rows of n entries,
-``table[a][b]`` being the product ab.  Associativity is checked on
-construction, so every FiniteSemigroup in the package is genuinely a
-semigroup.  A semigroup may optionally carry a stable partial order and a
-distinguished identity element; a monoid is just a semigroup whose
-``identity`` is set.
+``table[a][b]`` being the product ab.  Every table is proven associative
+on construction, by Light's test over a generating set: when the
+generating set is known (syntactic semigroups, cyclic semigroups, identity
+adjunction) this costs n^2 per generator, and otherwise the generators are
+all n elements and it is the full n^3 proof, which is what untrusted
+tables (text input, enumeration, the group catalogue) get.  A semigroup
+may optionally carry a stable partial order and a distinguished identity
+element; a monoid is just a semigroup whose ``identity`` is set.
+
+Green's relations are the strongly connected components of the Cayley
+graphs over the generators (Froidure & Pin, "Algorithms for computing
+finite semigroups", 1997).
 """
 
 from dataclasses import dataclass
 
-from .errors import NotAssociative, NotAPartialOrder, ParseError
+from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
+                     ParseError)
 
 
 @dataclass(frozen=True)
@@ -28,43 +36,75 @@ class MonogenicData:
 
 
 class FiniteSemigroup:
-    def __init__(self, table, labels=None, order=None, identity=None):
-        self.n = len(table)
+    """A multiplication table proven associative on construction.
+
+    `generators` is a set of elements that generates the semigroup; it
+    defaults to every element.  Associativity and the stability of
+    `order` are proven over it, and Green's classes walk the Cayley
+    graphs over it, so a small generating set makes all three cheaper.
+    """
+
+    def __init__(self, table, labels=None, order=None, identity=None,
+                 generators=None):
+        self.n = n = len(table)
         self.table = [list(row) for row in table]
         for row in self.table:
-            if len(row) != self.n:
-                raise ValueError("table is not square")
-            for v in row:
-                if not (0 <= v < self.n):
-                    raise ValueError("table entry out of range: %r" % (v,))
+            if len(row) != n:
+                raise MalformedTable("table is not square")
+            if row and (min(row) < 0 or max(row) >= n):
+                raise MalformedTable("table entry out of range: %r" % (
+                    next(v for v in row if not 0 <= v < n),))
+        if generators is None:
+            self.generators = tuple(range(n))
+        else:
+            self.generators = tuple(sorted(set(generators)))
+            for g in self.generators:
+                if not (isinstance(g, int) and 0 <= g < n):
+                    raise MalformedTable("generator out of range: %r" % (g,))
         self._check_associative()
         self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count does not match table size")
+        if self.labels is not None and len(self.labels) != n:
+            raise MalformedTable("label count does not match table size")
         self.identity = identity
         if identity is not None:
+            if not (isinstance(identity, int) and 0 <= identity < n):
+                raise MalformedTable("identity out of range: %r"
+                                     % (identity,))
             row = self.table[identity]
-            for j in range(self.n):
+            for j in range(n):
                 if row[j] != j or self.table[j][identity] != j:
-                    raise ValueError("element %d is not an identity" % identity)
+                    raise MalformedTable("element %d is not an identity"
+                                         % identity)
         self.order = self._check_order(order) if order is not None else None
         self._mono = {}
         self._omega = {}
 
     def _check_associative(self):
+        """Light's test: the elements a with (xa)y = x(ay) for all x, y
+        form a subsemigroup, so checking them on a generating set proves
+        the whole table associative.  Checks first that the generators do
+        generate it."""
         t = self.table
-        for a in range(self.n):
-            ra = t[a]
-            for b in range(self.n):
-                ab = ra[b]
-                rb = t[b]
-                tab = t[ab]
-                for c in range(self.n):
-                    if tab[c] != ra[rb[c]]:
-                        raise NotAssociative(
-                            "(%d %d) %d != %d (%d %d)" % (a, b, c, a, b, c))
+        if (len(self.generators) < self.n
+                and len(_right_closure(t, self.generators)) != self.n):
+            raise MalformedTable("generators do not generate the table")
+        for g in self.generators:
+            rg = t[g]
+            for x, tx in enumerate(t):
+                # (xg)y for every y, against x(gy) for every y
+                if t[tx[g]] != [tx[v] for v in rg]:
+                    y = next(y for y in range(self.n)
+                             if t[tx[g]][y] != tx[rg[y]])
+                    raise NotAssociative(
+                        "(%d %d) %d != %d (%d %d)" % (x, g, y, x, g, y))
 
     def _check_order(self, order):
+        """The reflexive closure of `order` as a frozenset of pairs, once
+        it is proven a partial order that is stable under multiplication.
+        Stability is checked against the generators only: a <= b gives
+        ag <= bg and ga <= gb for every generator g, hence ac <= bc and
+        ca <= cb for every product c of generators, and with transitivity
+        ac <= bc <= bd whenever a <= b and c <= d."""
         pairs = set()
         for i, j in order:
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -83,12 +123,13 @@ class FiniteSemigroup:
                 if (i, k) not in pairs:
                     raise NotAPartialOrder("transitivity fails")
         t = self.table
-        plist = sorted(pairs)
-        for a, b in plist:
-            for c, d in plist:
-                if (t[a][c], t[b][d]) not in pairs:
+        for a, b in pairs:
+            ta, tb = t[a], t[b]
+            for g in self.generators:
+                if ((ta[g], tb[g]) not in pairs
+                        or (t[g][a], t[g][b]) not in pairs):
                     raise NotAPartialOrder(
-                        "order not stable: %d<=%d, %d<=%d" % (a, b, c, d))
+                        "order not stable: %d<=%d, generator %d" % (a, b, g))
         return frozenset(pairs)
 
     def leq(self, a, b):
@@ -193,7 +234,8 @@ class FiniteSemigroup:
         order = None
         if self.order is not None:
             order = set(self.order) | {(n, n)}
-        return FiniteSemigroup(table, labels=labels, order=order, identity=n)
+        return FiniteSemigroup(table, labels=labels, order=order, identity=n,
+                               generators=self.generators + (n,))
 
     def label(self, s):
         if self.labels is not None:
@@ -220,7 +262,7 @@ class FiniteSemigroup:
         ident = None
         if index == 1:
             ident = period - 1  # s^period is the identity of the cyclic group
-        return cls(table, labels=labels, identity=ident)
+        return cls(table, labels=labels, identity=ident, generators=[0])
 
     @classmethod
     def direct_product(cls, a, b):
@@ -348,30 +390,82 @@ def _partition_by(keys):
     return tuple(tuple(c) for c in classes)
 
 
+def _right_closure(table, generators):
+    """The elements reachable from the generators by right multiplication
+    by generators: the subsemigroup they generate."""
+    seen = set(generators)
+    frontier = list(seen)
+    while frontier:
+        a = frontier.pop()
+        row = table[a]
+        for g in generators:
+            b = row[g]
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
+
+
+def _scc_labels(succ):
+    """Strongly connected component of each vertex of the graph with
+    successor lists succ (Tarjan 1972, iterative)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]   # w is still on the stack
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+    return comp
+
+
 def green_classes(S):
-    """Green's relations via comparison of principal ideals."""
-    n = S.n
+    """Green's relations from the Cayley graphs over S.generators: the R-,
+    L- and J-classes are the strongly connected components of the right
+    (a -> ag), left (a -> ga) and two-sided graphs, since b is reachable
+    from a exactly when b lies in aS^1, S^1a or S^1aS^1; H = R n L.  Each
+    class lists its elements in increasing order, and the classes are
+    sorted by their least element."""
     t = S.table
-    right = []
-    left = []
-    two = []
-    for a in range(n):
-        ra = frozenset([a] + [t[a][s] for s in range(n)])
-        la = frozenset([a] + [t[s][a] for s in range(n)])
-        ja = set([a])
-        ja.update(t[a][s] for s in range(n))
-        ja.update(t[s][a] for s in range(n))
-        for s in range(n):
-            sa = t[s][a]
-            ja.update(t[sa][u] for u in range(n))
-        right.append(ra)
-        left.append(la)
-        two.append(frozenset(ja))
-    r = _partition_by(right)
-    l = _partition_by(left)
-    j = _partition_by(two)
-    h = _partition_by([(right[a], left[a]) for a in range(n)])
-    return GreenClasses(r=r, l=l, j=j, h=h)
+    gens = S.generators
+    right = [[t[a][g] for g in gens] for a in range(S.n)]
+    left = [[t[g][a] for g in gens] for a in range(S.n)]
+    r_of = _scc_labels(right)
+    l_of = _scc_labels(left)
+    j_of = _scc_labels([r + l for r, l in zip(right, left)])
+    return GreenClasses(r=_partition_by(r_of), l=_partition_by(l_of),
+                        j=_partition_by(j_of),
+                        h=_partition_by(list(zip(r_of, l_of))))
 
 
 def semigroup_to_text(S):

@@ -5,6 +5,11 @@ minimal complete DFA: each nonempty word acts on the state set, and two
 words are syntactically congruent iff they induce the same action.  Class
 representatives are the shortest words in shortlex order, discovered by
 breadth-first closure of the letter actions.
+
+The closure composes each class with each letter once, which gives the
+right Cayley graph; the table is then filled from it word by word
+(Froidure & Pin, "Algorithms for computing finite semigroups", 1997), and
+the letter classes are passed to FiniteSemigroup as its generators.
 """
 
 from .dfa import Dfa, compile_min_dfa
@@ -28,7 +33,8 @@ class SyntacticPresentation:
         # the identity is the class of a word acting as the empty word does
         self.semigroup = FiniteSemigroup(
             table, labels=list(words),
-            identity=self.index.get(tuple(range(dfa.n_states))))
+            identity=self.index.get(tuple(range(dfa.n_states))),
+            generators=letter_map.values())
         self.gens = GeneratorMap(self.semigroup, dict(letter_map))
         self._order = None
 
@@ -50,29 +56,40 @@ class SyntacticPresentation:
             t = step if t is None else _compose(t, step)
         return self.index[t]
 
-    def _monoid_actions(self):
-        acts = list(self.elements)
-        if self.semigroup.identity is None:
-            acts.append(tuple(range(self.dfa.n_states)))
-        return acts
-
     def syntactic_order(self):
         """The stable partial order: [u] <= [v] iff every accepting context
-        of u is an accepting context of v."""
+        of u is an accepting context of v.
+
+        On the minimal DFA every state is reached, so this says p.u <= p.v
+        for every state p in the residual-inclusion preorder on states,
+        where p <= q iff every word accepted from p is accepted from q
+        (Pin, "Syntactic semigroups", Handbook of Formal Languages I,
+        1997)."""
         if self._order is None:
-            accept = [q in self.dfa.accepting
-                      for q in range(self.dfa.n_states)]
-            acts = self._monoid_actions()
-            states = range(self.dfa.n_states)
-            n = len(self.elements)
-            pairs = set()
-            for u in range(n):
-                ut = self.elements[u]
-                for v in range(n):
-                    vt = self.elements[v]
-                    if all(accept[h[vt[q]]]
-                           for q in states for h in acts if accept[h[ut[q]]]):
-                        pairs.add((u, v))
+            below = _state_preorder(self.dfa)
+            nq = self.dfa.n_states
+            # at[p][r]: the classes u with p.u = r, as a bit set
+            at = [[0] * nq for _ in range(nq)]
+            for u, ut in enumerate(self.elements):
+                bit = 1 << u
+                for p, r in enumerate(ut):
+                    at[p][r] |= bit
+            # above[p][r]: the classes v with r <= p.v
+            above = [[0] * nq for _ in range(nq)]
+            for p in range(nq):
+                for r in range(nq):
+                    for s in range(nq):
+                        if below[r][s]:
+                            above[p][r] |= at[p][s]
+            pairs = []
+            for u, ut in enumerate(self.elements):
+                vs = -1
+                for p, r in enumerate(ut):
+                    vs &= above[p][r]
+                while vs:
+                    low = vs & -vs
+                    pairs.append((u, low.bit_length() - 1))
+                    vs ^= low
             self._order = frozenset(pairs)
         return self._order
 
@@ -103,6 +120,29 @@ class SyntacticPresentation:
             len(self.elements), "".join(self.alphabet))
 
 
+def _state_preorder(d):
+    """below[p][q]: every word accepted from state p is accepted from q.
+
+    The greatest relation that refines "p accepting implies q accepting"
+    and is closed under each letter, found by deleting pairs until no
+    letter leads out of the relation."""
+    nq = d.n_states
+    acc = d.accepting
+    trans = d.transitions
+    below = [[p not in acc or q in acc for q in range(nq)]
+             for p in range(nq)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(nq):
+            for q in range(nq):
+                if below[p][q] and not all(
+                        below[a][b] for a, b in zip(trans[p], trans[q])):
+                    below[p][q] = False
+                    changed = True
+    return below
+
+
 def syntactic_semigroup(d, alphabet=None, max_elements=2000):
     """Syntactic presentation of a regular language.
 
@@ -120,29 +160,46 @@ def syntactic_semigroup(d, alphabet=None, max_elements=2000):
     elements = []
     words = []
     index = {}
+    # the word of class j is the word of class prefix[j] followed by the
+    # letter last[j] (prefix -1: the letter alone)
+    prefix = []
+    last = []
     for i, ch in enumerate(letters):
         t = letter_acts[i]
         if t not in index:
             index[t] = len(elements)
             elements.append(t)
             words.append(ch)
+            prefix.append(-1)
+            last.append(i)
+    # right[i][j]: the class of the word of class j followed by letter i
+    right = [[] for _ in letters]
     pos = 0
     while pos < len(elements):
         t = elements[pos]
         w = words[pos]
-        pos += 1
         for i, ch in enumerate(letters):
             nt = _compose(t, letter_acts[i])
-            if nt not in index:
+            k = index.get(nt)
+            if k is None:
                 if len(elements) >= max_elements:
                     raise SizeTooLarge(
                         "transition semigroup exceeds %d elements"
                         % max_elements)
-                index[nt] = len(elements)
+                k = index[nt] = len(elements)
                 elements.append(nt)
                 words.append(w + ch)
+                prefix.append(pos)
+                last.append(i)
+            right[i].append(k)
+        pos += 1
+    # column j of the table, x -> xw for the word w of class j, is column
+    # prefix[j] followed by one step of the right Cayley graph
     n = len(elements)
-    table = [[index[_compose(elements[i], elements[j])] for j in range(n)]
-             for i in range(n)]
+    columns = []
+    for j in range(n):
+        before = range(n) if prefix[j] < 0 else columns[prefix[j]]
+        columns.append(list(map(right[last[j]].__getitem__, before)))
+    table = list(zip(*columns))
     letter_map = {ch: index[letter_acts[i]] for i, ch in enumerate(letters)}
     return SyntacticPresentation(d, elements, words, table, letter_map)

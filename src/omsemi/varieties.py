@@ -3,12 +3,15 @@
 plus an enumeration-backed sampler for completely regular semigroups."""
 
 from .enumeration import enumerate_semigroups
-from .errors import SizeTooLarge
+from .errors import ParseError, SizeTooLarge
 from .groups_catalog import all_groups_up_to_24
 from .semigroup import FiniteSemigroup, GeneratorMap
 from .terms import (
+    Concat,
     Fin,
+    FinitePower,
     Inf,
+    Letter,
     ab_image,
     com_exponents,
     eval_term,
@@ -52,6 +55,33 @@ def jplus_leq(u, v):
     """u <= v over subword-ordered monoids: every scattered subword of u is
     one of v, which for words just means u embeds in v."""
     return scattered_subword(u, v)
+
+
+def _jplus_word(text):
+    """The word a jplus side spells out.  The side is parsed as a term, so
+    ``a^2`` is ``aa`` and spaces only separate letters; omega powers have
+    no word, and a side containing one raises ParseError."""
+    t = parse_term(text)
+    done = []
+    stack = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Letter):
+            done.append(node.ch)
+        elif not isinstance(node, (Concat, FinitePower)):
+            raise ParseError("jplus sides are words, but %r has an omega "
+                             "power" % text)
+        elif expanded:
+            right = done.pop()
+            done.append(done.pop() + right if isinstance(node, Concat)
+                        else right * node.m)
+        else:
+            stack.append((node, True))
+            if isinstance(node, Concat):
+                stack += [(node.right, False), (node.left, False)]
+            else:
+                stack.append((node.base, False))
+    return done[0]
 
 
 def cr_semigroups(bound):
@@ -165,12 +195,13 @@ def check_identity(variety, lhs, rhs, leq=False):
         result["verdict"] = g_satisfies(u, v)
         result["witness"] = None if result["verdict"] else g_witness(u, v)
     elif variety == "jplus":
+        u, v = _jplus_word(lhs), _jplus_word(rhs)
         if leq:
-            result["verdict"] = jplus_leq(lhs, rhs)
+            result["verdict"] = jplus_leq(u, v)
         else:
-            result["verdict"] = jplus_leq(lhs, rhs) and jplus_leq(rhs, lhs)
+            result["verdict"] = jplus_leq(u, v) and jplus_leq(v, u)
         if not result["verdict"]:
-            bad = lhs if not jplus_leq(lhs, rhs) else rhs
+            bad = u if not jplus_leq(u, v) else v
             result["witness"] = {"obstruction_word": bad}
         else:
             result["witness"] = None

@@ -69,7 +69,7 @@ def test_jplus_reduction_on_a_thousand_random_instances():
         M, gm = random_transition_monoid(rng, max_states=6, max_elements=120)
         order = frozenset((e, e) for e in range(M.n))
         S = FiniteSemigroup(M.table, labels=M.labels, order=order,
-                            identity=M.identity)
+                            identity=M.identity, generators=M.generators)
         letters = sorted(gm.assignment)
         g = GeneratorMap(S, {tl: gm(ll) for tl, ll in zip("xy", letters)})
         u = random_term(rng, "xy", depth=2)

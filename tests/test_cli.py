@@ -98,6 +98,26 @@ def test_check_jplus_leq():
     assert json.loads(r.stdout)["verdict"] is True
 
 
+def test_check_jplus_reads_terms():
+    # both sides are terms: powers expand and spaces separate letters
+    for lhs, rhs in (("a^2", "aa"), ("a b", "ab"), ("(a b)^2 c", "abcabc")):
+        r = run_cli("check", "--variety", "jplus", "--leq", "--lhs", lhs,
+                    "--rhs", rhs)
+        assert r.returncode == 0, (lhs, rhs)
+        assert json.loads(r.stdout)["verdict"] is True
+    r = run_cli("check", "--variety", "jplus", "--lhs", "a^3", "--rhs", "aa")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["witness"] == {"obstruction_word": "aaa"}
+
+
+def test_check_jplus_omega_power_exits_2():
+    for lhs in ("a^w", "(a b^(w-1))^2", "a^(2^w)"):
+        r = run_cli("check", "--variety", "jplus", "--leq", "--lhs", lhs,
+                    "--rhs", "ab")
+        assert r.returncode == 2, lhs
+        assert "omega power" in r.stderr
+
+
 def test_check_leq_outside_jplus_exits_2():
     r = run_cli("check", "--variety", "ab", "--lhs", "x", "--rhs", "x",
                 "--leq")

@@ -1,0 +1,115 @@
+"""Properties of the Cayley-graph kernel on random complete DFAs over
+{a, b}: the table, the syntactic order and Green's classes agree with the
+brute-force oracles in util, Light's test finds a corrupted cell, and the
+order check refuses an order that is not stable."""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from omsemi.dfa import Dfa
+from omsemi.errors import (MalformedTable, NotAPartialOrder, NotAssociative,
+                           SizeTooLarge)
+from omsemi.semigroup import FiniteSemigroup, green_classes
+from omsemi.syntactic import syntactic_semigroup
+
+from util import (composition_table, context_order, generates,
+                  ideal_green_classes, is_associative, is_stable)
+
+MAX_CLASSES = 60   # keeps the cubic oracles quick
+kernel_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def dfas(draw, min_states=1):
+    """A complete DFA with min_states to 6 states.  A DFA of two or
+    more states has both an accepting and a rejecting state."""
+    n = draw(st.integers(min_states, 6))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.lists(state, min_size=2, max_size=2),
+                                min_size=n, max_size=n))
+    if n == 1:
+        accepting = draw(st.sets(state))
+    else:
+        accepting = draw(st.sets(state, min_size=1, max_size=n - 1))
+    return Dfa("ab", transitions, 0, accepting)
+
+
+@st.composite
+def presentations(draw, min_states=1):
+    try:
+        sp = syntactic_semigroup(draw(dfas(min_states)),
+                                 max_elements=MAX_CLASSES)
+    except SizeTooLarge:
+        assume(False)
+    return sp
+
+
+@kernel_settings
+@given(presentations())
+def test_table_matches_composition(sp):
+    assert sp.semigroup.table == composition_table(sp)
+    letters = set(sp.gens.assignment.values())
+    assert set(sp.semigroup.generators) == letters
+
+
+@kernel_settings
+@given(presentations())
+def test_order_matches_contexts(sp):
+    assert sp.syntactic_order() == context_order(sp)
+    assert sp.ordered_semigroup().order == context_order(sp)
+
+
+@kernel_settings
+@given(presentations())
+def test_green_matches_ideals(sp):
+    S = sp.semigroup
+    for T in (S, S.with_identity_adjoined(), FiniteSemigroup(S.table)):
+        assert green_classes(T) == ideal_green_classes(T)
+
+
+def corruptions(table, start):
+    """Copies of table with one cell changed, from cell `start` on."""
+    n = len(table)
+    for k in range(start, start + n * n):
+        i, j = divmod(k % (n * n), n)
+        for v in range(n):
+            if v != table[i][j]:
+                bad = [list(row) for row in table]
+                bad[i][j] = v
+                yield bad
+
+
+@kernel_settings
+@given(presentations(min_states=2), st.integers(0, MAX_CLASSES ** 2))
+def test_light_finds_a_corrupted_cell(sp, start):
+    S = sp.semigroup
+    assume(S.n >= 2)
+    table = next((bad for bad in corruptions(S.table, start)
+                  if not is_associative(bad)), None)
+    assume(table is not None)
+    with pytest.raises(NotAssociative):
+        FiniteSemigroup(table)
+    expected = (NotAssociative if generates(table, S.generators)
+                else MalformedTable)
+    with pytest.raises(expected):
+        FiniteSemigroup(table, generators=S.generators)
+
+
+@kernel_settings
+@given(presentations(), st.data())
+def test_check_order_accepts_exactly_the_stable_orders(sp, data):
+    S = sp.semigroup
+    element = st.integers(0, S.n - 1)
+    pairs = set(data.draw(st.lists(st.tuples(element, element), max_size=4)))
+    pairs |= {(a, a) for a in range(S.n)}
+    while True:
+        more = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
+        if not more:
+            break
+        pairs |= more
+    assume(all(a == b or (b, a) not in pairs for a, b in pairs))
+    if is_stable(S.table, pairs):
+        assert S._check_order(pairs) == frozenset(pairs)
+    else:
+        with pytest.raises(NotAPartialOrder, match="not stable"):
+            S._check_order(pairs)

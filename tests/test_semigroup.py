@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from omsemi.errors import NotAssociative, NotAPartialOrder, ParseError
+from omsemi.errors import (MalformedTable, NotAssociative, NotAPartialOrder,
+                           OmsemiError, ParseError)
 from omsemi.semigroup import (
     FiniteSemigroup,
     green_classes,
@@ -34,6 +35,44 @@ def test_identity_validation():
     assert S.identity == 0
     with pytest.raises(ValueError):
         FiniteSemigroup([[0, 0], [0, 0]], identity=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteSemigroup([[0, 1], [1]]),
+    lambda: FiniteSemigroup([[0, 2], [1, 1]]),
+    lambda: FiniteSemigroup([[0, -1], [1, 1]]),
+    lambda: FiniteSemigroup([[0]], identity=5),
+    lambda: FiniteSemigroup([[0]], labels=["a", "b"]),
+    lambda: FiniteSemigroup([[0, 0], [0, 0]], identity=0),
+    lambda: FiniteSemigroup([[0]], generators=[1]),
+    lambda: FiniteSemigroup([[1, 0], [0, 1]], generators=[1]),
+    lambda: semigroup_from_text("2\n0 1\n1"),
+], ids=["ragged", "entry-too-large", "entry-negative", "identity-range",
+        "label-count", "not-an-identity", "generator-range",
+        "not-generating", "text-ragged"])
+def test_malformed_table_is_typed(make):
+    with pytest.raises(MalformedTable) as info:
+        make()
+    assert isinstance(info.value, OmsemiError)
+
+
+def test_light_test_over_generators():
+    # C(2, 2) = {s, s^2, s^3} is generated by s alone
+    S = FiniteSemigroup.cyclic(2, 2)
+    assert S.generators == (0,)
+    FiniteSemigroup(S.table, generators=[0])
+    # a table that fails associativity only at its generator
+    with pytest.raises(NotAssociative):
+        FiniteSemigroup([[1, 0], [0, 0]], generators=[0])
+
+
+def test_constructors_declare_generators():
+    S = FiniteSemigroup.cyclic(3, 2)
+    M = S.with_identity_adjoined()
+    assert M.generators == (0, S.n)
+    assert FiniteSemigroup.direct_product(S, S).generators == \
+        tuple(range(S.n ** 2))
+    assert rectangular_band(2, 2).generators == (0, 1, 2, 3)
 
 
 def test_monogenic_c22():

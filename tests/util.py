@@ -80,6 +80,80 @@ def random_small_semigroup(rng):
             return FiniteSemigroup(table)
 
 
+def is_associative(table):
+    """The n^3 associativity proof."""
+    r = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in r for b in r for c in r)
+
+
+def generates(table, gens):
+    """Is every element a product (..(g1 g2)..) gk of generators, taken
+    from the left?  (In a table that is not associative, other bracketings
+    can reach more.)"""
+    got = set(gens)
+    while True:
+        more = {table[a][g] for a in got for g in gens} - got
+        if not more:
+            return len(got) == len(table)
+        got |= more
+
+
+def is_stable(table, pairs):
+    """a <= b and c <= d give ac <= bd, tried on every two pairs."""
+    return all((table[a][c], table[b][d]) in pairs
+               for a, b in pairs for c, d in pairs)
+
+
+def composition_table(sp):
+    """The table of a syntactic presentation by composing every two
+    class actions."""
+    return [[sp.index[tuple(g[q] for q in f)] for g in sp.elements]
+            for f in sp.elements]
+
+
+def context_order(sp):
+    """The syntactic order by trying every monoid context: [u] <= [v] iff
+    q.u.h accepting implies q.v.h accepting, for every state q and every
+    action h of a word, the empty word included."""
+    d = sp.dfa
+    accept = [q in d.accepting for q in range(d.n_states)]
+    acts = list(sp.elements) + [tuple(range(d.n_states))]
+    pairs = set()
+    for u, ut in enumerate(sp.elements):
+        for v, vt in enumerate(sp.elements):
+            if all(accept[h[vt[q]]] for q in range(d.n_states)
+                   for h in acts if accept[h[ut[q]]]):
+                pairs.add((u, v))
+    return frozenset(pairs)
+
+
+def ideal_green_classes(S):
+    """Green's relations by comparing the principal ideals aS^1, S^1a and
+    S^1aS^1 of every element."""
+    from omsemi.semigroup import GreenClasses
+    n = S.n
+    t = S.table
+
+    def partition(keys):
+        groups = {}
+        for a, key in enumerate(keys):
+            groups.setdefault(key, []).append(a)
+        return tuple(tuple(c) for c in sorted(groups.values()))
+
+    right, left, two = [], [], []
+    for a in range(n):
+        right.append(frozenset([a] + [t[a][s] for s in range(n)]))
+        left.append(frozenset([a] + [t[s][a] for s in range(n)]))
+        ja = set(right[a] | left[a])
+        for s in range(n):
+            ja.update(t[t[s][a]][u] for u in range(n))
+        two.append(frozenset(ja))
+    return GreenClasses(r=partition(right), l=partition(left),
+                        j=partition(two),
+                        h=partition(list(zip(right, left))))
+
+
 def naive_power(S, s, k):
     """s^k by plain left-to-right multiplication."""
     e = s
