@@ -35,7 +35,7 @@ class Dfa:
         for ch in word:
             i = self.letter_index.get(ch)
             if i is None:
-                raise KeyError("letter %r not in alphabet" % ch)
+                raise AlphabetMismatch("letter %r not in alphabet" % ch)
             q = self.transitions[q][i]
         return q
 
@@ -216,24 +216,24 @@ def is_empty(d):
 
 
 def is_finite_language(d):
-    """True iff the accepted language is finite (no useful cycle)."""
+    """True iff the accepted language is finite (no useful cycle).
+
+    Kahn's peel of the useful subgraph: a state is peeled once all its
+    useful predecessors are, and a state on or after a cycle never is."""
     useful = set(d.reachable_states()) & set(d.coaccessible_states())
-    color = {}
-
-    def has_cycle(q):
-        color[q] = 1
+    indegree = dict.fromkeys(useful, 0)
+    for q in useful:
         for r in d.transitions[q]:
-            if r not in useful:
-                continue
-            c = color.get(r)
-            if c == 1:
-                return True
-            if c is None and has_cycle(r):
-                return True
-        color[q] = 2
-        return False
-
-    return not any(has_cycle(q) for q in sorted(useful) if q not in color)
+            if r in useful:
+                indegree[r] += 1
+    peeled = [q for q in useful if indegree[q] == 0]
+    for q in peeled:    # the list grows as states are peeled
+        for r in d.transitions[q]:
+            if r in useful:
+                indegree[r] -= 1
+                if indegree[r] == 0:
+                    peeled.append(r)
+    return len(peeled) == len(useful)
 
 
 def enumerate_accepted(d, max_len):

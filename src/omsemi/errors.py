@@ -31,7 +31,9 @@ class EmptyAlphabet(OmsemiError):
 
 
 class AlphabetMismatch(OmsemiError):
-    """Two automata over different alphabets were compared."""
+    """A letter outside the alphabet of the automaton or syntactic
+    semigroup it is used with, or two automata over different alphabets
+    compared."""
 
 
 class ElementNotWordImage(OmsemiError):

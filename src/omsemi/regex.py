@@ -3,7 +3,12 @@
 Concrete syntax is ASCII: single-character letters, juxtaposition for
 concatenation, ``|`` for union, postfix ``*`` and ``+``, parentheses.
 Whitespace is ignored.  An empty branch denotes the empty word, so ``""``
-and ``(|a)`` are both valid.
+and ``(|a)`` are both valid.  Parentheses nest at most NESTING_DEPTH_CAP
+deep; the `Scanner` that enforces this is shared with the term parser.
+
+Every walk over a regex tree (its alphabet, the Thompson automaton, the
+concrete syntax) is a fold over `_postorder`, the node list with each
+node after its subexpressions, so no walk recurses however deep the tree.
 """
 
 from dataclasses import dataclass
@@ -45,20 +50,39 @@ class Plus:
     body: object
 
 
+def _postorder(r):
+    """The nodes of r, each after its subexpressions and left before right,
+    walked with an explicit stack."""
+    out, stack = [], [r]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        kind = type(node)
+        if kind is Union or kind is Concat:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is Star or kind is Plus:
+            stack.append(node.body)
+    out.reverse()
+    return out
+
+
 def regex_alphabet(r):
-    if isinstance(r, Sym):
-        return {r.ch}
-    if isinstance(r, (Union, Concat)):
-        return regex_alphabet(r.left) | regex_alphabet(r.right)
-    if isinstance(r, (Star, Plus)):
-        return regex_alphabet(r.body)
-    return set()
+    return {node.ch for node in _postorder(r) if type(node) is Sym}
 
 
-class _Parser:
+NESTING_DEPTH_CAP = 100
+
+
+class Scanner:
+    """The character stream of the regex and term parsers.  Whitespace is
+    skipped, and parentheses nested deeper than NESTING_DEPTH_CAP raise
+    ParseError, which keeps recursive descent off the recursion limit."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -72,6 +96,20 @@ class _Parser:
         self.pos += 1
         return ch
 
+    def open_group(self):
+        """Count a group whose "(" was just taken."""
+        self.depth += 1
+        if self.depth > NESTING_DEPTH_CAP:
+            raise ParseError("parentheses nested deeper than %d at position %d"
+                             % (NESTING_DEPTH_CAP, self.pos))
+
+    def close_group(self):
+        if self.take() != ")":
+            raise ParseError("missing closing parenthesis")
+        self.depth -= 1
+
+
+class _Parser(Scanner):
     def parse(self):
         r = self.alternation()
         if self.peek() is not None:
@@ -109,9 +147,9 @@ class _Parser:
     def atom(self):
         ch = self.take()
         if ch == "(":
+            self.open_group()
             r = self.alternation()
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
+            self.close_group()
             return r
         if ch is None or ch in _SPECIAL:
             raise ParseError("unexpected %r" % (ch,))
@@ -122,74 +160,67 @@ def parse_regex(text):
     return _Parser(text).parse()
 
 
-def _thompson(r, trans, counter):
-    """Build an epsilon-NFA fragment; returns (start, end) state ids."""
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
-    if isinstance(r, Empty):
-        s = fresh()
-        return s, s
-    if isinstance(r, Sym):
-        s, e = fresh(), fresh()
-        trans.append((s, r.ch, e))
-        return s, e
-    if isinstance(r, Union):
-        s, e = fresh(), fresh()
-        s1, e1 = _thompson(r.left, trans, counter)
-        s2, e2 = _thompson(r.right, trans, counter)
-        trans.extend([(s, None, s1), (s, None, s2),
-                      (e1, None, e), (e2, None, e)])
-        return s, e
-    if isinstance(r, Concat):
-        s1, e1 = _thompson(r.left, trans, counter)
-        s2, e2 = _thompson(r.right, trans, counter)
-        trans.append((e1, None, s2))
-        return s1, e2
-    if isinstance(r, Star):
-        s, e = fresh(), fresh()
-        s1, e1 = _thompson(r.body, trans, counter)
-        trans.extend([(s, None, s1), (s, None, e),
-                      (e1, None, s1), (e1, None, e)])
-        return s, e
-    if isinstance(r, Plus):
-        # e+ = e e*, sharing one copy of the body via the loop edge
-        s, e = fresh(), fresh()
-        s1, e1 = _thompson(r.body, trans, counter)
-        trans.extend([(s, None, s1), (e1, None, s1), (e1, None, e)])
-        return s, e
-    raise TypeError("not a regex node: %r" % (r,))
-
-
 def nfa_of_regex(r):
-    """Epsilon-NFA as (n_states, transitions, start, accept)."""
-    trans = []
-    counter = [0]
-    start, accept = _thompson(r, trans, counter)
-    return counter[0], trans, start, accept
+    """Thompson's epsilon-NFA as (n_states, transitions, start, accept).
+
+    A fold over the postorder: each node allocates its states after its
+    children's and leaves its fragment's (start, end) on the stack."""
+    trans, frags, n = [], [], 0
+    for node in _postorder(r):
+        kind = type(node)
+        if kind is Empty:
+            frags.append((n, n))
+            n += 1
+            continue
+        if kind is Concat:
+            (s1, e1), (s2, e2) = frags.pop(-2), frags.pop()
+            trans.append((e1, None, s2))
+            frags.append((s1, e2))
+            continue
+        s, e = n, n + 1
+        n += 2
+        if kind is Sym:
+            trans.append((s, node.ch, e))
+        elif kind is Union:
+            (s1, e1), (s2, e2) = frags.pop(-2), frags.pop()
+            trans += [(s, None, s1), (s, None, s2),
+                      (e1, None, e), (e2, None, e)]
+        else:
+            # e+ = e e*, sharing one copy of the body via the loop edge;
+            # e* adds the edge that skips the body
+            s1, e1 = frags.pop()
+            trans += [(s, None, s1), (e1, None, s1), (e1, None, e)]
+            if kind is Star:
+                trans.append((s, None, e))
+        frags.append((s, e))
+    return n, trans, *frags.pop()
 
 
 def format_regex(r):
-    """Concrete syntax for a regex tree; parse_regex inverts it."""
+    """Concrete syntax for a regex tree; parse_regex inverts it.
 
-    def go(r, prec):
-        if isinstance(r, Empty):
-            return "()"
-        if isinstance(r, Sym):
-            return r.ch
-        if isinstance(r, Union):
-            s = go(r.left, 0) + "|" + go(r.right, 0)
-            return "(" + s + ")" if prec > 0 else s
-        if isinstance(r, Concat):
-            s = go(r.left, 1) + go(r.right, 1)
-            return "(" + s + ")" if prec > 1 else s
-        if isinstance(r, (Star, Plus)):
-            return go(r.body, 2) + ("*" if isinstance(r, Star) else "+")
-        raise TypeError("not a regex node: %r" % (r,))
+    A fold over the postorder with (text, precedence) pairs: a union is
+    precedence 0, a concatenation 1, atoms and postfix nodes 2, and a
+    child is parenthesised when its precedence is below what its parent
+    needs."""
 
-    return go(r, 0)
+    def operand(pair, need):
+        return "(%s)" % pair[0] if pair[1] < need else pair[0]
+
+    out = []
+    for node in _postorder(r):
+        kind = type(node)
+        if kind is Empty or kind is Sym:
+            out.append(("()" if kind is Empty else node.ch, 2))
+        elif kind is Star or kind is Plus:
+            out[-1] = (operand(out[-1], 2) + ("*" if kind is Star else "+"),
+                       2)
+        else:
+            prec = 0 if kind is Union else 1
+            right = operand(out.pop(), prec)
+            out[-1] = (operand(out[-1], prec) + ("|" if prec == 0 else "")
+                       + right, prec)
+    return out[0][0]
 
 
 def _alt(a, b):

@@ -18,7 +18,7 @@ finite semigroups", 1997).
 from dataclasses import dataclass
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
-                     ParseError)
+                     ParseError, UnboundLetter)
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class FiniteSemigroup:
     def __init__(self, table, labels=None, order=None, identity=None,
                  generators=None):
         self.n = n = len(table)
+        if n == 0:
+            raise MalformedTable("a semigroup has at least one element")
         self.table = [list(row) for row in table]
         for row in self.table:
             if len(row) != n:
@@ -322,7 +324,6 @@ class GeneratorMap:
                 raise ValueError("image of %r out of range" % letter)
 
     def __call__(self, letter):
-        from .errors import UnboundLetter
         try:
             return self.assignment[letter]
         except KeyError:
@@ -502,6 +503,8 @@ def semigroup_from_text(text):
 
     no, head = rows[0]
     n = ints(no, head[:1])[0]
+    if n < 1:
+        raise ParseError("line %d: order must be at least 1" % no)
     identity = None
     for tok in head[1:]:
         if tok.startswith("monoid="):

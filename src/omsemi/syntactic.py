@@ -13,7 +13,7 @@ the letter classes are passed to FiniteSemigroup as its generators.
 """
 
 from .dfa import Dfa, compile_min_dfa
-from .errors import ElementNotWordImage, SizeTooLarge
+from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
 from .semigroup import FiniteSemigroup, GeneratorMap
 
 
@@ -50,7 +50,7 @@ class SyntacticPresentation:
         for ch in word:
             i = self.dfa.letter_index.get(ch)
             if i is None:
-                raise KeyError("letter %r not in alphabet" % ch)
+                raise AlphabetMismatch("letter %r not in alphabet" % ch)
             step = tuple(self.dfa.transitions[q][i]
                          for q in range(self.dfa.n_states))
             t = step if t is None else _compose(t, step)

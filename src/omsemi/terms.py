@@ -7,8 +7,15 @@ element s^(omega+k) of s = eval(t), and t^(p^w) to the limit of s^(p^(n!)).
 
 Concrete syntax: juxtaposition concatenates, ``^w``, ``^(w+2)``, ``^(w-1)``,
 ``^(2^w)`` and ``^3`` are powers, parentheses group.  Whitespace is ignored.
+
+Every walk over a term (size, alphabet, concrete syntax, evaluation, the
+commutative, abelian and free-group images, unrolling, factor expansion)
+is a fold over `_postorder`, the node list with each node after its
+subterms, so no walk recurses however long or deep the term.  Evaluation
+is one fold, which `eval_term` and `find_identity_failure` share.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +26,8 @@ from .errors import (
     ParseError,
     UnsupportedPrimePower,
 )
-from .semigroup import GeneratorMap
+from .regex import Scanner
+from .semigroup import stabilized_prime_power_residue
 
 
 @dataclass(frozen=True)
@@ -57,21 +65,47 @@ class FinitePower:
             raise ValueError("finite power must be >= 1 (terms are nonempty)")
 
 
+def _postorder(t):
+    """The nodes of t, each after its subterms and left before right,
+    walked with an explicit stack."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        kind = type(node)
+        if kind is Concat:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is not Letter:
+            stack.append(node.base)
+    out.reverse()
+    return out
+
+
+def _fold(nodes, letter, concat, power):
+    """Fold a postorder with a value stack: a letter's value is letter(ch),
+    a concatenation's concat(left value, right value), and a power node's
+    power(node, value of its base)."""
+    out = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Letter:
+            out.append(letter(node.ch))
+        elif kind is Concat:
+            right = out.pop()
+            out[-1] = concat(out[-1], right)
+        else:
+            out[-1] = power(node, out[-1])
+    return out[0]
+
+
 def term_size(t):
     """Number of syntax tree nodes."""
-    if isinstance(t, Letter):
-        return 1
-    if isinstance(t, Concat):
-        return 1 + term_size(t.left) + term_size(t.right)
-    return 1 + term_size(t.base)
+    return len(_postorder(t))
 
 
 def term_alphabet(t):
-    if isinstance(t, Letter):
-        return {t.ch}
-    if isinstance(t, Concat):
-        return term_alphabet(t.left) | term_alphabet(t.right)
-    return term_alphabet(t.base)
+    return {node.ch for node in _postorder(t) if type(node) is Letter}
 
 
 def concat_all(parts):
@@ -99,23 +133,7 @@ def _is_prime(p):
     return True
 
 
-class _TermParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
+class _TermParser(Scanner):
     def number(self):
         ch = self.peek()
         if ch is None or not ch.isdigit():
@@ -185,9 +203,9 @@ class _TermParser:
     def atom(self):
         ch = self.take()
         if ch == "(":
+            self.open_group()
             t = self.concatenation()
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
+            self.close_group()
             return t
         if ch is None or not ch.isalpha():
             raise ParseError("expected a letter, got %r" % (ch,))
@@ -198,60 +216,65 @@ def parse_term(text):
     return _TermParser(text).parse()
 
 
-def _needs_parens(t):
-    return not isinstance(t, Letter)
+def _exponent(node):
+    if type(node) is OmegaPower:
+        return "^w" if node.k == 0 else "^(w%+d)" % node.k
+    if type(node) is PrimeOmegaPower:
+        return "^(%d^w)" % node.p
+    return "^%d" % node.m
 
 
 def format_term(t):
-    if isinstance(t, Letter):
-        return t.ch
-    if isinstance(t, Concat):
-        return "%s %s" % (format_term(t.left), format_term(t.right))
-    if isinstance(t, OmegaPower):
-        if t.k == 0:
-            exp = "^w"
-        else:
-            exp = "^(w%+d)" % t.k
-    elif isinstance(t, PrimeOmegaPower):
-        exp = "^(%d^w)" % t.p
-    else:
-        exp = "^%d" % t.m
-    base = format_term(t.base)
-    if _needs_parens(t.base):
-        base = "(%s)" % base
-    return base + exp
+    def power(node, base):
+        if type(node.base) is not Letter:
+            base = "(%s)" % base
+        return base + _exponent(node)
+
+    return _fold(_postorder(t), str, "{} {}".format, power)
+
+
+def _power_value(S, node, s):
+    """Value in S of a power node whose base has value s."""
+    if type(node) is OmegaPower:
+        return S.omega_plus_k(s, node.k)
+    if type(node) is FinitePower:
+        return S.power(s, node.m)
+    return S.p_omega_power(s, node.p)
+
+
+def _evaluate(S, nodes, letter):
+    """Value in S of the term whose postorder is nodes, a letter's value
+    being letter(ch): the one term evaluator."""
+    table = S.table
+    return _fold(nodes, letter, lambda a, b: table[a][b],
+                 lambda node, s: _power_value(S, node, s))
 
 
 def eval_term(S, g, t):
     """Value of a term in S under the letter assignment g."""
-    if isinstance(t, Letter):
-        return g(t.ch)
-    if isinstance(t, Concat):
-        return S.table[eval_term(S, g, t.left)][eval_term(S, g, t.right)]
-    if isinstance(t, OmegaPower):
-        return S.omega_plus_k(eval_term(S, g, t.base), t.k)
-    if isinstance(t, PrimeOmegaPower):
-        return S.p_omega_power(eval_term(S, g, t.base), t.p)
-    if isinstance(t, FinitePower):
-        return S.power(eval_term(S, g, t.base), t.m)
-    raise TypeError("not a term: %r" % (t,))
+    return _evaluate(S, _postorder(t), g)
 
 
 def find_identity_failure(S, lhs, rhs, mode="equality"):
-    """An assignment violating lhs = rhs (or lhs <= rhs), or None."""
+    """An assignment violating lhs = rhs (or lhs <= rhs), or None.
+
+    Assignments run through the sorted letters' values in lexicographic
+    order.  Each side's postorder is taken once, and an assignment is a
+    plain dict: its values come from range(S.n), so there is nothing for
+    a GeneratorMap to check."""
     if mode not in ("equality", "inequality"):
         raise ValueError("mode must be equality or inequality")
     if mode == "inequality" and S.order is None:
         raise InequalityWithoutOrder("semigroup carries no order")
     variables = sorted(term_alphabet(lhs) | term_alphabet(rhs))
-    import itertools
+    left, right = _postorder(lhs), _postorder(rhs)
     for values in itertools.product(range(S.n), repeat=len(variables)):
-        g = GeneratorMap(S, dict(zip(variables, values)))
-        a = eval_term(S, g, lhs)
-        b = eval_term(S, g, rhs)
+        assignment = dict(zip(variables, values))
+        a = _evaluate(S, left, assignment.__getitem__)
+        b = _evaluate(S, right, assignment.__getitem__)
         ok = a == b if mode == "equality" else (a, b) in S.order
         if not ok:
-            return dict(zip(variables, values))
+            return assignment
     return None
 
 
@@ -306,69 +329,57 @@ def Inf(k):
 
 def com_exponents(t):
     """Letter multiplicities of t in N u (omega+Z), as a dict."""
-    if isinstance(t, Letter):
-        return {t.ch: Fin(1)}
-    if isinstance(t, Concat):
-        out = dict(com_exponents(t.left))
-        for ch, e in com_exponents(t.right).items():
-            out[ch] = out[ch] + e if ch in out else e
-        return out
-    if isinstance(t, OmegaPower):
-        return {ch: e.omega_compose(t.k)
-                for ch, e in com_exponents(t.base).items()}
-    if isinstance(t, FinitePower):
-        return {ch: e.scale(t.m) for ch, e in com_exponents(t.base).items()}
-    if isinstance(t, PrimeOmegaPower):
-        raise UnsupportedPrimePower(
-            "commutative image of a prime-omega power is not supported")
-    raise TypeError("not a term: %r" % (t,))
+
+    def concat(left, right):
+        for ch, e in right.items():
+            left[ch] = left[ch] + e if ch in left else e
+        return left
+
+    def power(node, exps):
+        if type(node) is PrimeOmegaPower:
+            raise UnsupportedPrimePower("commutative and abelian images of "
+                                        "a prime-omega power are not "
+                                        "supported")
+        if type(node) is OmegaPower:
+            return {ch: e.omega_compose(node.k) for ch, e in exps.items()}
+        return {ch: e.scale(node.m) for ch, e in exps.items()}
+
+    return _fold(_postorder(t), lambda ch: {ch: Fin(1)}, concat, power)
 
 
 def ab_image(t):
-    """Integer letter multiplicities (omega collapses to its offset)."""
-    if isinstance(t, Letter):
-        return {t.ch: 1}
-    if isinstance(t, Concat):
-        out = dict(ab_image(t.left))
-        for ch, n in ab_image(t.right).items():
-            out[ch] = out.get(ch, 0) + n
-        return out
-    if isinstance(t, OmegaPower):
-        return {ch: n * t.k for ch, n in ab_image(t.base).items()}
-    if isinstance(t, FinitePower):
-        return {ch: n * t.m for ch, n in ab_image(t.base).items()}
-    if isinstance(t, PrimeOmegaPower):
-        raise UnsupportedPrimePower(
-            "abelian image of a prime-omega power is not supported")
-    raise TypeError("not a term: %r" % (t,))
+    """Integer letter multiplicities (omega collapses to its offset): the
+    offsets of the commutative exponents, whose arithmetic they share."""
+    return {ch: e.value for ch, e in com_exponents(t).items()}
 
 
 # ---------------------------------------------------------------------------
 # free group image
 
 
-def _reduce_signed(seq):
-    out = []
-    for ch, s in seq:
-        if out and out[-1][0] == ch and out[-1][1] == -s:
-            out.pop()
+def _concat_signed(left, right):
+    """left right as a reduced word, for reduced left and right: right is
+    reduced onto the end of left, in place."""
+    for ch, s in right:
+        if left and left[-1] == (ch, -s):
+            left.pop()
         else:
-            out.append((ch, s))
-    return out
+            left.append((ch, s))
+    return left
 
 
-def _invert_signed(seq):
-    return [(ch, -s) for ch, s in reversed(seq)]
-
-
-def _power_signed(seq, k):
+def _power_signed(word, k):
+    """word^k for a reduced word, by cyclic reduction: word = a c a^-1 with
+    c cyclically reduced gives a c^k a^-1, itself reduced (Lyndon &
+    Schupp, "Combinatorial Group Theory", 1977)."""
     if k == 0:
         return []
-    body = seq if k > 0 else _invert_signed(seq)
-    out = []
-    for _ in range(abs(k)):
-        out = _reduce_signed(out + body)
-    return out
+    if k < 0:
+        word, k = [(ch, -s) for ch, s in reversed(word)], -k
+    n, i = len(word), 0
+    while i < n - 1 - i and word[i] == (word[-1 - i][0], -word[-1 - i][1]):
+        i += 1
+    return word[:i] + word[i:n - i] * k + word[n - i:]
 
 
 def free_group_normal_form(t):
@@ -377,20 +388,15 @@ def free_group_normal_form(t):
     Omega powers land on the k-th power of the base image: the omega part
     vanishes in any group limit.  Returned as a tuple of (letter, +-1).
     """
-    if isinstance(t, Letter):
-        return ((t.ch, 1),)
-    if isinstance(t, Concat):
-        return tuple(_reduce_signed(
-            list(free_group_normal_form(t.left)) +
-            list(free_group_normal_form(t.right))))
-    if isinstance(t, OmegaPower):
-        return tuple(_power_signed(list(free_group_normal_form(t.base)), t.k))
-    if isinstance(t, FinitePower):
-        return tuple(_power_signed(list(free_group_normal_form(t.base)), t.m))
-    if isinstance(t, PrimeOmegaPower):
-        raise UnsupportedPrimePower(
-            "free group image of a prime-omega power is not supported")
-    raise TypeError("not a term: %r" % (t,))
+    def power(node, word):
+        if type(node) is PrimeOmegaPower:
+            raise UnsupportedPrimePower(
+                "free group image of a prime-omega power is not supported")
+        return _power_signed(
+            word, node.k if type(node) is OmegaPower else node.m)
+
+    return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], _concat_signed,
+                       power))
 
 
 def format_signed_word(nf):
@@ -422,38 +428,43 @@ def unroll(t, targets, pad=0):
     every index, congruent to k modulo every period, and at least pad
     (pad lets callers force long expansions; the image is unchanged).
     Prime-omega powers are resolved through their stabilised residues,
-    merged across targets by the Chinese remainder theorem.
+    merged across targets by the Chinese remainder theorem.  The fold
+    carries each subterm's word with its value in every target.
     """
     if not targets:
         raise ValueError("unroll needs at least one target")
-    if isinstance(t, Letter):
-        return t.ch
-    if isinstance(t, Concat):
-        return unroll(t.left, targets, pad) + unroll(t.right, targets, pad)
-    if isinstance(t, FinitePower):
-        return unroll(t.base, targets, pad) * t.m
-    if isinstance(t, (OmegaPower, PrimeOmegaPower)):
-        datas = [S.monogenic_data(eval_term(S, g, t.base))
-                 for S, g in targets]
-        if isinstance(t, OmegaPower):
-            modulus = math.lcm(*[d.period for d in datas])
-            residue = t.k % modulus
+    semigroups = [S for S, _ in targets]
+
+    def letter(ch):
+        return ch, [g(ch) for _, g in targets]
+
+    def concat(left, right):
+        return left[0] + right[0], [S.table[a][b] for S, a, b in
+                                    zip(semigroups, left[1], right[1])]
+
+    def power(node, base):
+        word, values = base
+        if type(node) is FinitePower:
+            n = node.m
         else:
-            residue, modulus = 0, 1
-            for d in datas:
-                r = _stable_residue(t.p, d.period)
-                residue, modulus = _crt_merge(residue, modulus, r, d.period)
-        need = max([d.index for d in datas] + [1, pad])
-        n = residue
-        while n < need:
-            n += modulus
-        return unroll(t.base, targets, pad) * n
-    raise TypeError("not a term: %r" % (t,))
+            datas = [S.monogenic_data(s) for S, s in zip(semigroups, values)]
+            if type(node) is OmegaPower:
+                modulus = math.lcm(*[d.period for d in datas])
+                residue = node.k % modulus
+            else:
+                residue, modulus = 0, 1
+                for d in datas:
+                    r = stabilized_prime_power_residue(node.p, d.period)
+                    residue, modulus = _crt_merge(residue, modulus, r,
+                                                  d.period)
+            need = max([d.index for d in datas] + [1, pad])
+            n = residue
+            while n < need:
+                n += modulus
+        return word * n, [_power_value(S, node, s)
+                          for S, s in zip(semigroups, values)]
 
-
-def _stable_residue(p, period):
-    from .semigroup import stabilized_prime_power_residue
-    return stabilized_prime_power_residue(p, period)
+    return _fold(_postorder(t), letter, concat, power)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +484,8 @@ def expand_for_factors(t, k):
     Factors of length <= k, the prefix and the suffix of the result agree
     with those of any longer expansion, hence with the limit.
     """
-    if isinstance(t, Letter):
-        return t.ch
-    if isinstance(t, Concat):
-        return expand_for_factors(t.left, k) + expand_for_factors(t.right, k)
-    if isinstance(t, FinitePower):
-        return expand_for_factors(t.base, k) * t.m
-    if isinstance(t, (OmegaPower, PrimeOmegaPower)):
-        return expand_for_factors(t.base, k) * (k + 2)
-    raise TypeError("not a term: %r" % (t,))
+    return _fold(_postorder(t), str, str.__add__, lambda node, word: word * (
+        node.m if type(node) is FinitePower else k + 2))
 
 
 def bounded_factors(t, k):

@@ -7,11 +7,10 @@ from .errors import ParseError, SizeTooLarge
 from .groups_catalog import all_groups_up_to_24
 from .semigroup import FiniteSemigroup, GeneratorMap
 from .terms import (
-    Concat,
     Fin,
     FinitePower,
-    Inf,
-    Letter,
+    _fold,
+    _postorder,
     ab_image,
     com_exponents,
     eval_term,
@@ -61,27 +60,14 @@ def _jplus_word(text):
     """The word a jplus side spells out.  The side is parsed as a term, so
     ``a^2`` is ``aa`` and spaces only separate letters; omega powers have
     no word, and a side containing one raises ParseError."""
-    t = parse_term(text)
-    done = []
-    stack = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Letter):
-            done.append(node.ch)
-        elif not isinstance(node, (Concat, FinitePower)):
+
+    def power(node, word):
+        if type(node) is not FinitePower:
             raise ParseError("jplus sides are words, but %r has an omega "
                              "power" % text)
-        elif expanded:
-            right = done.pop()
-            done.append(done.pop() + right if isinstance(node, Concat)
-                        else right * node.m)
-        else:
-            stack.append((node, True))
-            if isinstance(node, Concat):
-                stack += [(node.right, False), (node.left, False)]
-            else:
-                stack.append((node.base, False))
-    return done[0]
+        return word * node.m
+
+    return _fold(_postorder(parse_term(text)), str, str.__add__, power)
 
 
 def cr_semigroups(bound):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "omsemi.cli", *argv],
@@ -72,6 +74,38 @@ def test_eval_bad_term_exits_2():
 def test_eval_bad_map_exits_2():
     r = run_cli("eval", "--regex", "b*ab*", "--term", "x", "--map", "xy=a")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--regex", "b*ab*", "--term", "x", "--map", "x=c"],
+    ["reduce", "jplus", "--regex", "b*ab*", "--u", "x", "--v", "x"],
+], ids=["eval", "reduce"])
+def test_letter_outside_alphabet_exits_2(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: letter ")
+
+
+WORD, REVERSED = "xy" * 1000, "yx" * 1000
+NESTED = "(" * 1200 + "a" + ")" * 1200
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--variety", "ab", "--lhs", WORD, "--rhs", REVERSED], 0),
+    (["check", "--variety", "com", "--lhs", WORD, "--rhs", REVERSED], 0),
+    (["check", "--variety", "g", "--lhs", WORD, "--rhs", REVERSED], 1),
+    (["check", "--variety", "jplus", "--lhs", WORD, "--rhs", REVERSED], 1),
+    (["eval", "--regex", "b*ab*", "--term", " ".join("x" * 1200),
+      "--map", "x=a"], 0),
+    (["syn", "a*" * 1500, "--classes"], 0),
+    (["syn", NESTED], 2),
+    (["eval", "--regex", "b*ab*", "--term", NESTED], 2),
+], ids=["ab", "com", "g", "jplus", "eval-long", "syn-long", "syn-nested",
+        "eval-nested"])
+def test_long_and_deep_inputs_exit_cleanly(argv, code):
+    r = run_cli(*argv)
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
 
 
 def test_check_true_verdict():

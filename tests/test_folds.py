@@ -1,0 +1,126 @@
+"""Properties of the folds over the postorder of a syntax tree: each term
+walk equals the recursive walk kept in util as its oracle, and parsing
+inverts formatting for terms and for regexes."""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from omsemi.errors import UnsupportedPrimePower
+from omsemi.regex import (Concat as RConcat, Empty, Plus, Star, Sym, Union,
+                          format_regex, parse_regex)
+from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
+                          PrimeOmegaPower, ab_image, com_exponents,
+                          concat_all, eval_term, expand_for_factors,
+                          find_identity_failure, format_term,
+                          free_group_normal_form, parse_term, term_alphabet,
+                          unroll)
+
+from util import (random_generator_map, random_small_semigroup,
+                  recursive_ab_image, recursive_com_exponents,
+                  recursive_eval_term, recursive_expand_for_factors,
+                  recursive_format_term, recursive_free_group_normal_form,
+                  recursive_unroll)
+
+fold_settings = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _term_extend(children):
+    # concatenations are left combs of non-concatenation factors, the
+    # shape parse_term gives
+    factors = children.filter(lambda t: type(t) is not Concat)
+    return st.one_of(
+        st.lists(factors, min_size=2, max_size=4).map(concat_all),
+        st.builds(OmegaPower, children, st.integers(-3, 3)),
+        st.builds(FinitePower, children, st.integers(1, 3)),
+        st.builds(PrimeOmegaPower, children, st.sampled_from((2, 3, 5))))
+
+
+terms = st.recursive(st.sampled_from("xyz").map(Letter), _term_extend,
+                     max_leaves=10)
+# right-nested concatenations too, which the parser never builds
+any_terms = st.recursive(
+    st.sampled_from("xyz").map(Letter),
+    lambda children: st.one_of(_term_extend(children),
+                               st.builds(Concat, children, children)),
+    max_leaves=10)
+
+
+def _regex_extend(children):
+    # unions and concatenations nest to the left, as parse_regex builds them
+    return st.one_of(
+        st.builds(Union, children,
+                  children.filter(lambda r: type(r) is not Union)),
+        st.builds(RConcat, children,
+                  children.filter(lambda r: type(r) is not RConcat)),
+        st.builds(Star, children),
+        st.builds(Plus, children))
+
+
+regexes = st.recursive(
+    st.one_of(st.just(Empty()), st.sampled_from("abc").map(Sym)),
+    _regex_extend, max_leaves=10)
+
+
+def _outcome(walk, t):
+    try:
+        return walk(t)
+    except UnsupportedPrimePower:
+        return "unsupported"
+
+
+@fold_settings
+@given(any_terms)
+def test_images_match_recursive_walks(t):
+    assert _outcome(ab_image, t) == _outcome(recursive_ab_image, t)
+    assert _outcome(com_exponents, t) == _outcome(recursive_com_exponents, t)
+    assert _outcome(free_group_normal_form, t) == \
+        _outcome(recursive_free_group_normal_form, t)
+
+
+@fold_settings
+@given(any_terms, st.integers(0, 3))
+def test_text_walks_match_recursive_walks(t, k):
+    assert format_term(t) == recursive_format_term(t)
+    assert expand_for_factors(t, k) == recursive_expand_for_factors(t, k)
+
+
+@fold_settings
+@given(any_terms, st.randoms(use_true_random=False), st.integers(1, 3),
+       st.integers(0, 5))
+def test_eval_and_unroll_match_recursive_walks(t, rng, n_targets, pad):
+    targets = []
+    for _ in range(n_targets):
+        S = random_small_semigroup(rng)
+        targets.append((S, random_generator_map(rng, S, "xyz")))
+    for S, g in targets:
+        assert eval_term(S, g, t) == recursive_eval_term(S, g, t)
+    assert unroll(t, targets, pad) == recursive_unroll(t, targets, pad)
+
+
+def _first_failure(S, lhs, rhs):
+    letters = sorted(term_alphabet(lhs) | term_alphabet(rhs))
+    for values in itertools.product(range(S.n), repeat=len(letters)):
+        g = dict(zip(letters, values)).__getitem__
+        if recursive_eval_term(S, g, lhs) != recursive_eval_term(S, g, rhs):
+            return dict(zip(letters, values))
+    return None
+
+
+@fold_settings
+@given(terms, terms, st.randoms(use_true_random=False))
+def test_identity_search_finds_the_first_failure(lhs, rhs, rng):
+    S = random_small_semigroup(rng)
+    assert find_identity_failure(S, lhs, rhs) == _first_failure(S, lhs, rhs)
+
+
+@fold_settings
+@given(terms)
+def test_parse_inverts_format_term(t):
+    assert parse_term(format_term(t)) == t
+
+
+@fold_settings
+@given(regexes)
+def test_parse_inverts_format_regex(r):
+    assert parse_regex(format_regex(r)) == r

@@ -202,6 +202,18 @@ def test_finiteness():
     assert is_finite_language(Dfa("ab", [[0, 0]], 0, set()))
 
 
+def test_finiteness_of_long_chains():
+    # a^0 -> a^1 -> ... -> a^(n-1), the last state a sink
+    n = 3000
+    chain = [[q + 1] for q in range(n - 1)] + [[n - 1]]
+    assert is_finite_language(Dfa("a", chain, 0, {n - 2}))
+    assert not is_finite_language(Dfa("a", chain, 0, {n - 1}))
+    # a loop from the middle back to a third of the way along
+    back = chain[:n // 2] + [[n // 3]] + chain[n // 2 + 1:]
+    assert not is_finite_language(Dfa("a", back, 0, {n // 2}))
+    assert is_finite_language(Dfa("a", back, 0, {n // 4}))
+
+
 def test_enumerate_accepted():
     d = compile_min_dfa("(ab)*")
     assert enumerate_accepted(d, 6) == ["", "ab", "abab", "ababab"]
@@ -221,7 +233,7 @@ def test_run_from_state():
     d = compile_min_dfa("(ab)*")
     q = d.run("ab")
     assert q == d.initial
-    with pytest.raises(KeyError):
+    with pytest.raises(AlphabetMismatch):
         d.run("c")
 
 

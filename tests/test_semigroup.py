@@ -47,9 +47,10 @@ def test_identity_validation():
     lambda: FiniteSemigroup([[0]], generators=[1]),
     lambda: FiniteSemigroup([[1, 0], [0, 1]], generators=[1]),
     lambda: semigroup_from_text("2\n0 1\n1"),
+    lambda: FiniteSemigroup([]),
 ], ids=["ragged", "entry-too-large", "entry-negative", "identity-range",
         "label-count", "not-an-identity", "generator-range",
-        "not-generating", "text-ragged"])
+        "not-generating", "text-ragged", "empty"])
 def test_malformed_table_is_typed(make):
     with pytest.raises(MalformedTable) as info:
         make()
@@ -271,6 +272,8 @@ def test_text_roundtrip_ordered_monoid():
 
 @pytest.mark.parametrize("text, where", [
     ("", "no header"),
+    ("-1\n", "line 1"),
+    ("0\n", "line 1"),
     ("2\n0 1", "line 2"),
     ("2\n0 1\n1 x", "line 3"),
     ("2 monoid=\n0 1\n1 1", "line 1"),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from omsemi.dfa import compile_min_dfa, languages_equal
-from omsemi.errors import ElementNotWordImage, SizeTooLarge
+from omsemi.errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
 from omsemi.semigroup import GeneratorMap
 from omsemi.syntactic import syntactic_semigroup
 
@@ -126,6 +126,8 @@ def test_class_language_rejects_empty_word():
         sp.class_language(len(sp.elements))
     with pytest.raises(ValueError):
         sp.classof("")
+    with pytest.raises(AlphabetMismatch):
+        sp.classof("abc")
 
 
 def test_monoid_completion_adjoins_when_needed():

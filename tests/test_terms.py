@@ -39,6 +39,7 @@ from omsemi.syntactic import syntactic_semigroup
 
 from util import (
     full_transformation_monoid,
+    naive_power_signed,
     random_generator_map,
     random_small_semigroup,
     random_term,
@@ -237,12 +238,27 @@ def test_free_group_powers_match_naive():
     rng = random.Random(61)
     for _ in range(100):
         t = random_term(rng, depth=2)
-        nf = list(free_group_normal_form(t))
-        for k in (2, 3):
-            got = free_group_normal_form(FinitePower(t, k))
-            want = free_group_normal_form(
-                Concat(t, t) if k == 2 else Concat(Concat(t, t), t))
-            assert got == want
+        # a conjugate s t s^-1, whose powers need the cyclic reduction
+        s = random_term(rng, depth=1)
+        for base in (t, concat_of([s, t, OmegaPower(s, -1)])):
+            nf = list(free_group_normal_form(base))
+            for k in (2, 3):
+                got = free_group_normal_form(FinitePower(base, k))
+                want = free_group_normal_form(concat_of([base] * k))
+                assert got == want
+            for k in (-3, -2, -1, 0, 1, 2, 3):
+                got = free_group_normal_form(OmegaPower(base, k))
+                assert got == tuple(naive_power_signed(nf, k))
+
+
+def test_free_group_powers_of_long_exponents():
+    # cyclic reduction keeps these linear in |w| |k|
+    assert free_group_normal_form(parse_term("(x y)^(w+20000)")) == \
+        (("x", 1), ("y", 1)) * 20000
+    assert free_group_normal_form(parse_term("(x y x^(w-1))^1000")) == \
+        (("x", 1),) + (("y", 1),) * 1000 + (("x", -1),)
+    assert free_group_normal_form(parse_term("(x y x^(w-1))^(w-3000)")) == \
+        (("x", 1),) + (("y", -1),) * 3000 + (("x", -1),)
 
 
 def test_bounded_factors_simple():

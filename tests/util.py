@@ -264,3 +264,168 @@ def random_superterm(rng, t, alphabet="xy", max_insert=3):
     while rng.random() < 0.6:
         out.append(word())
     return concat_all(out)
+
+
+# ---------------------------------------------------------------------------
+# recursive term walks: the former isinstance recursions of omsemi.terms,
+# kept as oracles for the folds over the postorder
+
+
+def recursive_eval_term(S, g, t):
+    from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
+                              PrimeOmegaPower)
+    if isinstance(t, Letter):
+        return g(t.ch)
+    if isinstance(t, Concat):
+        return S.table[recursive_eval_term(S, g, t.left)][
+            recursive_eval_term(S, g, t.right)]
+    if isinstance(t, OmegaPower):
+        return S.omega_plus_k(recursive_eval_term(S, g, t.base), t.k)
+    if isinstance(t, PrimeOmegaPower):
+        return S.p_omega_power(recursive_eval_term(S, g, t.base), t.p)
+    if isinstance(t, FinitePower):
+        return S.power(recursive_eval_term(S, g, t.base), t.m)
+    raise TypeError("not a term: %r" % (t,))
+
+
+def recursive_format_term(t):
+    from omsemi.terms import Concat, Letter, OmegaPower, PrimeOmegaPower
+    if isinstance(t, Letter):
+        return t.ch
+    if isinstance(t, Concat):
+        return "%s %s" % (recursive_format_term(t.left),
+                          recursive_format_term(t.right))
+    if isinstance(t, OmegaPower):
+        exp = "^w" if t.k == 0 else "^(w%+d)" % t.k
+    elif isinstance(t, PrimeOmegaPower):
+        exp = "^(%d^w)" % t.p
+    else:
+        exp = "^%d" % t.m
+    base = recursive_format_term(t.base)
+    if not isinstance(t.base, Letter):
+        base = "(%s)" % base
+    return base + exp
+
+
+def recursive_com_exponents(t):
+    from omsemi.errors import UnsupportedPrimePower
+    from omsemi.terms import (Concat, Fin, FinitePower, Letter, OmegaPower,
+                              PrimeOmegaPower)
+    if isinstance(t, Letter):
+        return {t.ch: Fin(1)}
+    if isinstance(t, Concat):
+        out = dict(recursive_com_exponents(t.left))
+        for ch, e in recursive_com_exponents(t.right).items():
+            out[ch] = out[ch] + e if ch in out else e
+        return out
+    if isinstance(t, OmegaPower):
+        return {ch: e.omega_compose(t.k)
+                for ch, e in recursive_com_exponents(t.base).items()}
+    if isinstance(t, FinitePower):
+        return {ch: e.scale(t.m)
+                for ch, e in recursive_com_exponents(t.base).items()}
+    if isinstance(t, PrimeOmegaPower):
+        raise UnsupportedPrimePower("prime-omega power")
+    raise TypeError("not a term: %r" % (t,))
+
+
+def recursive_ab_image(t):
+    from omsemi.errors import UnsupportedPrimePower
+    from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
+                              PrimeOmegaPower)
+    if isinstance(t, Letter):
+        return {t.ch: 1}
+    if isinstance(t, Concat):
+        out = dict(recursive_ab_image(t.left))
+        for ch, n in recursive_ab_image(t.right).items():
+            out[ch] = out.get(ch, 0) + n
+        return out
+    if isinstance(t, OmegaPower):
+        return {ch: n * t.k for ch, n in recursive_ab_image(t.base).items()}
+    if isinstance(t, FinitePower):
+        return {ch: n * t.m for ch, n in recursive_ab_image(t.base).items()}
+    if isinstance(t, PrimeOmegaPower):
+        raise UnsupportedPrimePower("prime-omega power")
+    raise TypeError("not a term: %r" % (t,))
+
+
+def reduce_signed(seq):
+    """Free reduction of a word of (letter, +-1) pairs."""
+    out = []
+    for ch, s in seq:
+        if out and out[-1][0] == ch and out[-1][1] == -s:
+            out.pop()
+        else:
+            out.append((ch, s))
+    return out
+
+
+def naive_power_signed(seq, k):
+    """seq^k, reducing after each of the |k| factors."""
+    body = seq if k > 0 else [(ch, -s) for ch, s in reversed(seq)]
+    out = []
+    for _ in range(abs(k)):
+        out = reduce_signed(out + body)
+    return out
+
+
+def recursive_free_group_normal_form(t):
+    from omsemi.errors import UnsupportedPrimePower
+    from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
+                              PrimeOmegaPower)
+    if isinstance(t, Letter):
+        return ((t.ch, 1),)
+    if isinstance(t, Concat):
+        return tuple(reduce_signed(
+            list(recursive_free_group_normal_form(t.left)) +
+            list(recursive_free_group_normal_form(t.right))))
+    if isinstance(t, (OmegaPower, FinitePower)):
+        k = t.k if isinstance(t, OmegaPower) else t.m
+        return tuple(naive_power_signed(
+            list(recursive_free_group_normal_form(t.base)), k))
+    if isinstance(t, PrimeOmegaPower):
+        raise UnsupportedPrimePower("prime-omega power")
+    raise TypeError("not a term: %r" % (t,))
+
+
+def recursive_unroll(t, targets, pad=0):
+    import math
+    from omsemi.semigroup import stabilized_prime_power_residue
+    from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
+                              PrimeOmegaPower, _crt_merge)
+    if isinstance(t, Letter):
+        return t.ch
+    if isinstance(t, Concat):
+        return (recursive_unroll(t.left, targets, pad) +
+                recursive_unroll(t.right, targets, pad))
+    if isinstance(t, FinitePower):
+        return recursive_unroll(t.base, targets, pad) * t.m
+    if isinstance(t, (OmegaPower, PrimeOmegaPower)):
+        datas = [S.monogenic_data(recursive_eval_term(S, g, t.base))
+                 for S, g in targets]
+        if isinstance(t, OmegaPower):
+            modulus = math.lcm(*[d.period for d in datas])
+            residue = t.k % modulus
+        else:
+            residue, modulus = 0, 1
+            for d in datas:
+                r = stabilized_prime_power_residue(t.p, d.period)
+                residue, modulus = _crt_merge(residue, modulus, r, d.period)
+        need = max([d.index for d in datas] + [1, pad])
+        n = residue
+        while n < need:
+            n += modulus
+        return recursive_unroll(t.base, targets, pad) * n
+    raise TypeError("not a term: %r" % (t,))
+
+
+def recursive_expand_for_factors(t, k):
+    from omsemi.terms import Concat, FinitePower, Letter
+    if isinstance(t, Letter):
+        return t.ch
+    if isinstance(t, Concat):
+        return (recursive_expand_for_factors(t.left, k) +
+                recursive_expand_for_factors(t.right, k))
+    if isinstance(t, FinitePower):
+        return recursive_expand_for_factors(t.base, k) * t.m
+    return recursive_expand_for_factors(t.base, k) * (k + 2)
