@@ -4,6 +4,13 @@ States are 0..n-1; transitions are total.  ``compile_min_dfa`` takes a
 regex (string or syntax tree) to the minimal complete DFA, renumbered
 canonically by breadth-first search from the initial state, so equal
 languages over the same alphabet give byte-identical dumps.
+
+``Dfa.minimize`` is Hopcroft's partition refinement, O(n |A| log n)
+(Hopcroft, "An n log n algorithm for minimizing states in a finite
+automaton", 1971; Valmari, "Fast brief practical DFA minimization",
+Information Processing Letters 112, 2012).  The minimal DFA is unique up
+to isomorphism, so the breadth-first numbering makes its result
+independent of the refinement order.
 """
 
 from .errors import AlphabetMismatch, EmptyAlphabet, ParseError
@@ -72,52 +79,83 @@ class Dfa:
         return [q for q in range(self.n_states) if seen[q]]
 
     def minimize(self):
+        """The minimal complete DFA of the same language, numbered by
+        breadth-first search from its initial state, so that equal
+        languages over the same alphabet give equal automata.
+
+        The reachable states are refined by Hopcroft's algorithm: a
+        worklist of (block, letter) splitters, each splitting every block
+        by whether a state's letter-successor lies in the splitter, and
+        the smaller half of a split block going on the worklist, in
+        O(n |A| log n) (Hopcroft 1971; Valmari, "Fast brief practical DFA
+        minimization", IPL 2012)."""
         if self.minimal:
             return self
-        reach = self.reachable_states()
-        pos = {q: i for i, q in enumerate(reach)}
-        trans = [[pos[self.transitions[q][a]]
-                  for a in range(len(self.alphabet))] for q in reach]
-        accept = {pos[q] for q in self.accepting if q in pos}
-        n = len(reach)
-        # Moore partition refinement
-        cls = [1 if q in accept else 0 for q in range(n)]
-        while True:
-            sig = {}
-            new = [0] * n
-            for q in range(n):
-                key = (cls[q], tuple(cls[r] for r in trans[q]))
-                if key not in sig:
-                    sig[key] = len(sig)
-                new[q] = sig[key]
-            if new == cls:
-                break
-            cls = new
-        k = len(set(cls))
-        qtrans = [None] * k
-        for q in range(n):
-            if qtrans[cls[q]] is None:
-                qtrans[cls[q]] = [cls[r] for r in trans[q]]
-        qaccept = {cls[q] for q in accept}
-        d = Dfa(self.alphabet, qtrans, cls[pos[self.initial]], qaccept)
-        return d._canonical_renumber()
+        k = len(self.alphabet)
+        order, trans = _breadth_first(self.initial,
+                                      self.transitions.__getitem__)
+        n = len(order)
+        final = [q in self.accepting for q in order]
+        # preds[a][r]: the states whose a-successor is r
+        preds = [[[] for _ in range(n)] for _ in range(k)]
+        for q, row in enumerate(trans):
+            for a, r in enumerate(row):
+                preds[a][r].append(q)
+        blocks = [b for b in ([q for q in range(n) if final[q]],
+                              [q for q in range(n) if not final[q]]) if b]
+        blocks.sort(key=len)
+        block_of = [0] * n
+        for i, b in enumerate(blocks):
+            for q in b:
+                block_of[q] = i
+        work = [(0, a) for a in range(k)] if len(blocks) == 2 else []
+        waiting = set(work)
+        while work:
+            splitter = work.pop()
+            waiting.discard(splitter)
+            b, a = splitter
+            # each touched block, with its states that a takes into b
+            touched = {}
+            for r in blocks[b]:
+                for q in preds[a][r]:
+                    touched.setdefault(block_of[q], []).append(q)
+            for c, inside in touched.items():
+                if len(inside) == len(blocks[c]):
+                    continue
+                moved = set(inside)
+                rest = [q for q in blocks[c] if q not in moved]
+                new = len(blocks)
+                blocks[c] = rest
+                blocks.append(inside)
+                for q in inside:
+                    block_of[q] = new
+                half = new if len(inside) <= len(rest) else c
+                for x in range(k):
+                    pending = (new if (c, x) in waiting else half, x)
+                    waiting.add(pending)
+                    work.append(pending)
+        border, qtrans = _breadth_first(
+            block_of[0], lambda b: [block_of[r] for r in trans[blocks[b][0]]])
+        qaccept = {i for i, b in enumerate(border) if final[blocks[b][0]]}
+        return Dfa(self.alphabet, qtrans, 0, qaccept, minimal=True)
 
-    def _canonical_renumber(self):
-        order = [self.initial]
-        pos = {self.initial: 0}
-        i = 0
-        while i < len(order):
-            q = order[i]
-            i += 1
-            for a in range(len(self.alphabet)):
-                r = self.transitions[q][a]
-                if r not in pos:
-                    pos[r] = len(order)
-                    order.append(r)
-        trans = [[pos[self.transitions[q][a]]
-                  for a in range(len(self.alphabet))] for q in order]
-        accept = {pos[q] for q in self.accepting if q in pos}
-        return Dfa(self.alphabet, trans, 0, accept, minimal=True)
+
+def _breadth_first(start, successors):
+    """The nodes reachable from start in breadth-first order, successors
+    taken in order, and for each node its successors' positions in that
+    order."""
+    num = {start: 0}
+    order = [start]
+    rows = []
+    for x in order:     # the list grows as nodes are found
+        row = []
+        for y in successors(x):
+            if y not in num:
+                num[y] = len(order)
+                order.append(y)
+            row.append(num[y])
+        rows.append(row)
+    return order, rows
 
 
 def compile_min_dfa(r, alphabet=None):

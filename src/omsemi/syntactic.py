@@ -37,6 +37,7 @@ class SyntacticPresentation:
             generators=letter_map.values())
         self.gens = GeneratorMap(self.semigroup, dict(letter_map))
         self._order = None
+        self._cayley = None
 
     @property
     def alphabet(self):
@@ -101,19 +102,50 @@ class SyntacticPresentation:
             S.order = S._check_order(self.syntactic_order())
         return S
 
+    def _cayley_automaton(self):
+        """The right Cayley graph with a start state, as the rows and the
+        predecessor lists of an automaton: state 0 is the start, state
+        1 + i the class i, and letter a takes the start to 1 + [a] and
+        1 + i to 1 + i[a].  Built once per presentation."""
+        if self._cayley is None:
+            table = self.semigroup.table
+            letters = [self.gens(ch) for ch in self.alphabet]
+            rows = [[1 + g for g in letters]]
+            rows += [[1 + row[g] for g in letters] for row in table]
+            preds = [[] for _ in rows]
+            for q, row in enumerate(rows):
+                for r in row:
+                    preds[r].append(q)
+            self._cayley = rows, preds
+        return self._cayley
+
     def class_language(self, e):
-        """Minimal DFA for the set of nonempty words in class e."""
+        """Minimal DFA for the set of nonempty words in class e.
+
+        The Cayley automaton accepting at 1 + e recognises the class, but
+        only the states that can reach 1 + e are kept, and every edge to
+        another state goes to one rejecting sink.  This is exact: a state
+        that cannot reach 1 + e accepts no word, so all such states have
+        the same, empty residual and minimisation would merge them into
+        one anyway."""
         if not (0 <= e < len(self.elements)):
             raise ElementNotWordImage("no class with index %r" % (e,))
-        n = len(self.elements)
-        table = self.semigroup.table
-        gens = self.gens
-        # fresh start state 0, then one state per class
-        trans = [[1 + gens(ch) for ch in self.alphabet]]
-        for i in range(n):
-            trans.append([1 + table[i][gens(ch)] for ch in self.alphabet])
-        d = Dfa(self.alphabet, trans, 0, {1 + e})
-        return d.minimize()
+        rows, preds = self._cayley_automaton()
+        target = 1 + e
+        seen = {target}
+        stack = [target]
+        while stack:
+            for q in preds[stack.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        # the start state reaches every class, so it is kept and sorts first
+        keep = sorted(seen)
+        sink = len(keep)
+        num = {q: i for i, q in enumerate(keep)}
+        trans = [[num.get(r, sink) for r in rows[q]] for q in keep]
+        trans.append([sink] * len(self.alphabet))
+        return Dfa(self.alphabet, trans, 0, {num[target]}).minimize()
 
     def __repr__(self):
         return "<syntactic semigroup: %d classes over %s>" % (

@@ -24,6 +24,7 @@ from .errors import (
     InequalityWithoutOrder,
     NoValidExponent,
     ParseError,
+    SizeTooLarge,
     UnsupportedPrimePower,
 )
 from .regex import Scanner
@@ -99,6 +100,28 @@ def _fold(nodes, letter, concat, power):
     return out[0]
 
 
+# The longest word a term may expand to: stacked finite powers grow
+# exponentially, and x^2^2...^2 with twenty squares already has 2^20 letters.
+EXPANSION_CAP = 10 ** 6
+
+
+def _check_length(n):
+    if n > EXPANSION_CAP:
+        raise SizeTooLarge("term expands to more than %d letters"
+                           % EXPANSION_CAP)
+
+
+def _expand(nodes, repeats):
+    """The word of a postorder in which each power node repeats its base
+    repeats(node) >= 1 times.  Its length is folded first, in Python ints,
+    which cannot overflow, and a word of more than EXPANSION_CAP letters
+    raises SizeTooLarge before it is built; no subterm's word is longer."""
+    _check_length(_fold(nodes, lambda ch: 1, int.__add__,
+                        lambda node, n: n * repeats(node)))
+    return _fold(nodes, str, str.__add__,
+                 lambda node, word: word * repeats(node))
+
+
 def term_size(t):
     """Number of syntax tree nodes."""
     return len(_postorder(t))
@@ -122,14 +145,38 @@ def word_term(word):
     return concat_all([Letter(ch) for ch in word])
 
 
+# The 13 primes up to 41 as Miller-Rabin bases decide primality exactly
+# below 3317044064679887385961981 = 1287836182261 * 2575672364521, the
+# least strong pseudoprime to all of them (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+PRIME_TEST_CAP = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin, exact for every p below PRIME_TEST_CAP;
+    from the cap up, p raises ParseError."""
+    if p >= PRIME_TEST_CAP:
+        raise ParseError("prime exponents must be below %d" % PRIME_TEST_CAP)
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -387,16 +434,24 @@ def free_group_normal_form(t):
 
     Omega powers land on the k-th power of the base image: the omega part
     vanishes in any group limit.  Returned as a tuple of (letter, +-1).
+    A reduced word of more than EXPANSION_CAP letters on the way raises
+    SizeTooLarge, a power's before it is built.  The bound is on reduced
+    words, so a power of a word that cancels costs nothing.
     """
+    def concat(left, right):
+        word = _concat_signed(left, right)
+        _check_length(len(word))
+        return word
+
     def power(node, word):
         if type(node) is PrimeOmegaPower:
             raise UnsupportedPrimePower(
                 "free group image of a prime-omega power is not supported")
-        return _power_signed(
-            word, node.k if type(node) is OmegaPower else node.m)
+        k = node.k if type(node) is OmegaPower else node.m
+        _check_length(len(word) * abs(k))
+        return _power_signed(word, k)
 
-    return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], _concat_signed,
-                       power))
+    return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], concat, power))
 
 
 def format_signed_word(nf):
@@ -428,22 +483,23 @@ def unroll(t, targets, pad=0):
     every index, congruent to k modulo every period, and at least pad
     (pad lets callers force long expansions; the image is unchanged).
     Prime-omega powers are resolved through their stabilised residues,
-    merged across targets by the Chinese remainder theorem.  The fold
-    carries each subterm's word with its value in every target.
+    merged across targets by the Chinese remainder theorem.  A fold over
+    the values in every target fixes each power's exponent; the word is
+    spelt out after, unless it has more than EXPANSION_CAP letters, when
+    SizeTooLarge is raised.
     """
     if not targets:
         raise ValueError("unroll needs at least one target")
     semigroups = [S for S, _ in targets]
+    reps = {}    # id of a power node -> how often its base repeats
 
     def letter(ch):
-        return ch, [g(ch) for _, g in targets]
+        return [g(ch) for _, g in targets]
 
     def concat(left, right):
-        return left[0] + right[0], [S.table[a][b] for S, a, b in
-                                    zip(semigroups, left[1], right[1])]
+        return [S.table[a][b] for S, a, b in zip(semigroups, left, right)]
 
-    def power(node, base):
-        word, values = base
+    def power(node, values):
         if type(node) is FinitePower:
             n = node.m
         else:
@@ -461,10 +517,12 @@ def unroll(t, targets, pad=0):
             n = residue
             while n < need:
                 n += modulus
-        return word * n, [_power_value(S, node, s)
-                          for S, s in zip(semigroups, values)]
+        reps[id(node)] = n
+        return [_power_value(S, node, s) for S, s in zip(semigroups, values)]
 
-    return _fold(_postorder(t), letter, concat, power)[0]
+    nodes = _postorder(t)
+    _fold(nodes, letter, concat, power)
+    return _expand(nodes, lambda node: reps[id(node)])
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +540,10 @@ def expand_for_factors(t, k):
     """Replace every omega-type power by k+2 repetitions of its base.
 
     Factors of length <= k, the prefix and the suffix of the result agree
-    with those of any longer expansion, hence with the limit.
+    with those of any longer expansion, hence with the limit.  A result
+    longer than EXPANSION_CAP letters raises SizeTooLarge.
     """
-    return _fold(_postorder(t), str, str.__add__, lambda node, word: word * (
+    return _expand(_postorder(t), lambda node: (
         node.m if type(node) is FinitePower else k + 2))
 
 

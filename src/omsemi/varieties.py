@@ -9,7 +9,7 @@ from .semigroup import FiniteSemigroup, GeneratorMap
 from .terms import (
     Fin,
     FinitePower,
-    _fold,
+    _expand,
     _postorder,
     ab_image,
     com_exponents,
@@ -61,13 +61,13 @@ def _jplus_word(text):
     ``a^2`` is ``aa`` and spaces only separate letters; omega powers have
     no word, and a side containing one raises ParseError."""
 
-    def power(node, word):
+    def repeats(node):
         if type(node) is not FinitePower:
             raise ParseError("jplus sides are words, but %r has an omega "
                              "power" % text)
-        return word * node.m
+        return node.m
 
-    return _fold(_postorder(parse_term(text)), str, str.__add__, power)
+    return _expand(_postorder(parse_term(text)), repeats)
 
 
 def cr_semigroups(bound):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -46,6 +47,26 @@ def test_syn_equivalent_regexes_render_identically():
     assert r1.stdout == r2.stdout
 
 
+# sha256 of the full rendering, pinned so that a change to minimisation,
+# class languages or their regexes cannot move a byte unnoticed
+@pytest.mark.parametrize("regex,digest", [
+    ("(aabaab)*|(abbabb)*",
+     "42bd4e0d19b54633a5fce559274abb74e0cdb9fcdc8bed99cd3ea2646f65258b"),
+    ("aaaa*bb*aa",
+     "fc7f051a413631c8fe43a1b72fb638b7740fa725999c732cf28ff3680c691fde"),
+    ("aabaab(aab)+(abb)+aabaab",
+     "2d242051a19460149a6ebd3ce62500ec85fa78b021eb7e639c4ec10170c219d3"),
+    ("b*ab*",
+     "ed566fd223c49991a133aa49353b280e991f3523f3ab2121d958853ce1ce3f2f"),
+    ("(ab)*",
+     "f8a37a0513b8529cf3807d0855cb0513e1c6756d1c9a610a152a099f2ea7c3cd"),
+])
+def test_syn_full_rendering_is_pinned(regex, digest):
+    r = run_cli("syn", regex, "--order", "--green", "--classes")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 def test_syn_parse_error_exits_2():
     r = run_cli("syn", "(")
     assert r.returncode == 2
@@ -88,6 +109,7 @@ def test_letter_outside_alphabet_exits_2(argv):
 
 WORD, REVERSED = "xy" * 1000, "yx" * 1000
 NESTED = "(" * 1200 + "a" + ")" * 1200
+SQUARES = "x" + "^2" * 30     # 2^30 letters once expanded
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -100,8 +122,16 @@ NESTED = "(" * 1200 + "a" + ")" * 1200
     (["syn", "a*" * 1500, "--classes"], 0),
     (["syn", NESTED], 2),
     (["eval", "--regex", "b*ab*", "--term", NESTED], 2),
+    (["check", "--variety", "g", "--lhs", SQUARES, "--rhs", "x"], 2),
+    (["check", "--variety", "jplus", "--leq", "--lhs", "x",
+      "--rhs", SQUARES], 2),
+    (["check", "--variety", "ab", "--lhs", SQUARES,
+      "--rhs", "x^%d" % 2 ** 30], 0),
+    (["check", "--variety", "g", "--lhs", "x^(1000000000000000003^w)",
+      "--rhs", "x"], 2),
 ], ids=["ab", "com", "g", "jplus", "eval-long", "syn-long", "syn-nested",
-        "eval-nested"])
+        "eval-nested", "g-squares", "jplus-squares", "ab-squares",
+        "g-large-prime"])
 def test_long_and_deep_inputs_exit_cleanly(argv, code):
     r = run_cli(*argv)
     assert r.returncode == code

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,10 +7,13 @@ from omsemi.errors import (
     DepthCap,
     InequalityWithoutOrder,
     ParseError,
+    SizeTooLarge,
     UnsupportedPrimePower,
 )
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap
 from omsemi.terms import (
+    EXPANSION_CAP,
+    PRIME_TEST_CAP,
     Concat,
     FinitePower,
     Fin,
@@ -34,8 +38,10 @@ from omsemi.terms import (
     term_size,
     unroll,
     word_term,
+    _is_prime,
 )
 from omsemi.syntactic import syntactic_semigroup
+from omsemi.varieties import _jplus_word
 
 from util import (
     full_transformation_monoid,
@@ -76,6 +82,64 @@ def test_parse_errors():
                 "x^(w+)", "2x", "x^-1", "x^(w"]:
         with pytest.raises(ParseError):
             parse_term(bad)
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_prime_test_matches_trial_division():
+    assert [p for p in range(20001) if _is_prime(p)] == [
+        p for p in range(20001) if _trial_division(p)]
+
+
+def test_prime_test_on_large_exponents():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime up
+    # to 23: composite, and refused
+    for composite in (3215031751, 3825123056546413051):
+        assert not _is_prime(composite)
+        with pytest.raises(ParseError, match="not prime"):
+            parse_term("x^(%d^w)" % composite)
+    start = time.perf_counter()
+    t = parse_term("x^(1000000000000000003^w)")
+    assert time.perf_counter() - start < 1
+    assert t == PrimeOmegaPower(Letter("x"), 10 ** 18 + 3)
+    with pytest.raises(ParseError, match="below"):
+        parse_term("x^(%d^w)" % PRIME_TEST_CAP)
+
+
+def test_expansion_cap():
+    S = FiniteSemigroup.cyclic(1, 2)
+    targets = [(S, GeneratorMap(S, {"x": 0}))]
+    at_cap = parse_term("x^%d" % EXPANSION_CAP)
+    assert len(expand_for_factors(at_cap, 2)) == EXPANSION_CAP
+    assert len(unroll(at_cap, targets)) == EXPANSION_CAP
+    assert len(free_group_normal_form(at_cap)) == EXPANSION_CAP
+    assert len(_jplus_word("x^%d" % EXPANSION_CAP)) == EXPANSION_CAP
+    squares = "x" + "^2" * 20   # 2^20 letters, just past the cap
+    for text in ("x^%d" % (EXPANSION_CAP + 1), squares,
+                 "x^%d x" % EXPANSION_CAP):
+        t = parse_term(text)
+        for expansion in (lambda: expand_for_factors(t, 2),
+                          lambda: unroll(t, targets),
+                          lambda: free_group_normal_form(t),
+                          lambda: _jplus_word(text)):
+            with pytest.raises(SizeTooLarge):
+                expansion()
+    # omega powers count k + 2 times in factor expansion, the exponent it
+    # picks (here at least pad) in unroll, and |k| times in the free group
+    # image, where only reduced words count
+    wide = parse_term("(x^%d)^w" % (EXPANSION_CAP // 2))
+    with pytest.raises(SizeTooLarge):
+        expand_for_factors(wide, 1)
+    with pytest.raises(SizeTooLarge):
+        unroll(wide, targets, pad=3)
+    assert len(free_group_normal_form(wide)) == 0
+    with pytest.raises(SizeTooLarge):
+        free_group_normal_form(parse_term("(x^%d)^(w-3)"
+                                          % (EXPANSION_CAP // 2)))
+    assert free_group_normal_form(parse_term(
+        "(x x^(w-1))^%d" % (2 * EXPANSION_CAP))) == ()
 
 
 def _flat(t):

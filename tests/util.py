@@ -429,3 +429,58 @@ def recursive_expand_for_factors(t, k):
     if isinstance(t, FinitePower):
         return recursive_expand_for_factors(t.base, k) * t.m
     return recursive_expand_for_factors(t.base, k) * (k + 2)
+
+
+# ---------------------------------------------------------------------------
+# DFA minimisation: Moore's rounds and the untrimmed class automaton, the
+# former code of omsemi.dfa and omsemi.syntactic, kept as oracles
+
+
+def moore_minimize(d):
+    """The minimal DFA of d by Moore partition refinement, renumbered by
+    breadth-first search from the initial state."""
+    from omsemi.dfa import Dfa
+    reach = d.reachable_states()
+    pos = {q: i for i, q in enumerate(reach)}
+    trans = [[pos[d.transitions[q][a]] for a in range(len(d.alphabet))]
+             for q in reach]
+    accept = {pos[q] for q in d.accepting if q in pos}
+    n = len(reach)
+    cls = [1 if q in accept else 0 for q in range(n)]
+    while True:
+        sig = {}
+        new = [0] * n
+        for q in range(n):
+            key = (cls[q], tuple(cls[r] for r in trans[q]))
+            if key not in sig:
+                sig[key] = len(sig)
+            new[q] = sig[key]
+        if new == cls:
+            break
+        cls = new
+    qtrans = [None] * len(set(cls))
+    for q in range(n):
+        if qtrans[cls[q]] is None:
+            qtrans[cls[q]] = [cls[r] for r in trans[q]]
+    initial = cls[pos[d.initial]]
+    qaccept = {cls[q] for q in accept}
+    order = [initial]
+    num = {initial: 0}
+    for q in order:
+        for r in qtrans[q]:
+            if r not in num:
+                num[r] = len(order)
+                order.append(r)
+    return Dfa(d.alphabet, [[num[r] for r in qtrans[q]] for q in order], 0,
+               {num[q] for q in qaccept}, minimal=True)
+
+
+def full_class_language(sp, e):
+    """The class language of e by minimising with Moore the whole
+    Cayley automaton: a start state, then one state per class."""
+    from omsemi.dfa import Dfa
+    table = sp.semigroup.table
+    letters = [sp.gens(ch) for ch in sp.alphabet]
+    trans = [[1 + g for g in letters]]
+    trans += [[1 + row[g] for g in letters] for row in table]
+    return moore_minimize(Dfa(sp.alphabet, trans, 0, {1 + e}))
