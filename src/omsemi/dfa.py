@@ -11,31 +11,42 @@ automaton", 1971; Valmari, "Fast brief practical DFA minimization",
 Information Processing Letters 112, 2012).  The minimal DFA is unique up
 to isomorphism, so the breadth-first numbering makes its result
 independent of the refinement order.
+
+Every walk over states goes through the breadth-first searches of
+``omsemi.graphs``: the reachable and co-accessible states, the ε-closures
+and the subset construction of ``compile_min_dfa``, the two numberings of
+``minimize``, and the reachable state pairs of the product automaton that
+``languages_equal`` and ``has_common_word`` inspect.  A ``Dfa`` built from
+a table of the wrong shape, or with an initial or accepting state out of
+range, raises ``MalformedTable``.
 """
 
-from .errors import AlphabetMismatch, EmptyAlphabet, ParseError
+from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
+                     ParseError)
+from .graphs import breadth_first, reachable
 from .regex import nfa_of_regex, parse_regex, regex_alphabet
 
 
 class Dfa:
-    def __init__(self, alphabet, transitions, initial, accepting,
-                 minimal=False):
+    def __init__(self, alphabet, transitions, initial, accepting):
         self.alphabet = tuple(alphabet)
         self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
         self.transitions = [list(row) for row in transitions]
-        self.n_states = len(self.transitions)
+        self.n_states = n = len(self.transitions)
         self.initial = initial
         self.accepting = frozenset(accepting)
-        self.minimal = minimal
         for row in self.transitions:
             if len(row) != len(self.alphabet):
-                raise ValueError("transition row has wrong arity")
-            for q in row:
-                if not (0 <= q < self.n_states):
-                    raise ValueError("transition target out of range")
-
-    def step(self, state, letter):
-        return self.transitions[state][self.letter_index[letter]]
+                raise MalformedTable("transition row has wrong arity")
+            if row and (min(row) < 0 or max(row) >= n):
+                raise MalformedTable("transition target out of range")
+        if not (isinstance(initial, int) and 0 <= initial < n):
+            raise MalformedTable("initial state out of range: %r"
+                                 % (initial,))
+        for q in self.accepting:
+            if not (isinstance(q, int) and 0 <= q < n):
+                raise MalformedTable("accepting state out of range: %r"
+                                     % (q,))
 
     def run(self, word, start=None):
         q = self.initial if start is None else start
@@ -50,33 +61,17 @@ class Dfa:
         return self.run(word) in self.accepting
 
     def reachable_states(self):
-        seen = [False] * self.n_states
-        seen[self.initial] = True
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for r in self.transitions[q]:
-                if not seen[r]:
-                    seen[r] = True
-                    stack.append(r)
-        return [q for q in range(self.n_states) if seen[q]]
+        """The states reachable from the initial one, breadth-first."""
+        return reachable([self.initial], self.transitions.__getitem__)
 
     def coaccessible_states(self):
+        """The states from which an accepting state is reachable,
+        breadth-first backwards from the accepting states."""
         back = [[] for _ in range(self.n_states)]
         for q in range(self.n_states):
             for r in self.transitions[q]:
                 back[r].append(q)
-        seen = [False] * self.n_states
-        stack = list(self.accepting)
-        for q in stack:
-            seen[q] = True
-        while stack:
-            q = stack.pop()
-            for r in back[q]:
-                if not seen[r]:
-                    seen[r] = True
-                    stack.append(r)
-        return [q for q in range(self.n_states) if seen[q]]
+        return reachable(sorted(self.accepting), back.__getitem__)
 
     def minimize(self):
         """The minimal complete DFA of the same language, numbered by
@@ -89,11 +84,9 @@ class Dfa:
         the smaller half of a split block going on the worklist, in
         O(n |A| log n) (Hopcroft 1971; Valmari, "Fast brief practical DFA
         minimization", IPL 2012)."""
-        if self.minimal:
-            return self
         k = len(self.alphabet)
-        order, trans = _breadth_first(self.initial,
-                                      self.transitions.__getitem__)
+        order, trans = breadth_first(self.initial,
+                                     self.transitions.__getitem__)
         n = len(order)
         final = [q in self.accepting for q in order]
         # preds[a][r]: the states whose a-successor is r
@@ -134,28 +127,10 @@ class Dfa:
                     pending = (new if (c, x) in waiting else half, x)
                     waiting.add(pending)
                     work.append(pending)
-        border, qtrans = _breadth_first(
+        border, qtrans = breadth_first(
             block_of[0], lambda b: [block_of[r] for r in trans[blocks[b][0]]])
         qaccept = {i for i, b in enumerate(border) if final[blocks[b][0]]}
-        return Dfa(self.alphabet, qtrans, 0, qaccept, minimal=True)
-
-
-def _breadth_first(start, successors):
-    """The nodes reachable from start in breadth-first order, successors
-    taken in order, and for each node its successors' positions in that
-    order."""
-    num = {start: 0}
-    order = [start]
-    rows = []
-    for x in order:     # the list grows as nodes are found
-        row = []
-        for y in successors(x):
-            if y not in num:
-                num[y] = len(order)
-                order.append(y)
-            row.append(num[y])
-        rows.append(row)
-    return order, rows
+        return Dfa(self.alphabet, qtrans, 0, qaccept)
 
 
 def compile_min_dfa(r, alphabet=None):
@@ -182,71 +157,39 @@ def compile_min_dfa(r, alphabet=None):
             by_letter[s].setdefault(ch, []).append(t)
 
     def closure(states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for r2 in eps[q]:
-                if r2 not in seen:
-                    seen.add(r2)
-                    stack.append(r2)
-        return frozenset(seen)
+        return frozenset(reachable(states, eps.__getitem__))
 
-    start_set = closure([start])
-    subsets = {start_set: 0}
-    order = [start_set]
-    dtrans = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        row = []
-        for ch in alpha:
-            nxt = closure([t for q in cur for t in by_letter[q].get(ch, ())])
-            if nxt not in subsets:
-                subsets[nxt] = len(order)
-                order.append(nxt)
-            row.append(subsets[nxt])
-        dtrans.append(row)
-    daccept = {subsets[s] for s in order if accept in s}
-    d = Dfa(alpha, dtrans, 0, daccept)
-    return d.minimize()
+    def successors(subset):
+        return [closure([t for q in subset for t in by_letter[q].get(ch, ())])
+                for ch in alpha]
+
+    # the subset construction: the ε-closed subsets reachable from the
+    # closure of the start state
+    order, dtrans = breadth_first(closure([start]), successors)
+    daccept = {i for i, subset in enumerate(order) if accept in subset}
+    return Dfa(alpha, dtrans, 0, daccept).minimize()
+
+
+def _reachable_pairs(d1, d2):
+    """The state pairs of the product automaton that are reachable from
+    the pair of initial states."""
+    if d1.alphabet != d2.alphabet:
+        raise AlphabetMismatch("%r vs %r" % (d1.alphabet, d2.alphabet))
+    t1, t2 = d1.transitions, d2.transitions
+    return reachable([(d1.initial, d2.initial)],
+                     lambda pair: zip(t1[pair[0]], t2[pair[1]]))
 
 
 def languages_equal(d1, d2):
-    """Language equality by search for a separating word on the pair graph."""
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatch("%r vs %r" % (d1.alphabet, d2.alphabet))
-    seen = {(d1.initial, d2.initial)}
-    queue = [(d1.initial, d2.initial)]
-    while queue:
-        p, q = queue.pop()
-        if (p in d1.accepting) != (q in d2.accepting):
-            return False
-        for a in range(len(d1.alphabet)):
-            nxt = (d1.transitions[p][a], d2.transitions[q][a])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    """Language equality: no reachable state pair separates a word."""
+    a1, a2 = d1.accepting, d2.accepting
+    return all((p in a1) == (q in a2) for p, q in _reachable_pairs(d1, d2))
 
 
 def has_common_word(d1, d2):
     """True iff the two automata accept some word in common."""
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatch("%r vs %r" % (d1.alphabet, d2.alphabet))
-    seen = {(d1.initial, d2.initial)}
-    queue = [(d1.initial, d2.initial)]
-    while queue:
-        p, q = queue.pop()
-        if p in d1.accepting and q in d2.accepting:
-            return True
-        for a in range(len(d1.alphabet)):
-            nxt = (d1.transitions[p][a], d2.transitions[q][a])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    a1, a2 = d1.accepting, d2.accepting
+    return any(p in a1 and q in a2 for p, q in _reachable_pairs(d1, d2))
 
 
 def is_empty(d):
@@ -309,28 +252,59 @@ def dfa_to_text(d):
 
 
 def dfa_from_text(text):
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    """Parse the format of dfa_to_text; malformed text raises ParseError
+    naming its line."""
     fields = {}
     trans_lines = []
     in_trans = False
-    for ln in lines:
+    for no, ln in enumerate(text.splitlines(), 1):
+        ln = ln.strip()
         if ln == "trans:":
             in_trans = True
-            continue
-        if in_trans:
-            trans_lines.append(ln)
-        else:
+        elif in_trans and ln:
+            trans_lines.append((no, ln.split()))
+        elif ln:
             key, _, rest = ln.partition(" ")
-            fields[key] = rest.strip()
-    n = int(fields["states"])
-    alphabet = tuple(fields["alphabet"].split())
-    initial = int(fields["initial"])
-    accepting = {int(v) for v in fields.get("accepting", "").split()}
+            fields[key] = (no, rest.strip())
+
+    def field(key):
+        if key not in fields:
+            raise ParseError("no %r line" % key)
+        return fields[key]
+
+    def integer(no, word, n=None):
+        try:
+            q = int(word)
+        except ValueError:
+            raise ParseError("line %d: expected an integer, got %r"
+                             % (no, word)) from None
+        if n is not None and not 0 <= q < n:
+            raise ParseError("line %d: state %d out of range" % (no, q))
+        return q
+
+    n = integer(*field("states"))
+    if n < 1:
+        raise ParseError("line %d: a DFA has at least one state"
+                         % fields["states"][0])
+    no, letters = field("alphabet")
+    alphabet = tuple(letters.split())
+    if not alphabet:
+        raise ParseError("line %d: empty alphabet" % no)
+    initial = integer(*field("initial"), n)
+    no, accepting = fields.get("accepting", (0, ""))
+    accepting = {integer(no, v, n) for v in accepting.split()}
+    if len(trans_lines) < n * len(alphabet):
+        raise ParseError("incomplete transition table")
     letter_index = {ch: i for i, ch in enumerate(alphabet)}
     trans = [[-1] * len(alphabet) for _ in range(n)]
-    for ln in trans_lines:
-        src, ch, dst = ln.split()
-        trans[int(src)][letter_index[ch]] = int(dst)
+    for no, words in trans_lines:
+        if len(words) != 3:
+            raise ParseError("line %d: expected 'state letter state'" % no)
+        if words[1] not in letter_index:
+            raise ParseError("line %d: letter %r not in the alphabet"
+                             % (no, words[1]))
+        trans[integer(no, words[0], n)][letter_index[words[1]]] = integer(
+            no, words[2], n)
     for row in trans:
         if -1 in row:
             raise ParseError("incomplete transition table")

@@ -1,0 +1,53 @@
+"""Breadth-first search, the one closure walk of the package.
+
+A graph is given by a function from a node to its successors, in order;
+nodes are any hashable values.  Both walks visit the nodes first in first
+out, successors in the order given, so their output order is fixed by
+the graph alone.  Every closure the package computes goes through them:
+
+- ``reachable``: the reachable and co-accessible states of a DFA, the
+  ε-closures of the subset construction, the state pairs reachable in the
+  product of two DFAs (language equality and intersection), the Cayley
+  states that reach a class (class languages), the subsemigroup spanned
+  by the generators (Light's test), and the groups of the catalogue built
+  by permutation and matrix closures, with their subgroup closures;
+- ``breadth_first``: the subset construction and the two numberings of
+  ``Dfa.minimize``, which need each node's successor positions.
+
+The syntactic closure of ``syntactic_semigroup`` is its own loop: it also
+records each class's word and stops at ``max_elements``.
+"""
+
+
+def reachable(starts, successors):
+    """The nodes reachable from starts, in breadth-first order: the starts
+    first, each once, then each newly found successor in turn."""
+    seen = set()
+    order = []
+    for x in starts:
+        if x not in seen:
+            seen.add(x)
+            order.append(x)
+    for x in order:     # the list grows as nodes are found
+        for y in successors(x):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def breadth_first(start, successors):
+    """The nodes reachable from start in breadth-first order, and for each
+    node its successors' positions in that order."""
+    num = {start: 0}
+    order = [start]
+    rows = []
+    for x in order:     # the list grows as nodes are found
+        row = []
+        for y in successors(x):
+            if y not in num:
+                num[y] = len(order)
+                order.append(y)
+            row.append(num[y])
+        rows.append(row)
+    return order, rows

@@ -4,8 +4,17 @@ The catalog is the fixed witness pool for free-group identity checks: 74
 pairwise non-isomorphic groups assembled from cyclic pieces, direct and
 semidirect products, dicyclic presentations, permutation closures, and two
 matrix groups.
+
+The permutation and matrix groups, and the subgroups that generating
+sequences span, are breadth-first closures under right multiplication by
+the generators (``omsemi.graphs.reachable``).  The order in which a
+closure finds the elements is the order of the group's table, and that
+table is printed in ``check --variety g`` witnesses.
 """
 
+import itertools
+
+from .graphs import reachable
 from .semigroup import FiniteSemigroup
 
 _CATALOG = None
@@ -67,19 +76,10 @@ def dicyclic_group(q):
 
 
 def _closure_group(gens, compose):
-    """Group generated by `gens` under `compose`, in right-multiplication
-    BFS order (deterministic)."""
-    elems = list(dict.fromkeys(gens))
-    seen = set(elems)
-    queue = list(elems)
-    while queue:
-        a = queue.pop(0)
-        for g in gens:
-            b = compose(a, g)
-            if b not in seen:
-                seen.add(b)
-                elems.append(b)
-                queue.append(b)
+    """Group generated by `gens` under `compose`, its elements in the
+    breadth-first order of right multiplication by the generators: the
+    order of the table, which is printed in witnesses."""
+    elems = reachable(gens, lambda a: [compose(a, g) for g in gens])
     idx = {e: k for k, e in enumerate(elems)}
     table = [[idx[compose(a, b)] for b in elems] for a in elems]
     return _group(table)
@@ -303,17 +303,10 @@ def _generating_sequence(S):
 
 
 def _subgroup_closure(S, gens):
+    """The set of elements of the subgroup generated by gens."""
     e = S.identity if S.identity is not None else S.find_identity()
-    seen = {e} | set(gens)
-    queue = list(seen)
-    while queue:
-        a = queue.pop()
-        for g in gens:
-            b = S.table[a][g]
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return seen
+    t = S.table
+    return set(reachable([e, *gens], lambda a: [t[a][g] for g in gens]))
 
 
 def groups_are_isomorphic(G, H):
@@ -326,16 +319,9 @@ def groups_are_isomorphic(G, H):
     gen_orders = [G.monogenic_data(g).period for g in gens]
     pools = [[h for h in range(H.n)
               if H.monogenic_data(h).period == d] for d in gen_orders]
-
-    def extend(assign):
-        if len(assign) < len(gens):
-            for h in pools[len(assign)]:
-                if extend(assign + [h]):
-                    return True
-            return False
-        return _extends_to_isomorphism(G, H, gens, assign)
-
-    return extend([])
+    # every assignment of images of the same orders, in lexicographic order
+    return any(_extends_to_isomorphism(G, H, gens, images)
+               for images in itertools.product(*pools))
 
 
 def _extends_to_isomorphism(G, H, gens, images):

@@ -6,7 +6,10 @@ on construction, by Light's test over a generating set: when the
 generating set is known (syntactic semigroups, cyclic semigroups, identity
 adjunction) this costs n^2 per generator, and otherwise the generators are
 all n elements and it is the full n^3 proof, which is what untrusted
-tables (text input, enumeration, the group catalogue) get.  A semigroup
+tables (text input, enumeration, the group catalogue) get.  A smaller
+generating set is first checked to generate the table, by the
+breadth-first closure of ``omsemi.graphs`` under right multiplication by
+the generators.  A semigroup
 may optionally carry a stable partial order and a distinguished identity
 element; a monoid is just a semigroup whose ``identity`` is set.
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
                      ParseError, UnboundLetter)
+from .graphs import reachable
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,9 @@ class FiniteSemigroup:
         the whole table associative.  Checks first that the generators do
         generate it."""
         t = self.table
-        if (len(self.generators) < self.n
-                and len(_right_closure(t, self.generators)) != self.n):
+        gens = self.generators
+        if len(gens) < self.n and len(reachable(
+                gens, lambda a: map(t[a].__getitem__, gens))) != self.n:
             raise MalformedTable("generators do not generate the table")
         for g in self.generators:
             rg = t[g]
@@ -138,9 +143,6 @@ class FiniteSemigroup:
         if self.order is None:
             return None
         return (a, b) in self.order
-
-    def mul(self, a, b):
-        return self.table[a][b]
 
     def power(self, s, k):
         """s^k for k >= 1, by repeated squaring on the table."""
@@ -210,12 +212,6 @@ class FiniteSemigroup:
         data = self.monogenic_data(s)
         r = stabilized_prime_power_residue(p, data.period)
         return self.omega_plus_k(s, r)
-
-    def is_idempotent(self, s):
-        return self.table[s][s] == s
-
-    def idempotents(self):
-        return [s for s in range(self.n) if self.table[s][s] == s]
 
     def find_identity(self):
         for e in range(self.n):
@@ -339,9 +335,6 @@ class GeneratorMap:
             e = t[e][self(ch)]
         return e
 
-    def letters(self):
-        return tuple(sorted(self.assignment))
-
 
 @dataclass(frozen=True)
 class GreenClasses:
@@ -370,17 +363,8 @@ class GreenClasses:
     def h_class(self, a):
         return self._find(self.h, a)
 
-    def same_r(self, a, b):
-        return b in self.r_class(a)
-
     def same_l(self, a, b):
         return b in self.l_class(a)
-
-    def same_j(self, a, b):
-        return b in self.j_class(a)
-
-    def same_h(self, a, b):
-        return b in self.h_class(a)
 
 
 def _partition_by(keys):
@@ -389,22 +373,6 @@ def _partition_by(keys):
         groups.setdefault(key, []).append(a)
     classes = sorted(groups.values(), key=lambda c: c[0])
     return tuple(tuple(c) for c in classes)
-
-
-def _right_closure(table, generators):
-    """The elements reachable from the generators by right multiplication
-    by generators: the subsemigroup they generate."""
-    seen = set(generators)
-    frontier = list(seen)
-    while frontier:
-        a = frontier.pop()
-        row = table[a]
-        for g in generators:
-            b = row[g]
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return seen
 
 
 def _scc_labels(succ):

@@ -14,6 +14,7 @@ the letter classes are passed to FiniteSemigroup as its generators.
 
 from .dfa import Dfa, compile_min_dfa
 from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
+from .graphs import reachable
 from .semigroup import FiniteSemigroup, GeneratorMap
 
 
@@ -132,15 +133,8 @@ class SyntacticPresentation:
             raise ElementNotWordImage("no class with index %r" % (e,))
         rows, preds = self._cayley_automaton()
         target = 1 + e
-        seen = {target}
-        stack = [target]
-        while stack:
-            for q in preds[stack.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
         # the start state reaches every class, so it is kept and sorts first
-        keep = sorted(seen)
+        keep = sorted(reachable([target], preds.__getitem__))
         sink = len(keep)
         num = {q: i for i, q in enumerate(keep)}
         trans = [[num.get(r, sink) for r in rows[q]] for q in keep]
@@ -178,13 +172,13 @@ def _state_preorder(d):
 def syntactic_semigroup(d, alphabet=None, max_elements=2000):
     """Syntactic presentation of a regular language.
 
-    Accepts a Dfa, a regex string, or a regex syntax tree; anything not
-    already a minimal DFA is minimised first.
+    Accepts a Dfa, which is minimised first, or a regex string or syntax
+    tree, which compile_min_dfa takes to its minimal DFA.
     """
-    if not isinstance(d, Dfa):
-        d = compile_min_dfa(d, alphabet=alphabet)
-    elif not d.minimal:
+    if isinstance(d, Dfa):
         d = d.minimize()
+    else:
+        d = compile_min_dfa(d, alphabet=alphabet)
     nq = d.n_states
     letters = list(d.alphabet)
     letter_acts = [tuple(d.transitions[q][i] for q in range(nq))

@@ -185,10 +185,15 @@ class _TermParser(Scanner):
         ch = self.peek()
         if ch is None or not ch.isdigit():
             raise ParseError("expected a number at position %d" % self.pos)
+        start = self.pos
         digits = ""
         while self.peek() is not None and self.peek().isdigit():
             digits += self.take()
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:  # past int()'s digit limit, or not decimal
+            raise ParseError("number at position %d has too many digits or "
+                             "is not decimal" % start) from None
 
     def parse(self):
         t = self.concatenation()

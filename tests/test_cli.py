@@ -155,6 +155,16 @@ def test_check_false_verdict_with_witness():
     assert doc["witness"]["lhs_value"] != doc["witness"]["rhs_value"]
 
 
+def test_check_group_witness_is_pinned():
+    # sha256 of the stdout, recorded before the group closures moved to
+    # omsemi.graphs: the witness prints the table of S3 in the element
+    # order of its permutation closure
+    r = run_cli("check", "--variety", "g", "--lhs", "x y", "--rhs", "y x")
+    assert r.returncode == 1
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "65978b558aef471d6fb48bd6ba8275536771e5923e312a64791fe0520665a3bb")
+
+
 def test_check_jplus_leq():
     r = run_cli("check", "--variety", "jplus", "--lhs", "ab", "--rhs",
                 "axb", "--leq")
@@ -223,6 +233,15 @@ def test_verify_paper_text_mode():
     assert "section 4 overall: PASS (10 checks)" in r.stdout
     assert "section 5 overall: PASS (11 checks)" in r.stdout
     assert "section 6 overall: PASS (12 checks)" in r.stdout
+
+
+def test_verify_paper_text_is_pinned():
+    # sha256 of the text report, recorded before the walks of dfa,
+    # syntactic, semigroup and groups_catalog moved to omsemi.graphs
+    r = run_cli("verify-paper")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "7ecf0461fb92241828ba9abd2b7344405953d3212bec14f21c30af0548a839eb")
 
 
 def test_verify_paper_single_section_json_file(tmp_path):

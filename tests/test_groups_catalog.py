@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -25,6 +26,16 @@ EXPECTED_PER_ORDER = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
                       9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1,
                       16: 14, 17: 1, 18: 5, 19: 1, 20: 5, 21: 2, 22: 2,
                       23: 1, 24: 15}
+
+
+def test_catalog_tables_are_pinned():
+    # sha256 of every name and table, in catalogue order, recorded before
+    # the closures moved to omsemi.graphs: the element order of a closure
+    # is the order of its table, which check --variety g witnesses print
+    text = "".join("%s %r\n" % (name, S.table)
+                   for name, S in all_groups_up_to_24())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "02dc680150a161a48e310e09f623f3fdb7ca076957307dbd58d568c8165cfa21")
 
 
 def test_counts_per_order():

@@ -36,7 +36,7 @@ def same_dfa(d1, d2):
 def test_hopcroft_matches_moore(d):
     m = d.minimize()
     assert same_dfa(m, moore_minimize(d))
-    assert m.minimal and m.minimize() is m
+    assert same_dfa(m.minimize(), m)
     assert same_dfa(Dfa(d.alphabet, m.transitions, 0, m.accepting)
                     .minimize(), m)
 

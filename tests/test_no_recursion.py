@@ -1,6 +1,7 @@
 """No function in the package calls itself by name, so no input's shape
 can drive a walk into the recursion limit.  Syntax trees are walked as
-folds over their postorder, graphs with explicit stacks."""
+folds over their postorder, graphs by the breadth-first walks of
+omsemi.graphs or with explicit stacks."""
 
 import ast
 import pathlib
@@ -11,8 +12,6 @@ import omsemi
 EXEMPT = {
     ("enumeration", "_canonical_tables.fill"):
         "one level per table cell, at most n^2 <= 25",
-    ("groups_catalog", "groups_are_isomorphic.extend"):
-        "one level per generator image, at most 24",
 }
 
 

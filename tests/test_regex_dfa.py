@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from omsemi.errors import AlphabetMismatch, EmptyAlphabet, ParseError
+from omsemi.errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
+                           ParseError)
 from omsemi.dfa import (
     Dfa,
     compile_min_dfa,
@@ -227,6 +228,53 @@ def test_dfa_text_roundtrip():
     d2 = dfa_from_text(text)
     assert languages_equal(d, d2)
     assert dfa_to_text(d2.minimize()) == text
+
+
+@pytest.mark.parametrize("trans,initial,accepting", [
+    ([[0]], 5, set()),          # initial state out of range
+    ([[0]], -1, set()),
+    ([[0]], "0", set()),
+    ([[0]], 0, {7}),            # accepting state out of range
+    ([[0]], 0, {0, -1}),
+    ([[0, 0]], 0, set()),       # row of the wrong arity
+    ([[1]], 0, set()),          # target out of range
+    ([], 0, set()),             # no state at all
+])
+def test_malformed_dfa_tables(trans, initial, accepting):
+    with pytest.raises(MalformedTable) as info:
+        Dfa("a", trans, initial, accepting)
+    assert isinstance(info.value, ValueError)
+
+
+GOOD_TEXT = "states 2\nalphabet a b\ninitial 0\naccepting 1\ntrans:\n" \
+    "0 a 1\n0 b 0\n1 a 1\n1 b 0\n"
+
+
+@pytest.mark.parametrize("old,new,where", [
+    ("states 2", "", "'states'"),                   # a field is missing
+    ("alphabet a b", "", "'alphabet'"),
+    ("initial 0", "", "'initial'"),
+    ("states 2", "states two", "line 1"),           # not an integer
+    ("states 2", "states 0", "line 1"),
+    ("alphabet a b", "alphabet", "line 2"),
+    ("initial 0", "initial 2", "line 3"),           # out of range
+    ("accepting 1", "accepting 1 x", "line 4"),
+    ("accepting 1", "accepting 9", "line 4"),
+    ("0 b 0", "0 c 0", "line 7"),                   # unknown letter
+    ("0 b 0", "0 b 2", "line 7"),
+    ("0 b 0", "5 b 0", "line 7"),
+    ("0 b 0", "0 b 0.5", "line 7"),
+    ("0 b 0", "0 b", "line 7"),                     # wrong field count
+    ("0 b 0", "0 a 0", "incomplete"),
+    ("1 b 0\n", "", "incomplete"),
+    ("states 2", "states 1" + "0" * 5000, "line 1"),
+    ("states 2", "states 1000000000000", "incomplete"),
+])
+def test_malformed_dfa_text(old, new, where):
+    assert dfa_from_text(GOOD_TEXT).transitions == [[1, 0], [1, 0]]
+    with pytest.raises(ParseError) as info:
+        dfa_from_text(GOOD_TEXT.replace(old, new))
+    assert where in str(info.value)
 
 
 def test_run_from_state():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from omsemi.dfa import compile_min_dfa, languages_equal
+from omsemi.dfa import Dfa, compile_min_dfa, languages_equal
 from omsemi.errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
 from omsemi.semigroup import GeneratorMap
 from omsemi.syntactic import syntactic_semigroup
@@ -33,6 +33,15 @@ def context_below(d, u, v, xmax, ymax):
             if d.accepts(x + u + y) and not d.accepts(x + v + y):
                 return False
     return True
+
+
+def test_dfa_input_is_always_minimised():
+    # a two-state automaton of a*: the syntactic semigroup has one class
+    sp = syntactic_semigroup(Dfa("a", [[1], [0]], 0, {0, 1}))
+    assert sp.words == ["a"]
+    assert sp.dfa.n_states == 1
+    with pytest.raises(TypeError):
+        Dfa("a", [[1], [0]], 0, {0, 1}, minimal=True)
 
 
 def test_words_containing_a():

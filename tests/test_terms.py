@@ -84,6 +84,14 @@ def test_parse_errors():
             parse_term(bad)
 
 
+def test_parse_errors_on_numbers_int_rejects():
+    # past int()'s 4300-digit limit, and a digit that is not decimal
+    for bad in ["x^" + "9" * 5000, "x^(w+" + "9" * 5000 + ")", "x^\u00b2"]:
+        with pytest.raises(ParseError):
+            parse_term(bad)
+    assert parse_term("x^" + "9" * 4300).m == int("9" * 4300)
+
+
 def _trial_division(p):
     return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 

@@ -472,7 +472,7 @@ def moore_minimize(d):
                 num[r] = len(order)
                 order.append(r)
     return Dfa(d.alphabet, [[num[r] for r in qtrans[q]] for q in order], 0,
-               {num[q] for q in qaccept}, minimal=True)
+               {num[q] for q in qaccept})
 
 
 def full_class_language(sp, e):
