@@ -56,8 +56,7 @@ def _build_parser():
 
     p = sub.add_parser("check", help="decide an identity over a variety")
     p.add_argument("--variety", required=True,
-                   help="ab | com | g | jplus | cr:N (cr:5 runs the order-5 "
-                        "enumeration, which takes minutes)")
+                   help="ab | com | g | jplus | cr:N (N = 1..5)")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--leq", action="store_true",
@@ -83,8 +82,7 @@ def _build_parser():
                    default="all")
     p.add_argument("--cr-bound", type=int, choices=[4, 5], default=4,
                    dest="cr_bound",
-                   help="order bound of the completely regular sample; 5 "
-                        "runs the order-5 enumeration, which takes minutes")
+                   help="order bound of the completely regular sample")
     p.add_argument("--json", default=None, dest="json_path", metavar="FILE",
                    help="write the JSON report to FILE ('-' for stdout)")
     return parser

@@ -17,8 +17,9 @@ Every walk over states goes through the breadth-first searches of
 and the subset construction of ``compile_min_dfa``, the two numberings of
 ``minimize``, and the reachable state pairs of the product automaton that
 ``languages_equal`` and ``has_common_word`` inspect.  A ``Dfa`` built from
-a table of the wrong shape, or with an initial or accepting state out of
-range, raises ``MalformedTable``.
+a table of the wrong shape, an alphabet that repeats a letter, or a
+transition target, initial or accepting state that is not a state raises
+``MalformedTable``.
 """
 
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
@@ -35,10 +36,16 @@ class Dfa:
         self.n_states = n = len(self.transitions)
         self.initial = initial
         self.accepting = frozenset(accepting)
+        if len(self.letter_index) != len(self.alphabet):
+            raise MalformedTable("alphabet repeats a letter: %r"
+                                 % (self.alphabet,))
+        states = set(range(n))
         for row in self.transitions:
             if len(row) != len(self.alphabet):
                 raise MalformedTable("transition row has wrong arity")
-            if row and (min(row) < 0 or max(row) >= n):
+            # a target equal to a state but not an int, such as 0.0,
+            # makes the sum of the row a non-int
+            if not states.issuperset(row) or type(sum(row)) is not int:
                 raise MalformedTable("transition target out of range")
         if not (isinstance(initial, int) and 0 <= initial < n):
             raise MalformedTable("initial state out of range: %r"
@@ -48,8 +55,8 @@ class Dfa:
                 raise MalformedTable("accepting state out of range: %r"
                                      % (q,))
 
-    def run(self, word, start=None):
-        q = self.initial if start is None else start
+    def run(self, word):
+        q = self.initial
         for ch in word:
             i = self.letter_index.get(ch)
             if i is None:

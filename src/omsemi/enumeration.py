@@ -1,28 +1,38 @@
-"""Exhaustive enumeration of small semigroups up to isomorphism."""
+"""Exhaustive enumeration of small semigroups up to isomorphism.
+
+The search fills a multiplication table cell by cell in row-major order,
+trying the values in increasing order and checking after each cell the
+associativity triples that the cell completes.  Symmetry is broken inside
+the search by the lex-leader test (Distler, *Classification and
+enumeration of finite semigroups*, PhD thesis, St Andrews 2010): after
+every consistent cell, each relabelling pi(T) of the partial table T is
+compared with T in row-major order up to the first cell that is unfilled
+on either side, and the branch is pruned as soon as a decided cell of
+pi(T) is the smaller.  Every completion of a pruned branch has a smaller
+relabelling, so exactly the lexicographically least table of each class
+survives, and the classes come out in lexicographic order.
+"""
 
 from itertools import permutations
 
 from .errors import SizeTooLarge
 from .semigroup import FiniteSemigroup
+from .terms import satisfies_identity
 
 _CACHE = {}
 
 
-def enumerate_semigroups(n, predicate=None, allow_large=False):
-    """Yield one semigroup per isomorphism class of order n.
+def enumerate_semigroups(n, predicate=None):
+    """Yield one semigroup per isomorphism class of order n, 1 <= n <= 5.
 
     Each class is represented by its lexicographically smallest table, and
     classes come out in lexicographic table order, so the stream is
     deterministic.  `predicate` may be a callable on semigroups or a pair of
-    terms (lhs, rhs) filtering by the identity lhs = rhs.  Orders above 4
-    take long enough that 5 sits behind `allow_large`.
+    terms (lhs, rhs) filtering by the identity lhs = rhs.
     """
     if not 1 <= n <= 5:
         raise SizeTooLarge(f"can only enumerate orders 1..5, got {n}")
-    if n == 5 and not allow_large:
-        raise SizeTooLarge("order 5 enumeration is slow; pass allow_large=True")
     if isinstance(predicate, tuple):
-        from .terms import satisfies_identity
         lhs, rhs = predicate
         predicate = lambda S: satisfies_identity(S, lhs, rhs)
     if n not in _CACHE:
@@ -34,13 +44,8 @@ def enumerate_semigroups(n, predicate=None, allow_large=False):
 
 
 def _canonical_tables(n):
-    perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
-    inverses = []
-    for p in perms:
-        inv = [0] * n
-        for a, pa in enumerate(p):
-            inv[pa] = a
-        inverses.append((p, inv))
+    inverses = [(p, sorted(range(n), key=p.__getitem__))
+                for p in permutations(range(n)) if p != tuple(range(n))]
 
     table = [[None] * n for _ in range(n)]
     cells = [(i, j) for i in range(n) for j in range(n)]
@@ -85,14 +90,19 @@ def _canonical_tables(n):
         return True
 
     def is_canonical():
+        # no relabelling is smaller on the cells decided on both sides;
+        # on a complete table, no relabelling is smaller at all
         t = table
         for perm, inv in inverses:
             for x in range(n):
                 tx = t[inv[x]]
                 row = t[x]
                 for y in range(n):
-                    v = perm[tx[inv[y]]]
                     w = row[y]
+                    u = tx[inv[y]]
+                    if w is None or u is None:
+                        break
+                    v = perm[u]
                     if v < w:
                         return False
                     if v > w:
@@ -102,17 +112,21 @@ def _canonical_tables(n):
                 break
         return True
 
-    def fill(idx):
-        if idx == len(cells):
-            if is_canonical():
-                out.append(tuple(tuple(row) for row in table))
-            return
+    # depth-first over the cells: the value in a cell is the last one
+    # tried there, and None before the first
+    last = len(cells) - 1
+    idx = 0
+    while idx >= 0:
         i, j = cells[idx]
-        for k in range(n):
-            table[i][j] = k
-            if consistent(i, j):
-                fill(idx + 1)
-        table[i][j] = None
-
-    fill(0)
+        k = 0 if table[i][j] is None else table[i][j] + 1
+        if k == n:
+            table[i][j] = None
+            idx -= 1
+            continue
+        table[i][j] = k
+        if consistent(i, j) and is_canonical():
+            if idx == last:
+                out.append(tuple(tuple(row) for row in table))
+            else:
+                idx += 1
     return out

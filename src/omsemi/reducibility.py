@@ -20,15 +20,19 @@ from .terms import (
     Letter,
     OmegaPower,
     ab_image,
-    com_exponents,
     eval_term,
-    free_group_normal_form,
     iterated_commutator,
     bounded_factors,
     parse_term,
     unroll,
 )
-from .varieties import com_satisfies, cr_sample_satisfies, cr_semigroups, g_satisfies
+from .varieties import (
+    NORMAL_FORMS,
+    com_satisfies,
+    cr_sample_satisfies,
+    cr_semigroups,
+    g_satisfies,
+)
 from .words import count_occurrences, is_cube_free, ptm_iterate, scattered_subword
 
 
@@ -224,21 +228,6 @@ def loc_fin_word_solution(triple, u, v, V_images):
     return unroll(u, targets), unroll(v, targets)
 
 
-def _ab_key(t):
-    return tuple(sorted((ch, m) for ch, m in ab_image(t).items() if m != 0))
-
-
-def _com_key(t):
-    return tuple(sorted(com_exponents(t).items()))
-
-
-def _g_key(t):
-    return free_group_normal_form(t)
-
-
-_SEARCH_KEYS = {"ab": _ab_key, "com": _com_key, "g": _g_key}
-
-
 def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     """Exhaustive search for a term solution of x = y over the variety.
 
@@ -247,11 +236,11 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     `max_size` syntax-tree nodes, in a fixed deterministic order.  Returns
     the first valid pair (u, v) with eval(u) = s, eval(v) = t, and matching
     variety normal forms, or None."""
-    if variety not in _SEARCH_KEYS:
+    if variety not in NORMAL_FORMS:
         raise ValueError("variety must be one of ab, com, g")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
-    keyfn = _SEARCH_KEYS[variety]
+    keyfn = NORMAL_FORMS[variety]
     S, gens = triple.S, triple.gens
     letters = sorted(gens.assignment)
 

@@ -54,12 +54,16 @@ class FiniteSemigroup:
         if n == 0:
             raise MalformedTable("a semigroup has at least one element")
         self.table = [list(row) for row in table]
+        elements = set(range(n))
         for row in self.table:
             if len(row) != n:
                 raise MalformedTable("table is not square")
-            if row and (min(row) < 0 or max(row) >= n):
+            # an entry equal to an element but not an int, such as 0.0,
+            # makes the sum of the row a non-int
+            if not elements.issuperset(row) or type(sum(row)) is not int:
                 raise MalformedTable("table entry out of range: %r" % (
-                    next(v for v in row if not 0 <= v < n),))
+                    next(v for v in row
+                         if type(v) is not int or not 0 <= v < n),))
         if generators is None:
             self.generators = tuple(range(n))
         else:

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .regex import Scanner
 from .semigroup import stabilized_prime_power_residue
+from .words import factors_up_to
 
 
 @dataclass(frozen=True)
@@ -553,7 +554,6 @@ def expand_for_factors(t, k):
 
 
 def bounded_factors(t, k):
-    from .words import factors_up_to
     w = expand_for_factors(t, k)
     return FactorData(factors=frozenset(factors_up_to(w, k)),
                       prefix=w[:k], suffix=w[-k:] if k else "")

@@ -7,7 +7,6 @@ from .errors import ParseError, SizeTooLarge
 from .groups_catalog import all_groups_up_to_24
 from .semigroup import FiniteSemigroup, GeneratorMap
 from .terms import (
-    Fin,
     FinitePower,
     _expand,
     _postorder,
@@ -17,6 +16,7 @@ from .terms import (
     find_identity_failure,
     free_group_normal_form,
     parse_term,
+    satisfies_identity,
     term_alphabet,
 )
 from .words import scattered_subword
@@ -25,24 +25,33 @@ _CR_CACHE = {}
 _CR_IDENTITY = (parse_term("x^(w+1)"), parse_term("x"))
 
 
+def ab_normal_form(t):
+    """The letters of t with their nonzero multiplicities in the integer
+    completion, sorted: two terms are equal over all finite abelian groups
+    iff their normal forms are."""
+    return tuple(sorted((ch, m) for ch, m in ab_image(t).items() if m != 0))
+
+
+def com_normal_form(t):
+    """The letters of t with their exponents in N u (omega+Z), sorted: two
+    terms are equal over all finite commutative semigroups iff their
+    normal forms are."""
+    return tuple(sorted(com_exponents(t).items()))
+
+
+# variety -> normal form of a term; free-group reduction decides groups
+NORMAL_FORMS = {"ab": ab_normal_form, "com": com_normal_form,
+                "g": free_group_normal_form}
+
+
 def ab_satisfies(u, v):
-    """Equality over all finite abelian groups: matching letter multiplicities
-    in the integer completion (absent letters count 0)."""
-    iu, iv = ab_image(u), ab_image(v)
-    for ch in set(iu) | set(iv):
-        if iu.get(ch, 0) != iv.get(ch, 0):
-            return False
-    return True
+    """Equality over all finite abelian groups."""
+    return ab_normal_form(u) == ab_normal_form(v)
 
 
 def com_satisfies(u, v):
-    """Equality over all finite commutative semigroups: matching exponent
-    vectors in the extended exponent algebra."""
-    eu, ev = com_exponents(u), com_exponents(v)
-    for ch in set(eu) | set(ev):
-        if eu.get(ch, Fin(0)) != ev.get(ch, Fin(0)):
-            return False
-    return True
+    """Equality over all finite commutative semigroups."""
+    return com_normal_form(u) == com_normal_form(v)
 
 
 def g_satisfies(u, v):
@@ -76,10 +85,9 @@ def cr_semigroups(bound):
         raise SizeTooLarge(f"completely regular sample bound must be 1..5, "
                            f"got {bound}")
     if bound not in _CR_CACHE:
-        from .terms import satisfies_identity
         found = []
         for n in range(1, bound + 1):
-            for S in enumerate_semigroups(n, allow_large=True):
+            for S in enumerate_semigroups(n):
                 if satisfies_identity(S, *_CR_IDENTITY):
                     found.append(S)
         _CR_CACHE[bound] = found

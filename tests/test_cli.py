@@ -220,6 +220,7 @@ def test_reduce_jplus_obstruction_exits_1():
 def test_enum_counts():
     assert run_cli("enum", "4").stdout == "188\n"
     assert run_cli("enum", "4", "--identity", "x y = y x").stdout == "58\n"
+    assert run_cli("enum", "5").stdout == "1915\n"
 
 
 def test_enum_out_of_range_exits_2():

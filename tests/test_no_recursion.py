@@ -1,18 +1,13 @@
 """No function in the package calls itself by name, so no input's shape
 can drive a walk into the recursion limit.  Syntax trees are walked as
 folds over their postorder, graphs by the breadth-first walks of
-omsemi.graphs or with explicit stacks."""
+omsemi.graphs or with explicit stacks, and the enumeration's search by
+one loop over the table cells."""
 
 import ast
 import pathlib
 
 import omsemi
-
-# (module, qualified name): why its depth is bounded
-EXEMPT = {
-    ("enumeration", "_canonical_tables.fill"):
-        "one level per table cell, at most n^2 <= 25",
-}
 
 
 def _self_calls(tree):
@@ -47,14 +42,10 @@ def _self_calls(tree):
 
 def test_no_function_calls_itself():
     package = pathlib.Path(omsemi.__file__).parent
-    found = set()
-    for path in sorted(package.glob("*.py")):
-        for name, line in _self_calls(ast.parse(path.read_text())):
-            found.add((path.stem, name))
-            assert (path.stem, name) in EXEMPT, \
-                "%s.py:%d: %s calls itself" % (path.stem, line, name)
-    # the exemptions name functions that still exist and still recurse
-    assert found == set(EXEMPT)
+    found = ["%s.py:%d: %s calls itself" % (path.stem, line, name)
+             for path in sorted(package.glob("*.py"))
+             for name, line in _self_calls(ast.parse(path.read_text()))]
+    assert found == []
 
 
 def test_guard_sees_self_calls():

@@ -415,6 +415,7 @@ def test_verify_cr_counterexample_passes():
     report = verify_cr_counterexample(bound=4)
     assert report.passed
     assert len(report.checks) == 12
+    assert verify_cr_counterexample(bound=5).passed
 
 
 def test_verify_all_and_determinism():

@@ -239,11 +239,19 @@ def test_dfa_text_roundtrip():
     ([[0, 0]], 0, set()),       # row of the wrong arity
     ([[1]], 0, set()),          # target out of range
     ([], 0, set()),             # no state at all
+    ([[0.5]], 0, set()),        # target not an integer
+    ([["0"]], 0, set()),
 ])
 def test_malformed_dfa_tables(trans, initial, accepting):
     with pytest.raises(MalformedTable) as info:
         Dfa("a", trans, initial, accepting)
     assert isinstance(info.value, ValueError)
+
+
+def test_repeated_letter_is_malformed():
+    # the second a would hide the first column
+    with pytest.raises(MalformedTable):
+        Dfa("aa", [[0, 0]], 0, {0})
 
 
 GOOD_TEXT = "states 2\nalphabet a b\ninitial 0\naccepting 1\ntrans:\n" \

@@ -48,9 +48,12 @@ def test_identity_validation():
     lambda: FiniteSemigroup([[1, 0], [0, 1]], generators=[1]),
     lambda: semigroup_from_text("2\n0 1\n1"),
     lambda: FiniteSemigroup([]),
+    lambda: FiniteSemigroup([[0.0]]),
+    lambda: FiniteSemigroup([["0"]]),
 ], ids=["ragged", "entry-too-large", "entry-negative", "identity-range",
         "label-count", "not-an-identity", "generator-range",
-        "not-generating", "text-ragged", "empty"])
+        "not-generating", "text-ragged", "empty", "entry-float",
+        "entry-string"])
 def test_malformed_table_is_typed(make):
     with pytest.raises(MalformedTable) as info:
         make()

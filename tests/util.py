@@ -484,3 +484,51 @@ def full_class_language(sp, e):
     trans = [[1 + g for g in letters]]
     trans += [[1 + row[g] for g in letters] for row in table]
     return moore_minimize(Dfa(sp.alphabet, trans, 0, {1 + e}))
+
+
+# ---------------------------------------------------------------------------
+# semigroup enumeration: the search that tests canonicity only at complete
+# tables, as omsemi.enumeration did before it pruned relabelled prefixes,
+# written from the definitions and kept as an oracle
+
+
+def leaf_canonical_tables(n):
+    """The lex-least associative table of each isomorphism class of order
+    n, in lex order: every labelled associative table is reached, and one
+    is kept when no relabelling of it is smaller."""
+    from itertools import permutations
+    perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
+    table = [[None] * n for _ in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    out = []
+
+    def consistent():
+        t = table
+        r = range(n)
+        return all(t[t[a][b]][c] == t[a][t[b][c]]
+                   for a in r for b in r for c in r
+                   if t[a][b] is not None and t[b][c] is not None
+                   and t[t[a][b]][c] is not None
+                   and t[a][t[b][c]] is not None)
+
+    def is_canonical():
+        flat = tuple(v for row in table for v in row)
+        return all(tuple(p[table[inv[x]][inv[y]]] for x in range(n)
+                         for y in range(n)) >= flat
+                   for p, inv in ((p, sorted(range(n), key=p.__getitem__))
+                                  for p in perms))
+
+    def fill(idx):
+        if idx == len(cells):
+            if is_canonical():
+                out.append(tuple(tuple(row) for row in table))
+            return
+        i, j = cells[idx]
+        for k in range(n):
+            table[i][j] = k
+            if consistent():
+                fill(idx + 1)
+        table[i][j] = None
+
+    fill(0)
+    return out
