@@ -6,11 +6,12 @@ term solution into a word solution, `enum` counts semigroups up to
 isomorphism, and `verify-paper` runs the built-in verification suites.
 Identical invocations produce byte-identical output.  Exit codes: 0 on
 success, 1 on a failed verification or false verdict, 2 on usage or parse
-errors.
+errors.  A closed stdout pipe exits with 1 and prints nothing more.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .dfa import enumerate_accepted, is_finite_language
@@ -45,6 +46,7 @@ def _build_parser():
                    help="also print Green's classes")
     p.add_argument("--classes", action="store_true",
                    help="also print each class as a word list or regex")
+    p.set_defaults(run=_cmd_syn)
 
     p = sub.add_parser("eval", help="evaluate a term in a syntactic "
                                     "semigroup")
@@ -53,6 +55,7 @@ def _build_parser():
     p.add_argument("--map", default=None,
                    help="term letter assignment, e.g. x=a,y=b "
                         "(default: each letter names itself)")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("check", help="decide an identity over a variety")
     p.add_argument("--variety", required=True,
@@ -61,6 +64,7 @@ def _build_parser():
     p.add_argument("--rhs", required=True)
     p.add_argument("--leq", action="store_true",
                    help="decide lhs <= rhs instead (jplus only)")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("reduce", help="turn a term solution into a word "
                                       "solution")
@@ -68,6 +72,7 @@ def _build_parser():
     p.add_argument("--regex", required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("enum", help="count semigroups of a given order up "
                                     "to isomorphism")
@@ -75,6 +80,7 @@ def _build_parser():
     p.add_argument("--identity", default=None,
                    help="count only semigroups satisfying this identity, "
                         "e.g. 'x y = y x'")
+    p.set_defaults(run=_cmd_enum)
 
     p = sub.add_parser("verify-paper",
                        help="run the built-in verification suites")
@@ -85,6 +91,7 @@ def _build_parser():
                    help="order bound of the completely regular sample")
     p.add_argument("--json", default=None, dest="json_path", metavar="FILE",
                    help="write the JSON report to FILE ('-' for stdout)")
+    p.set_defaults(run=_cmd_verify_paper)
     return parser
 
 
@@ -218,20 +225,21 @@ def _cmd_verify_paper(args):
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "syn": _cmd_syn,
-    "eval": _cmd_eval,
-    "check": _cmd_check,
-    "reduce": _cmd_reduce,
-    "enum": _cmd_enum,
-    "verify-paper": _cmd_verify_paper,
-}
+_PARSER = _build_parser()
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stdout goes to devnull, so that the flush
+        # at exit does not raise again (Python's signal docs, "Note on
+        # SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NotASolution, SubwordObstruction) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

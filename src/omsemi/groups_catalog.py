@@ -25,12 +25,10 @@ def cyclic_group(n):
 
 
 def _group(table):
-    """The one semigroup on `table`, its neutral element the identity."""
-    n = len(table)
-    for e in range(n):
-        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
-            return FiniteSemigroup(table, identity=e)
-    raise ValueError("construction produced no identity")
+    """The group on `table`: its identity is its only idempotent, which
+    FiniteSemigroup then proves neutral."""
+    return FiniteSemigroup(table, identity=next(
+        a for a in range(len(table)) if table[a][a] == a))
 
 
 def _pair_group(ms, ks, op):
@@ -287,7 +285,7 @@ def element_orders(S):
 
 def _generating_sequence(S):
     """A small generating tuple, found greedily by descending element order."""
-    e = S.identity if S.identity is not None else S.find_identity()
+    e = S.find_identity()
     by_order = sorted(range(S.n),
                       key=lambda s: (-S.monogenic_data(s).period, s))
     gens = []
@@ -304,7 +302,7 @@ def _generating_sequence(S):
 
 def _subgroup_closure(S, gens):
     """The set of elements of the subgroup generated by gens."""
-    e = S.identity if S.identity is not None else S.find_identity()
+    e = S.find_identity()
     t = S.table
     return set(reachable([e, *gens], lambda a: [t[a][g] for g in gens]))
 
@@ -325,8 +323,8 @@ def groups_are_isomorphic(G, H):
 
 
 def _extends_to_isomorphism(G, H, gens, images):
-    eG = G.identity if G.identity is not None else G.find_identity()
-    eH = H.identity if H.identity is not None else H.find_identity()
+    eG = G.find_identity()
+    eH = H.find_identity()
     phi = {eG: eH}
     for g, h in zip(gens, images):
         if phi.get(g, h) != h:

@@ -71,7 +71,6 @@ class Check:
 class VerificationReport:
     section: str
     checks: list = field(default_factory=list)
-    millis: float = 0.0
 
     def add(self, name, expected, computed):
         self.checks.append(Check(name, expected, computed))
@@ -82,7 +81,7 @@ class VerificationReport:
 
     def to_json_dict(self):
         # millis is pinned to zero so that identical runs serialize to
-        # identical bytes; wall-clock time stays on the object only
+        # identical bytes
         return {
             "section": self.section,
             "checks": [{"name": c.name, "expected": c.expected,

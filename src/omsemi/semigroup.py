@@ -16,6 +16,12 @@ element; a monoid is just a semigroup whose ``identity`` is set.
 Green's relations are the strongly connected components of the Cayley
 graphs over the generators (Froidure & Pin, "Algorithms for computing
 finite semigroups", 1997).
+
+Every power of an element, finite or omega, is read off one sequence: the
+powers s, s^2, ... up to the first repeat, walked once per element.  From
+the index on they run round the cycle, so s^(omega+k) is s^N for any
+N >= index with N = k mod period (Almeida, "Finite Semigroups and
+Universal Algebra", 1994).
 """
 
 from dataclasses import dataclass
@@ -27,16 +33,21 @@ from .graphs import reachable
 
 @dataclass(frozen=True)
 class MonogenicData:
-    """Index and period of the power sequence of one element.
+    """The power sequence of one element, with its index and period.
 
     The powers s, s^2, s^3, ... are eventually periodic: the first repeated
-    value occurs at s^(index+period) = s^index.  ``cycle`` lists the cycle
-    elements s^index, ..., s^(index+period-1) in order.
+    value occurs at s^(index+period) = s^index.  ``powers`` lists s, ...,
+    s^(index+period-1), so every power of s is one of its entries.
     """
 
     index: int
     period: int
-    cycle: tuple
+    powers: tuple
+
+    @property
+    def cycle(self):
+        """The cycle elements s^index, ..., s^(index+period-1) in order."""
+        return self.powers[self.index - 1:]
 
 
 class FiniteSemigroup:
@@ -87,7 +98,6 @@ class FiniteSemigroup:
                                          % identity)
         self.order = self._check_order(order) if order is not None else None
         self._mono = {}
-        self._omega = {}
 
     def _check_associative(self):
         """Light's test: the elements a with (xa)y = x(ay) for all x, y
@@ -149,36 +159,28 @@ class FiniteSemigroup:
         return (a, b) in self.order
 
     def power(self, s, k):
-        """s^k for k >= 1, by repeated squaring on the table."""
+        """s^k for k >= 1, read off the power sequence of s: from the
+        index on, s^k is the cycle element s^(omega+k)."""
         if k < 1:
             raise ValueError("power exponent must be >= 1")
-        acc = None
-        base = s
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.table[acc][base]
-            k >>= 1
-            if k:
-                base = self.table[base][base]
-        return acc
+        data = self.monogenic_data(s)
+        if k < data.index:
+            return data.powers[k - 1]
+        return self.omega_plus_k(s, k)
 
     def monogenic_data(self, s):
-        """Index and period of the subsemigroup generated by s."""
+        """The power sequence of s, with its index and period."""
         cached = self._mono.get(s)
         if cached is not None:
             return cached
-        seen = {s: 1}
-        seq = [s]
+        exponent = {}    # s^k -> k, in the order of k
         cur = s
-        while True:
+        while cur not in exponent:
+            exponent[cur] = len(exponent) + 1
             cur = self.table[cur][s]
-            if cur in seen:
-                index = seen[cur]
-                period = len(seq) + 1 - index
-                break
-            seq.append(cur)
-            seen[cur] = len(seq)
-        data = MonogenicData(index, period, tuple(seq[index - 1:]))
+        index = exponent[cur]
+        data = MonogenicData(index, len(exponent) + 1 - index,
+                             tuple(exponent))
         self._mono[s] = data
         return data
 
@@ -190,20 +192,11 @@ class FiniteSemigroup:
         """The cycle element s^(omega+k): the limit of s^(n!+k).
 
         For any exponent N >= index with N = k mod period, s^N is this
-        element; negative k walks backwards around the cycle group.
+        element, read off the power sequence of s at the least such N;
+        negative k walks backwards around the cycle group.
         """
-        key = (s, k)
-        cached = self._omega.get(key)
-        if cached is not None:
-            return cached
         data = self.monogenic_data(s)
-        m = k % data.period
-        n = m
-        while n < data.index or n < 1:
-            n += data.period
-        result = self.power(s, n)
-        self._omega[key] = result
-        return result
+        return data.powers[data.index - 1 + (k - data.index) % data.period]
 
     def p_omega_power(self, s, p):
         """The limit of s^(p^(n!)) for a prime p.

@@ -45,18 +45,19 @@ class SyntacticPresentation:
         return self.dfa.alphabet
 
     def classof(self, word):
-        """Syntactic class of a nonempty word."""
+        """Syntactic class of a nonempty word: the product in the table of
+        its letters' classes."""
         if not word:
             raise ValueError("the empty word has no syntactic class")
-        t = None
+        letters = self.gens.assignment
+        table = self.semigroup.table
+        e = None
         for ch in word:
-            i = self.dfa.letter_index.get(ch)
-            if i is None:
+            g = letters.get(ch)
+            if g is None:
                 raise AlphabetMismatch("letter %r not in alphabet" % ch)
-            step = tuple(self.dfa.transitions[q][i]
-                         for q in range(self.dfa.n_states))
-            t = step if t is None else _compose(t, step)
-        return self.index[t]
+            e = g if e is None else table[e][g]
+        return e
 
     def syntactic_order(self):
         """The stable partial order: [u] <= [v] iff every accepting context

@@ -520,11 +520,11 @@ def unroll(t, targets, pad=0):
                     residue, modulus = _crt_merge(residue, modulus, r,
                                                   d.period)
             need = max([d.index for d in datas] + [1, pad])
-            n = residue
-            while n < need:
-                n += modulus
+            n = need + (residue - need) % modulus
         reps[id(node)] = n
-        return [_power_value(S, node, s) for S, s in zip(semigroups, values)]
+        # n is at least every index and meets every period's residue, so
+        # s^n is the node's value in each target
+        return [S.power(s, n) for S, s in zip(semigroups, values)]
 
     nodes = _postorder(t)
     _fold(nodes, letter, concat, power)

@@ -16,13 +16,11 @@ from .terms import (
     find_identity_failure,
     free_group_normal_form,
     parse_term,
-    satisfies_identity,
     term_alphabet,
 )
 from .words import scattered_subword
 
 _CR_CACHE = {}
-_CR_IDENTITY = (parse_term("x^(w+1)"), parse_term("x"))
 
 
 def ab_normal_form(t):
@@ -88,7 +86,7 @@ def cr_semigroups(bound):
         found = []
         for n in range(1, bound + 1):
             for S in enumerate_semigroups(n):
-                if satisfies_identity(S, *_CR_IDENTITY):
+                if all(S.omega_plus_k(s, 1) == s for s in range(S.n)):
                     found.append(S)
         _CR_CACHE[bound] = found
     return _CR_CACHE[bound]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -272,3 +273,17 @@ def test_verify_paper_bad_section_exits_2():
 
 def test_missing_subcommand_exits_2():
     assert run_cli().returncode == 2
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "omsemi.cli", "check",
+                            "--variety", "ab", "--lhs", "x y", "--rhs", "y x"],
+                           stdout=write_end, stderr=subprocess.PIPE,
+                           text=True)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 1
+    assert r.stderr == ""

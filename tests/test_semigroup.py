@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omsemi.errors import (MalformedTable, NotAssociative, NotAPartialOrder,
                            OmsemiError, ParseError)
@@ -18,8 +19,10 @@ from util import (
     naive_power,
     random_small_semigroup,
     rectangular_band,
+    squaring_power,
     transformation_semigroup,
 )
+from test_kernel import presentations
 
 
 def test_associativity_checked():
@@ -299,3 +302,35 @@ def test_generator_map():
         g("y")
     with pytest.raises(ValueError):
         g.image_of_word("")
+
+
+# a semigroup of order <= 6, a monogenic one, or a syntactic semigroup of
+# a random DFA over {a, b}
+semigroups = st.one_of(
+    st.integers(0, 2 ** 32).map(
+        lambda seed: random_small_semigroup(random.Random(seed))),
+    st.builds(FiniteSemigroup.cyclic, st.integers(1, 7), st.integers(1, 7)),
+    presentations().map(lambda sp: sp.semigroup))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(semigroups, st.lists(st.integers(1, 10 ** 30), min_size=1,
+                            max_size=4))
+def test_powers_match_repeated_squaring(S, big):
+    n = S.n
+    for s in range(n):
+        d = S.monogenic_data(s)
+        # index and period from the oracle: the first repeat is
+        # s^(index+period) = s^index, and the powers before it differ
+        seq = [squaring_power(S, s, k) for k in range(1, d.index + d.period)]
+        assert len(set(seq)) == len(seq)
+        assert squaring_power(S, s, d.index + d.period) == \
+            squaring_power(S, s, d.index)
+        for k in list(range(1, 3 * n + 1)) + big:
+            assert S.power(s, k) == squaring_power(S, s, k)
+        for k in range(-n, n + 1):
+            # the least exponent N >= index with N = k mod period
+            N = d.index
+            while (N - k) % d.period:
+                N += 1
+            assert S.omega_plus_k(s, k) == squaring_power(S, s, N)

@@ -247,6 +247,17 @@ def test_cr_counts_and_guards():
         cr_sample_satisfies(P("x"), P("x"), 0)
 
 
+def test_cr_semigroups_match_identity_filter():
+    # the semigroups satisfying x^(w+1) = x under every assignment, in
+    # enumeration order, against the omega-power test over each element
+    cr = [S.table for n in range(1, 6) for S in enumerate_semigroups(n)
+          if satisfies_identity(S, P("x^(w+1)"), P("x"))]
+    for bound in range(1, 6):
+        assert [S.table for S in cr_semigroups(bound)] == \
+            [t for t in cr if len(t) <= bound]
+    assert len(cr_semigroups(5)) == 438
+
+
 def test_check_identity_dispatch():
     r = check_identity("ab", "x y", "y x")
     assert r["verdict"] is True and r["witness"] is None

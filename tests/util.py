@@ -162,6 +162,20 @@ def naive_power(S, s, k):
     return e
 
 
+def squaring_power(S, s, k):
+    """s^k for k >= 1 by repeated squaring on the table, in about
+    2 log2(k) products however large k is."""
+    acc = None
+    base = s
+    while k:
+        if k & 1:
+            acc = base if acc is None else S.table[acc][base]
+        k >>= 1
+        if k:
+            base = S.table[base][base]
+    return acc
+
+
 def random_term(rng, alphabet="xy", depth=3, offsets=(0, 1, -1), primes=()):
     from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
                               PrimeOmegaPower)
