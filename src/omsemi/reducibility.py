@@ -228,51 +228,64 @@ def loc_fin_word_solution(triple, u, v, V_images):
 
 
 def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
-    """Exhaustive search for a term solution of x = y over the variety.
+    """Bounded search for a term solution of x = y over the variety.
 
-    Enumerates all terms built from letters, concatenation, and omega powers
-    with the given offsets (plain omega signature: offsets=(0,)), up to
-    `max_size` syntax-tree nodes, in a fixed deterministic order.  Returns
-    the first valid pair (u, v) with eval(u) = s, eval(v) = t, and matching
-    variety normal forms, or None."""
+    Terms are built from letters, concatenation, and omega powers with the
+    given offsets (plain omega signature: offsets=(0,)), up to `max_size`
+    syntax-tree nodes, in a fixed deterministic order: by size, then powers
+    for each offset, then concatenations by the size of the left factor.
+    Returns the first valid pair (u, v) with eval(u) = s, eval(v) = t, and
+    matching variety normal forms, or None.
+
+    Only the first term of each class (value in S, normal form) is kept,
+    and powers and concatenations are built from kept terms alone.  The
+    value and each normal form are folds over the term, so a term's class
+    depends only on its children's classes.  Putting the first term of a
+    child's class in place of the child gives a term of the same class
+    that comes earlier, so every first term is built from kept terms, and
+    the pair returned is the one the search over all terms would return.
+    A non-integer bound or offset raises ValueError.  Every candidate gets
+    its normal form, so in g an offset large enough that some term's free
+    group image passes terms.EXPANSION_CAP letters raises SizeTooLarge,
+    whatever that term's value."""
     if variety not in NORMAL_FORMS:
         raise ValueError("variety must be one of ab, com, g")
+    offsets = tuple(offsets)
+    if type(max_size) is not int or \
+            any(type(off) is not int for off in offsets):
+        raise ValueError("term node bound and offsets must be integers")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
     keyfn = NORMAL_FORMS[variety]
     S, gens = triple.S, triple.gens
-    letters = sorted(gens.assignment)
-
+    seen = set()
+    # size -> the kept (term, value, normal form) with that many nodes
     by_size = {}
-    ordered = []
     for size in range(1, max_size + 1):
-        bucket = []
         if size == 1:
-            bucket.extend((Letter(ch), gens(ch)) for ch in letters)
-        if size >= 2:
-            for off in offsets:
-                for base, val in by_size[size - 1]:
-                    bucket.append((OmegaPower(base, off),
-                                   S.omega_plus_k(val, off)))
-            for lsize in range(1, size - 1):
-                for left, lval in by_size[lsize]:
-                    for right, rval in by_size[size - 1 - lsize]:
-                        bucket.append((Concat(left, right),
-                                       S.table[lval][rval]))
+            candidates = [(Letter(ch), gens(ch))
+                          for ch in sorted(gens.assignment)]
+        else:
+            candidates = [(OmegaPower(base, off), S.omega_plus_k(val, off))
+                          for off in offsets
+                          for base, val, _ in by_size[size - 1]]
+            candidates += [(Concat(left, right), S.table[lval][rval])
+                           for lsize in range(1, size - 1)
+                           for left, lval, _ in by_size[lsize]
+                           for right, rval, _ in by_size[size - 1 - lsize]]
+        bucket = []
+        for term, val in candidates:
+            nf = keyfn(term)
+            if (val, nf) not in seen:
+                seen.add((val, nf))
+                bucket.append((term, val, nf))
         by_size[size] = bucket
-        ordered.extend(bucket)
 
-    best_u = {}
-    for term, val in ordered:
-        if val == triple.s:
-            k = keyfn(term)
-            if k not in best_u:
-                best_u[k] = term
-    for term, val in ordered:
-        if val == triple.t:
-            k = keyfn(term)
-            if k in best_u:
-                return best_u[k], term
+    kept = [entry for bucket in by_size.values() for entry in bucket]
+    best_u = {nf: term for term, val, nf in kept if val == triple.s}
+    for term, val, nf in kept:
+        if val == triple.t and nf in best_u:
+            return best_u[nf], term
     return None
 
 

@@ -1,0 +1,99 @@
+"""The bounded omega-term search: it returns the pair of the search over all
+terms (kept in util as its oracle), the class congruence that lets it keep
+one term per (value, normal form) class, its pins on the commutative
+instance at bounds the full enumeration cannot reach, and its argument
+errors."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from omsemi.errors import SizeTooLarge
+from omsemi.reducibility import SolutionTriple, bounded_omega_solution_search
+from omsemi.semigroup import FiniteSemigroup, GeneratorMap
+from omsemi.terms import Concat, OmegaPower, format_term
+from omsemi.varieties import NORMAL_FORMS
+
+from test_reducibility import com_instance
+from util import (all_terms_search, commuted_copy, random_generator_map,
+                  random_small_semigroup, random_term)
+
+search_settings = settings(max_examples=200, deadline=None, derandomize=True)
+
+OFFSETS = ((), (0,), (0, -1), (1, 0), (-1, 0, 1), (0, 0), (2,))
+COM_PAIR = ("y (x y y)^(w-1)", "x (x y x)^(w-1)")
+
+
+def _formatted(pair):
+    return pair and tuple(format_term(t) for t in pair)
+
+
+@search_settings
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(NORMAL_FORMS)),
+       st.sampled_from(OFFSETS), st.integers(1, 7))
+def test_search_returns_the_pair_of_the_full_enumeration(rng, variety,
+                                                         offsets, bound):
+    S = random_small_semigroup(rng)
+    triple = SolutionTriple(S, rng.randrange(S.n), rng.randrange(S.n),
+                            random_generator_map(rng, S))
+    assert bounded_omega_solution_search(triple, variety, bound, offsets) == \
+        all_terms_search(triple, variety, bound, offsets)
+
+
+def _cancelled_copy(rng, t):
+    """t with s s^(w-1), for a random term s, put next to the whole term or
+    next to some of its subterms: the free group image is unchanged."""
+    s = random_term(rng, depth=2)
+    unit = Concat(s, OmegaPower(s, -1))
+    if type(t) is Concat and rng.random() < 0.5:
+        t = Concat(_cancelled_copy(rng, t.left), _cancelled_copy(rng, t.right))
+    elif type(t) is OmegaPower and rng.random() < 0.5:
+        t = OmegaPower(_cancelled_copy(rng, t.base), t.k)
+    return Concat(unit, t) if rng.random() < 0.5 else Concat(t, unit)
+
+
+@search_settings
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(NORMAL_FORMS)))
+def test_normal_forms_are_congruences(rng, variety):
+    keyfn = NORMAL_FORMS[variety]
+    left = random_term(rng)
+    right = random_term(rng)
+    if variety == "g":
+        other = _cancelled_copy(rng, left)
+    else:
+        other = commuted_copy(rng, left)
+    assert keyfn(left) == keyfn(other)
+    assert keyfn(Concat(left, right)) == keyfn(Concat(other, right))
+    assert keyfn(Concat(right, left)) == keyfn(Concat(right, other))
+    for k in (-1, 0, 1):
+        assert keyfn(OmegaPower(left, k)) == keyfn(OmegaPower(other, k))
+
+
+def test_search_pins_on_com_instance_at_bound_twelve():
+    triple = com_instance()
+    for variety in ("ab", "com", "g"):
+        assert _formatted(bounded_omega_solution_search(
+            triple, variety, 12, (-1, 0, 1))) == COM_PAIR
+
+
+def test_search_pins_on_com_instance_agree_across_varieties():
+    triple = com_instance()
+    for bound in (8, 9, 10):
+        for variety in ("ab", "com", "g"):
+            assert _formatted(bounded_omega_solution_search(
+                triple, variety, bound, (0, -1))) == COM_PAIR
+            assert bounded_omega_solution_search(
+                triple, variety, bound, (0,)) is None
+
+
+def test_search_rejects_non_integer_arguments():
+    C2 = FiniteSemigroup.cyclic(1, 2)
+    triple = SolutionTriple(C2, 0, 0, GeneratorMap(C2, {"x": 0}))
+    for bound in (5.5, True, "3", None):
+        with pytest.raises(ValueError):
+            bounded_omega_solution_search(triple, "ab", bound)
+    for offsets in ((0.5,), ("0",), (True,), (0, None)):
+        with pytest.raises(ValueError):
+            bounded_omega_solution_search(triple, "ab", 3, offsets)
+    for bound in (0, -1, 13):
+        with pytest.raises(SizeTooLarge):
+            bounded_omega_solution_search(triple, "ab", bound)

@@ -546,3 +546,60 @@ def leaf_canonical_tables(n):
 
     fill(0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# bounded term search: the full enumeration that omsemi.reducibility ran
+# before it kept one term per (value, normal form) class, kept as an oracle
+
+
+def all_terms_search(triple, variety, max_size, offsets=(0,)):
+    """Exhaustive search for a term solution of x = y over the variety.
+
+    Enumerates all terms built from letters, concatenation, and omega powers
+    with the given offsets (plain omega signature: offsets=(0,)), up to
+    `max_size` syntax-tree nodes, in a fixed deterministic order.  Returns
+    the first valid pair (u, v) with eval(u) = s, eval(v) = t, and matching
+    variety normal forms, or None."""
+    from omsemi.errors import SizeTooLarge
+    from omsemi.terms import Concat, Letter, OmegaPower
+    from omsemi.varieties import NORMAL_FORMS
+    if variety not in NORMAL_FORMS:
+        raise ValueError("variety must be one of ab, com, g")
+    if not 1 <= max_size <= 12:
+        raise SizeTooLarge("term node bound must be between 1 and 12")
+    keyfn = NORMAL_FORMS[variety]
+    S, gens = triple.S, triple.gens
+    letters = sorted(gens.assignment)
+
+    by_size = {}
+    ordered = []
+    for size in range(1, max_size + 1):
+        bucket = []
+        if size == 1:
+            bucket.extend((Letter(ch), gens(ch)) for ch in letters)
+        if size >= 2:
+            for off in offsets:
+                for base, val in by_size[size - 1]:
+                    bucket.append((OmegaPower(base, off),
+                                   S.omega_plus_k(val, off)))
+            for lsize in range(1, size - 1):
+                for left, lval in by_size[lsize]:
+                    for right, rval in by_size[size - 1 - lsize]:
+                        bucket.append((Concat(left, right),
+                                       S.table[lval][rval]))
+        by_size[size] = bucket
+        ordered.extend(bucket)
+
+    best_u = {}
+    for term, val in ordered:
+        if val == triple.s:
+            k = keyfn(term)
+            if k not in best_u:
+                best_u[k] = term
+    for term, val in ordered:
+        if val == triple.t:
+            k = keyfn(term)
+            if k in best_u:
+                return best_u[k], term
+    return None
