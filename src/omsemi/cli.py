@@ -100,14 +100,11 @@ def _render_presentation(sp, show_order, show_green, show_classes):
     labels = list(S.labels)
     width = max(len(x) for x in labels)
 
-    def pad(s):
-        return s.rjust(width)
-
+    padded = [x.rjust(width) for x in labels]
     lines = ["order %d" % S.n, "table"]
-    lines.append(" " * width + " | " + " ".join(pad(x) for x in labels))
-    for i in range(S.n):
-        lines.append(pad(labels[i]) + " | " +
-                     " ".join(pad(labels[S.table[i][j]]) for j in range(S.n)))
+    lines.append(" " * width + " | " + " ".join(padded))
+    for label, row in zip(padded, S.table):
+        lines.append(label + " | " + " ".join(map(padded.__getitem__, row)))
     if show_order:
         lines.append("syntactic order")
         for i, j in sorted(sp.syntactic_order()):

@@ -10,7 +10,9 @@ languages over the same alphabet give byte-identical dumps.
 automaton", 1971; Valmari, "Fast brief practical DFA minimization",
 Information Processing Letters 112, 2012).  The minimal DFA is unique up
 to isomorphism, so the breadth-first numbering makes its result
-independent of the refinement order.
+independent of the refinement order.  Two callers minimise:
+``compile_min_dfa`` and ``syntactic_semigroup`` given a ``Dfa``; class
+languages are read off the multiplication table instead.
 
 Every walk over states goes through the breadth-first searches of
 ``omsemi.graphs``: the reachable and co-accessible states, the ε-closures

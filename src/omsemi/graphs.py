@@ -7,12 +7,13 @@ the graph alone.  Every closure the package computes goes through them:
 
 - ``reachable``: the reachable and co-accessible states of a DFA, the
   ε-closures of the subset construction, the state pairs reachable in the
-  product of two DFAs (language equality and intersection), the Cayley
-  states that reach a class (class languages), the subsemigroup spanned
-  by the generators (Light's test), and the groups of the catalogue built
-  by permutation and matrix closures, with their subgroup closures;
-- ``breadth_first``: the subset construction and the two numberings of
-  ``Dfa.minimize``, which need each node's successor positions.
+  product of two DFAs (language equality and intersection), the
+  subsemigroup spanned by the generators (Light's test), and the groups
+  of the catalogue built by permutation and matrix closures, with their
+  subgroup closures;
+- ``breadth_first``: the subset construction, the two numberings of
+  ``Dfa.minimize`` and the numbering of the residual keys of a class
+  language, which need each node's successor positions.
 
 The syntactic closure of ``syntactic_semigroup`` is its own loop: it also
 records each class's word and stops at ``max_elements``.

@@ -10,11 +10,15 @@ The closure composes each class with each letter once, which gives the
 right Cayley graph; the table is then filled from it word by word
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997), and
 the letter classes are passed to FiniteSemigroup as its generators.
+
+A class language is read off the same table, with no minimisation: the
+residuals of the class of e are keyed by the solutions t of st = e, which
+one pass over the table lists for every e and s at once.
 """
 
 from .dfa import Dfa, compile_min_dfa
 from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
-from .graphs import reachable
+from .graphs import breadth_first
 from .semigroup import FiniteSemigroup, GeneratorMap
 
 
@@ -39,6 +43,7 @@ class SyntacticPresentation:
         self.gens = GeneratorMap(self.semigroup, dict(letter_map))
         self._order = None
         self._cayley = None
+        self._sol = None
 
     @property
     def alphabet(self):
@@ -105,42 +110,68 @@ class SyntacticPresentation:
         return S
 
     def _cayley_automaton(self):
-        """The right Cayley graph with a start state, as the rows and the
-        predecessor lists of an automaton: state 0 is the start, state
-        1 + i the class i, and letter a takes the start to 1 + [a] and
-        1 + i to 1 + i[a].  Built once per presentation."""
+        """The right Cayley graph with a start state, as the rows of an
+        automaton: state 0 is the start, state 1 + i the class i, and
+        letter a takes the start to 1 + [a] and 1 + i to 1 + i[a].  Built
+        once per presentation."""
         if self._cayley is None:
             table = self.semigroup.table
             letters = [self.gens(ch) for ch in self.alphabet]
             rows = [[1 + g for g in letters]]
             rows += [[1 + row[g] for g in letters] for row in table]
-            preds = [[] for _ in rows]
-            for q, row in enumerate(rows):
-                for r in row:
-                    preds[r].append(q)
-            self._cayley = rows, preds
+            self._cayley = rows
         return self._cayley
+
+    def _solutions(self):
+        """sol[e][s]: the classes t with st = e, in increasing order, for
+        each class s that has one.  One pass over the table, built once
+        per presentation; equal solution sets share one tuple."""
+        if self._sol is None:
+            self._sol = sol = [{} for _ in self.elements]
+            shared = {}
+            for s, row in enumerate(self.semigroup.table):
+                by_e = {}
+                for t, e in enumerate(row):
+                    by_e.setdefault(e, []).append(t)
+                for e, ts in by_e.items():
+                    ts = tuple(ts)
+                    sol[e][s] = shared.setdefault(ts, ts)
+        return self._sol
 
     def class_language(self, e):
         """Minimal DFA for the set of nonempty words in class e.
 
-        The Cayley automaton accepting at 1 + e recognises the class, but
-        only the states that can reach 1 + e are kept, and every edge to
-        another state goes to one rejecting sink.  This is exact: a state
-        that cannot reach 1 + e accepts no word, so all such states have
-        the same, empty residual and minimisation would merge them into
-        one anyway."""
-        if not (0 <= e < len(self.elements)):
+        The residual of the class by a word of class s is the set of
+        words of the classes t with st = e, together with the empty word
+        iff s = e; the residual of the class by the empty word is the
+        class itself.  So each state of the Cayley automaton accepting at
+        1 + e has the key (s == e, the classes t with st = e), the start
+        has the key (False, (e,)), and two states have the same residual
+        iff they have the same key (Pin, Mathematical Foundations of
+        Automata Theory, ch. IV).  The keys, walked breadth-first from
+        the start's, are the states of the minimal DFA, numbered as
+        Dfa.minimize numbers them."""
+        if (isinstance(e, bool) or not isinstance(e, int)
+                or not 0 <= e < len(self.elements)):
             raise ElementNotWordImage("no class with index %r" % (e,))
-        rows, preds = self._cayley_automaton()
-        target = 1 + e
-        # the start state reaches every class, so it is kept and sorts first
-        keep = sorted(reachable([target], preds.__getitem__))
-        sink = len(keep)
-        num = {q: i for i, q in enumerate(keep)}
-        trans = [[num.get(r, sink) for r in rows[q]] for q in keep]
-        trans.append([sink] * len(self.alphabet))
-        return Dfa(self.alphabet, trans, 0, {num[target]}).minimize()
+        rows = self._cayley_automaton()
+        sol = self._solutions()[e]
+        start = (False, (e,))
+        # the first Cayley state found with each key; its row stands for
+        # the row of every state with that key
+        rep = {start: 0}
+
+        def successors(key):
+            out = []
+            for q in rows[rep[key]]:
+                k = (q == 1 + e, sol.get(q - 1, ()))
+                rep.setdefault(k, q)
+                out.append(k)
+            return out
+
+        keys, trans = breadth_first(start, successors)
+        return Dfa(self.alphabet, trans, 0,
+                   {i for i, k in enumerate(keys) if k[0]})
 
     def __repr__(self):
         return "<syntactic semigroup: %d classes over %s>" % (

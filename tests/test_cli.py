@@ -61,6 +61,9 @@ def test_syn_equivalent_regexes_render_identically():
      "ed566fd223c49991a133aa49353b280e991f3523f3ab2121d958853ce1ce3f2f"),
     ("(ab)*",
      "f8a37a0513b8529cf3807d0855cb0513e1c6756d1c9a610a152a099f2ea7c3cd"),
+    # every class but [ba] has at most one solution t of st = e for each s
+    ("(aaaaaaaaaa)*b",
+     "b991c34d1ed23db3f76a7b3186985d8a80088df6fc3c4c636f38caf85d8c9bed"),
 ])
 def test_syn_full_rendering_is_pinned(regex, digest):
     r = run_cli("syn", regex, "--order", "--green", "--classes")

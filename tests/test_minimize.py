@@ -1,13 +1,16 @@
-"""Properties of Hopcroft minimisation and of the trimmed class automata:
+"""Properties of Hopcroft minimisation and of the class languages:
 `Dfa.minimize` gives the automaton of Moore's refinement, and every class
-language equals the minimised full Cayley automaton (oracles in util)."""
+language read off the table equals the minimised full Cayley automaton
+and the minimised trimmed one (oracles in util)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from omsemi.dfa import Dfa, dfa_to_text
+from omsemi.errors import SizeTooLarge
+from omsemi.syntactic import syntactic_semigroup
 
-from test_kernel import presentations
-from util import full_class_language, moore_minimize
+from test_kernel import MAX_CLASSES, presentations
+from util import full_class_language, moore_minimize, trimmed_class_language
 
 minimize_settings = settings(max_examples=200, deadline=None,
                              derandomize=True)
@@ -51,9 +54,24 @@ def test_hopcroft_edge_cases():
         assert m.accepting == ({0} if 0 in accepting else set())
 
 
+def assert_class_languages_match_oracles(sp):
+    for e in range(len(sp.elements)):
+        text = dfa_to_text(sp.class_language(e))
+        assert text == dfa_to_text(full_class_language(sp, e))
+        assert text == dfa_to_text(trimmed_class_language(sp, e))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(presentations())
 def test_class_language_matches_full_cayley_automaton(sp):
-    for e in range(len(sp.elements)):
-        assert dfa_to_text(sp.class_language(e)) == dfa_to_text(
-            full_class_language(sp, e))
+    assert_class_languages_match_oracles(sp)
+
+
+@minimize_settings
+@given(any_dfas())
+def test_class_language_matches_oracles_on_any_dfa(d):
+    try:
+        sp = syntactic_semigroup(d, max_elements=MAX_CLASSES)
+    except SizeTooLarge:
+        assume(False)
+    assert_class_languages_match_oracles(sp)

@@ -10,6 +10,7 @@ from omsemi.syntactic import syntactic_semigroup
 
 from test_regex_dfa import random_regex
 from omsemi.regex import regex_alphabet
+from util import trimmed_class_language
 
 
 def all_words(alphabet, lo, hi):
@@ -137,6 +138,27 @@ def test_class_language_rejects_empty_word():
         sp.classof("")
     with pytest.raises(AlphabetMismatch):
         sp.classof("abc")
+
+
+@pytest.mark.parametrize("index", [-1, 1.0, "1", None, True, False])
+def test_class_language_rejects_non_class_index(index):
+    sp = syntactic_semigroup("(ab)*")
+    with pytest.raises(ElementNotWordImage):
+        sp.class_language(index)
+
+
+def test_class_languages_merge_identity_with_start():
+    # [b] acts as the identity of b*ab*, so reading b from the start leaves
+    # the residual unchanged in every class language but that of [b],
+    # where the state after b also accepts the empty word
+    sp = syntactic_semigroup("b*ab*")
+    b = sp.gens("b")
+    assert sp.semigroup.identity == b
+    for e in range(len(sp.elements)):
+        d = sp.class_language(e)
+        assert d.n_states == trimmed_class_language(sp, e).n_states
+        after_b = d.transitions[0][d.letter_index["b"]]
+        assert (after_b == 0) == (e != b)
 
 
 def test_monoid_completion_adjoins_when_needed():

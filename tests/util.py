@@ -446,8 +446,9 @@ def recursive_expand_for_factors(t, k):
 
 
 # ---------------------------------------------------------------------------
-# DFA minimisation: Moore's rounds and the untrimmed class automaton, the
-# former code of omsemi.dfa and omsemi.syntactic, kept as oracles
+# DFA minimisation: Moore's rounds, the untrimmed class automaton and the
+# trimmed one minimised by Hopcroft, the former code of omsemi.dfa and
+# omsemi.syntactic, kept as oracles
 
 
 def moore_minimize(d):
@@ -498,6 +499,30 @@ def full_class_language(sp, e):
     trans = [[1 + g for g in letters]]
     trans += [[1 + row[g] for g in letters] for row in table]
     return moore_minimize(Dfa(sp.alphabet, trans, 0, {1 + e}))
+
+
+def trimmed_class_language(sp, e):
+    """The class language of e by minimising with Dfa.minimize the Cayley
+    automaton cut down to the states that can reach 1 + e, with every
+    other edge sent to one rejecting sink."""
+    from omsemi.dfa import Dfa
+    from omsemi.graphs import reachable
+    table = sp.semigroup.table
+    letters = [sp.gens(ch) for ch in sp.alphabet]
+    rows = [[1 + g for g in letters]]
+    rows += [[1 + row[g] for g in letters] for row in table]
+    preds = [[] for _ in rows]
+    for q, row in enumerate(rows):
+        for r in row:
+            preds[r].append(q)
+    target = 1 + e
+    # the start state reaches every class, so it is kept and sorts first
+    keep = sorted(reachable([target], preds.__getitem__))
+    sink = len(keep)
+    num = {q: i for i, q in enumerate(keep)}
+    trans = [[num.get(r, sink) for r in rows[q]] for q in keep]
+    trans.append([sink] * len(sp.alphabet))
+    return Dfa(sp.alphabet, trans, 0, {num[target]}).minimize()
 
 
 # ---------------------------------------------------------------------------
