@@ -46,7 +46,7 @@ from .words import (
     scattered_subword,
 )
 from .enumeration import enumerate_semigroups
-from .groups_catalog import all_groups_up_to_24, groups_are_isomorphic
+from .groups_catalog import all_groups_up_to_24
 from .varieties import (
     ab_satisfies,
     check_identity,

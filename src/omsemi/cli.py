@@ -237,6 +237,9 @@ def main(argv=None):
         # SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except (NotASolution, SubwordObstruction) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

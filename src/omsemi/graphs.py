@@ -9,8 +9,7 @@ the graph alone.  Every closure the package computes goes through them:
   ε-closures of the subset construction, the state pairs reachable in the
   product of two DFAs (language equality and intersection), the
   subsemigroup spanned by the generators (Light's test), and the groups
-  of the catalogue built by permutation and matrix closures, with their
-  subgroup closures;
+  of the catalogue built by permutation and matrix closures;
 - ``breadth_first``: the subset construction, the two numberings of
   ``Dfa.minimize`` and the numbering of the residual keys of a class
   language, which need each node's successor positions.

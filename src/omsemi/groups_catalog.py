@@ -5,14 +5,11 @@ pairwise non-isomorphic groups assembled from cyclic pieces, direct and
 semidirect products, dicyclic presentations, permutation closures, and two
 matrix groups.
 
-The permutation and matrix groups, and the subgroups that generating
-sequences span, are breadth-first closures under right multiplication by
-the generators (``omsemi.graphs.reachable``).  The order in which a
-closure finds the elements is the order of the group's table, and that
-table is printed in ``check --variety g`` witnesses.
+The permutation and matrix groups are breadth-first closures under right
+multiplication by the generators (``omsemi.graphs.reachable``).  The order
+in which a closure finds the elements is the order of the group's table,
+and that table is printed in ``check --variety g`` witnesses.
 """
-
-import itertools
 
 from .graphs import reachable
 from .semigroup import FiniteSemigroup
@@ -259,90 +256,3 @@ def all_groups_up_to_24():
             entries.append(("C3:D4", c3_semidirect_d4()))
     _CATALOG = entries
     return entries
-
-
-def groups_of_order(n):
-    return [(name, S) for name, S in all_groups_up_to_24() if S.n == n]
-
-
-def is_group(S):
-    """Identity plus two-sided inverses (associativity is constructive)."""
-    e = S.find_identity()
-    if e is None:
-        return False
-    return all(any(S.table[a][b] == e and S.table[b][a] == e
-                   for b in range(S.n)) for a in range(S.n))
-
-
-def element_orders(S):
-    """Multiset of element orders, assuming S is a group."""
-    orders = []
-    for s in range(S.n):
-        d = S.monogenic_data(s)
-        orders.append(d.period if d.index == 1 else 0)
-    return tuple(sorted(orders))
-
-
-def _generating_sequence(S):
-    """A small generating tuple, found greedily by descending element order."""
-    e = S.find_identity()
-    by_order = sorted(range(S.n),
-                      key=lambda s: (-S.monogenic_data(s).period, s))
-    gens = []
-    have = {e}
-    for s in by_order:
-        if s in have:
-            continue
-        gens.append(s)
-        have = _subgroup_closure(S, gens)
-        if len(have) == S.n:
-            break
-    return gens
-
-
-def _subgroup_closure(S, gens):
-    """The set of elements of the subgroup generated by gens."""
-    e = S.find_identity()
-    t = S.table
-    return set(reachable([e, *gens], lambda a: [t[a][g] for g in gens]))
-
-
-def groups_are_isomorphic(G, H):
-    """Exact isomorphism test by mapping a generating tuple of G into H."""
-    if G.n != H.n:
-        return False
-    if element_orders(G) != element_orders(H):
-        return False
-    gens = _generating_sequence(G)
-    gen_orders = [G.monogenic_data(g).period for g in gens]
-    pools = [[h for h in range(H.n)
-              if H.monogenic_data(h).period == d] for d in gen_orders]
-    # every assignment of images of the same orders, in lexicographic order
-    return any(_extends_to_isomorphism(G, H, gens, images)
-               for images in itertools.product(*pools))
-
-
-def _extends_to_isomorphism(G, H, gens, images):
-    eG = G.find_identity()
-    eH = H.find_identity()
-    phi = {eG: eH}
-    for g, h in zip(gens, images):
-        if phi.get(g, h) != h:
-            return False
-        phi[g] = h
-    queue = list(phi)
-    while queue:
-        a = queue.pop()
-        for g, h in zip(gens, images):
-            b = G.table[a][g]
-            hb = H.table[phi[a]][h]
-            if b in phi:
-                if phi[b] != hb:
-                    return False
-            else:
-                phi[b] = hb
-                queue.append(b)
-    if len(phi) != G.n or len(set(phi.values())) != G.n:
-        return False
-    return all(phi[G.table[a][b]] == H.table[phi[a]][phi[b]]
-               for a in range(G.n) for b in range(G.n))

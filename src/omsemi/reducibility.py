@@ -339,10 +339,10 @@ GROUPS_LANGUAGE = "aaaa*bb*aa"
 CR_LANGUAGE = "aabaab(aab)+(abb)+aabaab"
 
 
-def verify_com_counterexample(language_regex=None):
+def verify_com_counterexample():
     """Reproduce the commutative-interval counterexample facts."""
     report = VerificationReport(section="4")
-    sp = syntactic_semigroup(language_regex or COM_LANGUAGE)
+    sp = syntactic_semigroup(COM_LANGUAGE)
     S, g = sp.semigroup, sp.gens
     report.add("syntactic semigroup order", 41, S.n)
 
@@ -377,10 +377,10 @@ def verify_com_counterexample(language_regex=None):
     return report
 
 
-def verify_groups_counterexample(language_regex=None):
+def verify_groups_counterexample():
     """Reproduce the group-interval counterexample facts."""
     report = VerificationReport(section="5")
-    sp = syntactic_semigroup(language_regex or GROUPS_LANGUAGE)
+    sp = syntactic_semigroup(GROUPS_LANGUAGE)
     S = sp.semigroup
     report.add("syntactic semigroup order", 16, S.n)
 
@@ -416,10 +416,10 @@ def verify_groups_counterexample(language_regex=None):
     return report
 
 
-def verify_cr_counterexample(bound=4, language_regex=None):
+def verify_cr_counterexample(bound=4):
     """Reproduce the completely-regular-interval counterexample facts."""
     report = VerificationReport(section="6")
-    sp = syntactic_semigroup(language_regex or CR_LANGUAGE)
+    sp = syntactic_semigroup(CR_LANGUAGE)
     S = sp.semigroup
     report.add("syntactic semigroup order", 117, S.n)
 

@@ -44,11 +44,6 @@ class MonogenicData:
     period: int
     powers: tuple
 
-    @property
-    def cycle(self):
-        """The cycle elements s^index, ..., s^(index+period-1) in order."""
-        return self.powers[self.index - 1:]
-
 
 class FiniteSemigroup:
     """A multiplication table proven associative on construction.
@@ -153,11 +148,6 @@ class FiniteSemigroup:
                         "order not stable: %d<=%d, generator %d" % (a, b, g))
         return frozenset(pairs)
 
-    def leq(self, a, b):
-        if self.order is None:
-            return None
-        return (a, b) in self.order
-
     def power(self, s, k):
         """s^k for k >= 1, read off the power sequence of s: from the
         index on, s^k is the cycle element s^(omega+k)."""
@@ -183,10 +173,6 @@ class FiniteSemigroup:
                              tuple(exponent))
         self._mono[s] = data
         return data
-
-    def idempotent_power(self, s):
-        """The unique idempotent in the cycle of the powers of s."""
-        return self.omega_plus_k(s, 0)
 
     def omega_plus_k(self, s, k):
         """The cycle element s^(omega+k): the limit of s^(n!+k).
@@ -231,11 +217,6 @@ class FiniteSemigroup:
             order = set(self.order) | {(n, n)}
         return FiniteSemigroup(table, labels=labels, order=order, identity=n,
                                generators=self.generators + (n,))
-
-    def label(self, s):
-        if self.labels is not None:
-            return self.labels[s]
-        return str(s)
 
     def __repr__(self):
         kind = "monoid" if self.identity is not None else "semigroup"
@@ -313,8 +294,9 @@ class GeneratorMap:
 
     def __post_init__(self):
         for letter, e in self.assignment.items():
-            if not (0 <= e < self.target.n):
-                raise ValueError("image of %r out of range" % letter)
+            if type(e) is not int or not 0 <= e < self.target.n:
+                raise MalformedTable("image of %r out of range: %r"
+                                     % (letter, e))
 
     def __call__(self, letter):
         try:
@@ -342,23 +324,11 @@ class GreenClasses:
     j: tuple
     h: tuple
 
-    def _find(self, partition, a):
-        for cls in partition:
+    def l_class(self, a):
+        for cls in self.l:
             if a in cls:
                 return cls
         raise ValueError("element out of range")
-
-    def r_class(self, a):
-        return self._find(self.r, a)
-
-    def l_class(self, a):
-        return self._find(self.l, a)
-
-    def j_class(self, a):
-        return self._find(self.j, a)
-
-    def h_class(self, a):
-        return self._find(self.h, a)
 
     def same_l(self, a, b):
         return b in self.l_class(a)

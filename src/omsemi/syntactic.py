@@ -30,15 +30,12 @@ def _compose(f, g):
 class SyntacticPresentation:
     """A syntactic semigroup together with its word-class bookkeeping."""
 
-    def __init__(self, dfa, elements, words, table, letter_map):
+    def __init__(self, dfa, elements, words, table, letter_map, identity):
         self.dfa = dfa
         self.elements = elements
-        self.index = {t: i for i, t in enumerate(elements)}
         self.words = words
-        # the identity is the class of a word acting as the empty word does
         self.semigroup = FiniteSemigroup(
-            table, labels=list(words),
-            identity=self.index.get(tuple(range(dfa.n_states))),
+            table, labels=list(words), identity=identity,
             generators=letter_map.values())
         self.gens = GeneratorMap(self.semigroup, dict(letter_map))
         self._order = None
@@ -260,4 +257,6 @@ def syntactic_semigroup(d, alphabet=None, max_elements=2000):
         columns.append(list(map(right[last[j]].__getitem__, before)))
     table = list(zip(*columns))
     letter_map = {ch: index[letter_acts[i]] for i, ch in enumerate(letters)}
-    return SyntacticPresentation(d, elements, words, table, letter_map)
+    # the identity is the class of a word acting as the empty word does
+    return SyntacticPresentation(d, elements, words, table, letter_map,
+                                 index.get(tuple(range(nq))))

@@ -141,11 +141,6 @@ def concat_all(parts):
     return t
 
 
-def word_term(word):
-    """The term spelling out a nonempty word."""
-    return concat_all([Letter(ch) for ch in word])
-
-
 # The 13 primes up to 41 as Miller-Rabin bases decide primality exactly
 # below 3317044064679887385961981 = 1287836182261 * 2575672364521, the
 # least strong pseudoprime to all of them (Sorenson & Webster, "Strong
@@ -458,12 +453,6 @@ def free_group_normal_form(t):
         return _power_signed(word, k)
 
     return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], concat, power))
-
-
-def format_signed_word(nf):
-    if not nf:
-        return "1"
-    return " ".join(ch if s > 0 else ch + "^-1" for ch, s in nf)
 
 
 # ---------------------------------------------------------------------------

@@ -38,23 +38,6 @@ def count_occurrences(w, f):
         start = pos + 1
 
 
-def disjoint_occurrences(w, f):
-    """Greatest number of pairwise disjoint occurrences of f in w.
-
-    The greedy left-to-right scan is optimal for a single pattern.
-    """
-    if not f:
-        raise ValueError("factor must be nonempty")
-    count = 0
-    start = 0
-    while True:
-        pos = w.find(f, start)
-        if pos < 0:
-            return count
-        count += 1
-        start = pos + len(f)
-
-
 def apply_morphism(w, images):
     return "".join(images[ch] for ch in w)
 
@@ -94,22 +77,5 @@ def is_cube_free(w):
         while pos > 0 and pos % k:
             pos = x.find(run, pos - pos % k + k)
         if pos >= 0:
-            return False
-    return True
-
-
-def _cube_at(w, i, l):
-    return w[i:i + l] == w[i + l:i + 2 * l] == w[i + 2 * l:i + 3 * l]
-
-
-def end_factors_doubled(w, flen=4, end_distance=8):
-    """Every length-flen factor near the end recurs disjointly.
-
-    Checks that each factor of length flen whose start lies within
-    end_distance of the end of w has at least two disjoint occurrences in w.
-    """
-    n = len(w)
-    for i in range(max(0, n - flen - end_distance + 1), n - flen + 1):
-        if disjoint_occurrences(w, w[i:i + flen]) < 2:
             return False
     return True

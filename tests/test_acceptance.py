@@ -128,7 +128,7 @@ def test_power_operations_agree_with_naive_iteration():
         S = random_small_semigroup(rng)
         for s in range(S.n):
             idem, period = naive_omega_data(S, s)
-            assert S.idempotent_power(s) == idem
+            assert S.omega_plus_k(s, 0) == idem
             for k in range(-7, 8):
                 expected = idem
                 for _ in range(k % period):

@@ -260,6 +260,14 @@ def test_verify_paper_single_section_json_file(tmp_path):
     assert all(c["pass"] for c in doc["checks"])
 
 
+def test_verify_paper_unwritable_json_path_exits_2(tmp_path):
+    path = tmp_path / "missing" / "r4.json"
+    r = run_cli("verify-paper", "--section", "4", "--json", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_paper_json_stdout_deterministic():
     r1 = run_cli("verify-paper", "--section", "all", "--json", "-")
     r2 = run_cli("verify-paper", "--section", "all", "--json", "-")

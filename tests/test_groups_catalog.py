@@ -8,10 +8,6 @@ from omsemi.groups_catalog import (
     cyclic_group,
     dicyclic_group,
     dihedral_group,
-    element_orders,
-    groups_are_isomorphic,
-    groups_of_order,
-    is_group,
     pauli_group,
     semidirect_cyclic,
     special_linear_2_3,
@@ -20,7 +16,13 @@ from omsemi.groups_catalog import (
 from omsemi.semigroup import FiniteSemigroup
 from omsemi.terms import parse_term, satisfies_identity
 
-from util import rectangular_band
+from util import (
+    element_orders,
+    groups_are_isomorphic,
+    groups_of_order,
+    is_group,
+    rectangular_band,
+)
 
 EXPECTED_PER_ORDER = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
                       9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1,

@@ -1,0 +1,42 @@
+"""Every name a module imports is used in that module, so code that moves
+or goes leaves no import behind.  The package's __init__ is left out: its
+imports are the re-exported API."""
+
+import ast
+import pathlib
+
+import omsemi
+
+PACKAGE = pathlib.Path(omsemi.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+
+
+def _unused_imports(tree):
+    """(name, line) of each name bound by an import and never read."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno)
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in used]
+
+
+def test_no_unused_imports():
+    paths = [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    found = ["%s/%s:%d: %s is never used" % (path.parent.name, path.name,
+                                             line, name)
+             for path in paths
+             for name, line in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_guard_sees_unused_imports():
+    tree = ast.parse("import itertools\nimport os.path\n"
+                     "from a import b, c as d\nfrom e import f\n"
+                     "def g():\n    import h\n    return os.sep, f, h\n")
+    assert sorted(_unused_imports(tree)) == [
+        ("b", 3), ("d", 3), ("itertools", 1)]

@@ -10,8 +10,6 @@ from omsemi.dfa import Dfa
 from omsemi.errors import NotASolution, SizeTooLarge, SubwordObstruction, Unreachable
 from omsemi.reducibility import (
     COM_LANGUAGE,
-    CR_LANGUAGE,
-    GROUPS_LANGUAGE,
     SolutionTriple,
     VerificationReport,
     bounded_omega_solution_search,
@@ -426,18 +424,21 @@ def test_verify_all_and_determinism():
     assert all(r["pass"] for r in first)
 
 
-def test_mutated_com_language_fails():
-    report = verify_com_counterexample(language_regex="(aabaab)*|(abbbabbb)*")
+def test_mutated_com_language_fails(monkeypatch):
+    monkeypatch.setattr("omsemi.reducibility.COM_LANGUAGE",
+                        "(aabaab)*|(abbbabbb)*")
+    report = verify_com_counterexample()
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "syntactic semigroup order" in failed
 
 
-def test_mutated_groups_language_fails():
+def test_mutated_groups_language_fails(monkeypatch):
     # a^{>=2} b+ a^2 instead of a^{>=3} b+ a^2: the smaller quotient still
     # keeps {a} as a singleton class, but the order and the class language
     # of s both change
-    report = verify_groups_counterexample(language_regex="aaa*bb*aa")
+    monkeypatch.setattr("omsemi.reducibility.GROUPS_LANGUAGE", "aaa*bb*aa")
+    report = verify_groups_counterexample()
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "syntactic semigroup order" in failed
@@ -445,9 +446,10 @@ def test_mutated_groups_language_fails():
     assert "class of a is the singleton {a}" not in failed
 
 
-def test_mutated_cr_language_fails():
-    report = verify_cr_counterexample(bound=2,
-                                      language_regex="aabaab(aab)+(abb)+")
+def test_mutated_cr_language_fails(monkeypatch):
+    monkeypatch.setattr("omsemi.reducibility.CR_LANGUAGE",
+                        "aabaab(aab)+(abb)+")
+    report = verify_cr_counterexample(bound=2)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "syntactic semigroup order" in failed

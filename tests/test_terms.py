@@ -28,7 +28,6 @@ from omsemi.terms import (
     eval_term,
     expand_for_factors,
     find_identity_failure,
-    format_signed_word,
     format_term,
     free_group_normal_form,
     iterated_commutator,
@@ -37,7 +36,6 @@ from omsemi.terms import (
     term_alphabet,
     term_size,
     unroll,
-    word_term,
     _is_prime,
 )
 from omsemi.syntactic import syntactic_semigroup
@@ -297,8 +295,6 @@ def test_free_group_normal_form():
     assert free_group_normal_form(parse_term("x^(w-1) y^w x^2")) == (("x", 1),)
     nf = free_group_normal_form(commutator(Letter("x"), Letter("y")))
     assert nf == (("x", -1), ("y", -1), ("x", 1), ("y", 1))
-    assert format_signed_word(nf) == "x^-1 y^-1 x y"
-    assert format_signed_word(()) == "1"
     assert free_group_normal_form(parse_term("x y y^(w-1) x^(w-1)")) == ()
     assert free_group_normal_form(parse_term("x y y^(w-1) y x^(w-1)")) == \
         (("x", 1), ("y", 1), ("x", -1))
@@ -417,11 +413,3 @@ def test_satisfies_identity_inequality():
     with pytest.raises(InequalityWithoutOrder):
         satisfies_identity(plain, parse_term("x"), parse_term("x y"),
                            mode="inequality")
-
-
-def test_word_term():
-    t = word_term("xyx")
-    S = FiniteSemigroup.cyclic(1, 2)
-    g = GeneratorMap(S, {"x": 0, "y": 1})
-    assert eval_term(S, g, t) == g.image_of_word("xyx")
-    assert unroll(t, [(S, g)]) == "xyx"

@@ -12,7 +12,6 @@ from omsemi.terms import (
     eval_term,
     parse_term,
     satisfies_identity,
-    term_alphabet,
 )
 from omsemi.varieties import (
     ab_satisfies,

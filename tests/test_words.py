@@ -6,13 +6,10 @@ import time
 from omsemi.words import (
     apply_morphism,
     count_occurrences,
-    disjoint_occurrences,
-    end_factors_doubled,
     factors_up_to,
     is_cube_free,
     ptm_iterate,
     scattered_subword,
-    _cube_at,
 )
 
 
@@ -62,9 +59,7 @@ def test_factors_up_to():
 
 def test_occurrences():
     assert count_occurrences("aaaa", "aa") == 3
-    assert disjoint_occurrences("aaaa", "aa") == 2
     assert count_occurrences("abab", "aba") == 1
-    assert disjoint_occurrences("ababab", "ab") == 3
     assert count_occurrences("abc", "d") == 0
 
 
@@ -84,6 +79,10 @@ def test_ptm_prefix_coherence():
     # infinite Thue-Morse word
     for n in range(12):
         assert ptm_iterate(n + 1).startswith(ptm_iterate(n))
+
+
+def _cube_at(w, i, l):
+    return w[i:i + l] == w[i + l:i + 2 * l] == w[i + 2 * l:i + 3 * l]
 
 
 def naive_cube_free(w):
@@ -124,10 +123,3 @@ def test_thue_morse_iterates_cube_free():
     t = time.perf_counter()
     assert is_cube_free(ptm_iterate(12))
     assert time.perf_counter() - t < 1.0
-
-
-def test_end_factors_doubled_on_thue_morse():
-    # the Thue-Morse word is uniformly recurrent, so late factors recur
-    for n in range(5, 11):
-        assert end_factors_doubled(ptm_iterate(n), flen=4, end_distance=8)
-    assert not end_factors_doubled("aaab", flen=2, end_distance=2)

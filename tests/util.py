@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
-import random
+import itertools
 
+from omsemi.graphs import reachable
+from omsemi.groups_catalog import all_groups_up_to_24
 from omsemi.semigroup import FiniteSemigroup
 
 
@@ -43,7 +45,6 @@ def transformation_semigroup(gens):
 
 def full_transformation_monoid(k):
     """All k^k transformations of {0..k-1}."""
-    import itertools
     gens = [tuple(t) for t in itertools.product(range(k), repeat=k)]
     elems, table = transformation_closure(gens)
     S = FiniteSemigroup(table)
@@ -108,7 +109,8 @@ def is_stable(table, pairs):
 def composition_table(sp):
     """The table of a syntactic presentation by composing every two
     class actions."""
-    return [[sp.index[tuple(g[q] for q in f)] for g in sp.elements]
+    index = {t: i for i, t in enumerate(sp.elements)}
+    return [[index[tuple(g[q] for q in f)] for g in sp.elements]
             for f in sp.elements]
 
 
@@ -628,3 +630,90 @@ def all_terms_search(triple, variety, max_size, offsets=(0,)):
             if k in best_u:
                 return best_u[k], term
     return None
+
+
+def groups_of_order(n):
+    return [(name, S) for name, S in all_groups_up_to_24() if S.n == n]
+
+
+def is_group(S):
+    """Identity plus two-sided inverses (associativity is constructive)."""
+    e = S.find_identity()
+    if e is None:
+        return False
+    return all(any(S.table[a][b] == e and S.table[b][a] == e
+                   for b in range(S.n)) for a in range(S.n))
+
+
+def element_orders(S):
+    """Multiset of element orders, assuming S is a group."""
+    orders = []
+    for s in range(S.n):
+        d = S.monogenic_data(s)
+        orders.append(d.period if d.index == 1 else 0)
+    return tuple(sorted(orders))
+
+
+def _generating_sequence(S):
+    """A small generating tuple, found greedily by descending element order."""
+    e = S.find_identity()
+    by_order = sorted(range(S.n),
+                      key=lambda s: (-S.monogenic_data(s).period, s))
+    gens = []
+    have = {e}
+    for s in by_order:
+        if s in have:
+            continue
+        gens.append(s)
+        have = _subgroup_closure(S, gens)
+        if len(have) == S.n:
+            break
+    return gens
+
+
+def _subgroup_closure(S, gens):
+    """The set of elements of the subgroup generated by gens."""
+    e = S.find_identity()
+    t = S.table
+    return set(reachable([e, *gens], lambda a: [t[a][g] for g in gens]))
+
+
+def groups_are_isomorphic(G, H):
+    """Exact isomorphism test by mapping a generating tuple of G into H."""
+    if G.n != H.n:
+        return False
+    if element_orders(G) != element_orders(H):
+        return False
+    gens = _generating_sequence(G)
+    gen_orders = [G.monogenic_data(g).period for g in gens]
+    pools = [[h for h in range(H.n)
+              if H.monogenic_data(h).period == d] for d in gen_orders]
+    # every assignment of images of the same orders, in lexicographic order
+    return any(_extends_to_isomorphism(G, H, gens, images)
+               for images in itertools.product(*pools))
+
+
+def _extends_to_isomorphism(G, H, gens, images):
+    eG = G.find_identity()
+    eH = H.find_identity()
+    phi = {eG: eH}
+    for g, h in zip(gens, images):
+        if phi.get(g, h) != h:
+            return False
+        phi[g] = h
+    queue = list(phi)
+    while queue:
+        a = queue.pop()
+        for g, h in zip(gens, images):
+            b = G.table[a][g]
+            hb = H.table[phi[a]][h]
+            if b in phi:
+                if phi[b] != hb:
+                    return False
+            else:
+                phi[b] = hb
+                queue.append(b)
+    if len(phi) != G.n or len(set(phi.values())) != G.n:
+        return False
+    return all(phi[G.table[a][b]] == H.table[phi[a]][phi[b]]
+               for a in range(G.n) for b in range(G.n))
