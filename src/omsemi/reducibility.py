@@ -27,7 +27,7 @@ from .terms import (
     unroll,
 )
 from .varieties import (
-    NORMAL_FORMS,
+    NORMAL_FORM_STEPS,
     com_satisfies,
     cr_sample_satisfies,
     cr_semigroups,
@@ -238,17 +238,20 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     matching variety normal forms, or None.
 
     Only the first term of each class (value in S, normal form) is kept,
-    and powers and concatenations are built from kept terms alone.  The
-    value and each normal form are folds over the term, so a term's class
-    depends only on its children's classes.  Putting the first term of a
-    child's class in place of the child gives a term of the same class
-    that comes earlier, so every first term is built from kept terms, and
-    the pair returned is the one the search over all terms would return.
+    and powers and concatenations are built from kept terms alone.  A
+    candidate's class is combined from its children's: its value by the
+    table or the cycle of its base's value, its normal form by the
+    variety's NORMAL_FORM_STEPS.  So a term's class depends only on its
+    children's classes, and putting the first term of a child's class in
+    place of the child gives a term of the same class that comes earlier:
+    every first term is built from kept terms, and the pair returned is
+    the one the search over all terms would return.  No candidate term is
+    folded, and a candidate's term is built only when its class is new.
     A non-integer bound or offset raises ValueError.  Every candidate gets
-    its normal form, so in g an offset large enough that some term's free
-    group image passes terms.EXPANSION_CAP letters raises SizeTooLarge,
-    whatever that term's value."""
-    if variety not in NORMAL_FORMS:
+    its normal form, so in g an offset large enough that some candidate's
+    free group image passes terms.EXPANSION_CAP letters raises
+    SizeTooLarge, whatever that candidate's value."""
+    if variety not in NORMAL_FORM_STEPS:
         raise ValueError("variety must be one of ab, com, g")
     offsets = tuple(offsets)
     if type(max_size) is not int or \
@@ -256,29 +259,37 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
         raise ValueError("term node bound and offsets must be integers")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
-    keyfn = NORMAL_FORMS[variety]
+    letter, concat, power = NORMAL_FORM_STEPS[variety]
     S, gens = triple.S, triple.gens
+    table = S.table
     seen = set()
     # size -> the kept (term, value, normal form) with that many nodes
     by_size = {}
-    for size in range(1, max_size + 1):
+
+    def candidates(size):
+        """(value, normal form, node class, node arguments) of each
+        candidate of the given size, in search order."""
         if size == 1:
-            candidates = [(Letter(ch), gens(ch))
-                          for ch in sorted(gens.assignment)]
-        else:
-            candidates = [(OmegaPower(base, off), S.omega_plus_k(val, off))
-                          for off in offsets
-                          for base, val, _ in by_size[size - 1]]
-            candidates += [(Concat(left, right), S.table[lval][rval])
-                           for lsize in range(1, size - 1)
-                           for left, lval, _ in by_size[lsize]
-                           for right, rval, _ in by_size[size - 1 - lsize]]
+            for ch in sorted(gens.assignment):
+                yield gens(ch), letter(ch), Letter, (ch,)
+            return
+        for off in offsets:
+            for base, val, nf in by_size[size - 1]:
+                yield S.omega_plus_k(val, off), power(nf, off), \
+                    OmegaPower, (base, off)
+        for lsize in range(1, size - 1):
+            rights = by_size[size - 1 - lsize]
+            for left, lval, lnf in by_size[lsize]:
+                row = table[lval]
+                for right, rval, rnf in rights:
+                    yield row[rval], concat(lnf, rnf), Concat, (left, right)
+
+    for size in range(1, max_size + 1):
         bucket = []
-        for term, val in candidates:
-            nf = keyfn(term)
+        for val, nf, node, args in candidates(size):
             if (val, nf) not in seen:
                 seen.add((val, nf))
-                bucket.append((term, val, nf))
+                bucket.append((node(*args), val, nf))
         by_size[size] = bucket
 
     kept = [entry for bucket in by_size.values() for entry in bucket]

@@ -256,22 +256,29 @@ def dfa_to_regex(d):
     """A regex tree for the language of a DFA, or None if it is empty.
 
     Classic state elimination on the generalized automaton, removing DFA
-    states in index order; the output is deterministic in the input."""
+    states in index order; the output is deterministic in the input.
+    Only the states from which acceptance is reachable get edges and are
+    eliminated: no path through another state reaches the accepting end,
+    so the trees built for it would all be thrown away."""
     n = d.n_states
     start, accept = n, n + 1
+    useful = sorted(d.coaccessible_states())
+    alive = set(useful)
     edges = {}
 
     def put(i, j, r):
         edges[i, j] = _alt(edges.get((i, j)), r)
 
-    for q in range(n):
-        for i, ch in enumerate(d.alphabet):
-            put(q, d.transitions[q][i], Sym(ch))
-    put(start, d.initial, Empty())
+    for q in useful:
+        for ch, r in zip(d.alphabet, d.transitions[q]):
+            if r in alive:
+                put(q, r, Sym(ch))
+    if d.initial in alive:
+        put(start, d.initial, Empty())
     for q in d.accepting:
         put(q, accept, Empty())
 
-    for k in range(n):
+    for k in useful:
         loop = _star(edges.pop((k, k), None))
         into = [(i, r) for (i, j), r in edges.items() if j == k]
         out = [(j, r) for (i, j), r in edges.items() if i == k]

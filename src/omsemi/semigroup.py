@@ -196,13 +196,6 @@ class FiniteSemigroup:
         r = stabilized_prime_power_residue(p, data.period)
         return self.omega_plus_k(s, r)
 
-    def find_identity(self):
-        for e in range(self.n):
-            if all(self.table[e][j] == j and self.table[j][e] == j
-                   for j in range(self.n)):
-                return e
-        return None
-
     def with_identity_adjoined(self):
         """S^1: self if an identity is declared, else S with a fresh one
         adjoined (an undeclared neutral element is not taken as one)."""

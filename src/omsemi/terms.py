@@ -375,13 +375,17 @@ def Inf(k):
     return ExponentValue(True, k)
 
 
+def add_exponents(left, pairs):
+    """Sum (letter, exponent) pairs into the multiplicity dict `left`, in
+    place: the multiplicities of l r from those of l and r.  Exponents are
+    ints or ExponentValues."""
+    for ch, e in pairs:
+        left[ch] = left[ch] + e if ch in left else e
+    return left
+
+
 def com_exponents(t):
     """Letter multiplicities of t in N u (omega+Z), as a dict."""
-
-    def concat(left, right):
-        for ch, e in right.items():
-            left[ch] = left[ch] + e if ch in left else e
-        return left
 
     def power(node, exps):
         if type(node) is PrimeOmegaPower:
@@ -392,7 +396,8 @@ def com_exponents(t):
             return {ch: e.omega_compose(node.k) for ch, e in exps.items()}
         return {ch: e.scale(node.m) for ch, e in exps.items()}
 
-    return _fold(_postorder(t), lambda ch: {ch: Fin(1)}, concat, power)
+    return _fold(_postorder(t), lambda ch: {ch: Fin(1)},
+                 lambda left, right: add_exponents(left, right.items()), power)
 
 
 def ab_image(t):
@@ -430,6 +435,19 @@ def _power_signed(word, k):
     return word[:i] + word[i:n - i] * k + word[n - i:]
 
 
+def reduced_concat(left, right):
+    """_concat_signed, with the cap on the reduced word it gives."""
+    word = _concat_signed(left, right)
+    _check_length(len(word))
+    return word
+
+
+def reduced_power(word, k):
+    """_power_signed, with the cap on the word checked before it is built."""
+    _check_length(len(word) * abs(k))
+    return _power_signed(word, k)
+
+
 def free_group_normal_form(t):
     """Image of the term in the free group, as a reduced signed word.
 
@@ -439,20 +457,15 @@ def free_group_normal_form(t):
     SizeTooLarge, a power's before it is built.  The bound is on reduced
     words, so a power of a word that cancels costs nothing.
     """
-    def concat(left, right):
-        word = _concat_signed(left, right)
-        _check_length(len(word))
-        return word
-
     def power(node, word):
         if type(node) is PrimeOmegaPower:
             raise UnsupportedPrimePower(
                 "free group image of a prime-omega power is not supported")
-        k = node.k if type(node) is OmegaPower else node.m
-        _check_length(len(word) * abs(k))
-        return _power_signed(word, k)
+        return reduced_power(word, node.k if type(node) is OmegaPower
+                             else node.m)
 
-    return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], concat, power))
+    return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], reduced_concat,
+                       power))
 
 
 # ---------------------------------------------------------------------------

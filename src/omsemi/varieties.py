@@ -7,15 +7,19 @@ from .errors import ParseError, SizeTooLarge
 from .groups_catalog import all_groups_up_to_24
 from .semigroup import FiniteSemigroup, GeneratorMap
 from .terms import (
+    Fin,
     FinitePower,
     _expand,
     _postorder,
     ab_image,
+    add_exponents,
     com_exponents,
     eval_term,
     find_identity_failure,
     free_group_normal_form,
     parse_term,
+    reduced_concat,
+    reduced_power,
     term_alphabet,
 )
 from .words import scattered_subword
@@ -40,6 +44,29 @@ def com_normal_form(t):
 # variety -> normal form of a term; free-group reduction decides groups
 NORMAL_FORMS = {"ab": ab_normal_form, "com": com_normal_form,
                 "g": free_group_normal_form}
+
+
+def _ab_concat(left, right):
+    sums = add_exponents(dict(left), right)
+    return tuple(sorted((ch, m) for ch, m in sums.items() if m))
+
+
+# variety -> its (letter, concatenation, omega+k power) steps on the normal
+# forms above: the normal form of a letter ch, of l r from those of l and r,
+# and of l^(w+k) from that of l, so that a term's normal form is built from
+# its children's as its value is.  They share the folds' arithmetic.
+NORMAL_FORM_STEPS = {
+    "ab": (lambda ch: ((ch, 1),),
+           _ab_concat,
+           lambda nf, k: tuple((ch, m * k) for ch, m in nf) if k else ()),
+    "com": (lambda ch: ((ch, Fin(1)),),
+            lambda left, right: tuple(sorted(
+                add_exponents(dict(left), right).items())),
+            lambda nf, k: tuple((ch, e.omega_compose(k)) for ch, e in nf)),
+    "g": (lambda ch: ((ch, 1),),
+          lambda left, right: tuple(reduced_concat(list(left), right)),
+          lambda nf, k: tuple(reduced_power(nf, k))),
+}
 
 
 def ab_satisfies(u, v):

@@ -7,7 +7,7 @@ from omsemi.enumeration import _canonical_tables, enumerate_semigroups
 from omsemi.errors import SizeTooLarge
 from omsemi.terms import parse_term
 
-from util import leaf_canonical_tables
+from util import find_identity, leaf_canonical_tables
 
 
 def brute_canonical_tables(n):
@@ -84,10 +84,10 @@ def test_identity_pair_predicate():
 
 def test_callable_predicate():
     monoids = list(enumerate_semigroups(
-        3, lambda S: S.find_identity() is not None))
+        3, lambda S: find_identity(S) is not None))
     assert len(monoids) == 7
     def is_group(S):
-        e = S.find_identity()
+        e = find_identity(S)
         if e is None:
             return False
         return all(any(S.table[a][b] == e and S.table[b][a] == e

@@ -1,17 +1,18 @@
 """The bounded omega-term search: it returns the pair of the search over all
 terms (kept in util as its oracle), the class congruence that lets it keep
-one term per (value, normal form) class, its pins on the commutative
-instance at bounds the full enumeration cannot reach, and its argument
-errors."""
+one term per (value, normal form) class, the normal-form steps it combines
+children's classes with, its pins on the commutative instance at bounds
+the full enumeration cannot reach, and its argument and size errors."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omsemi import terms, varieties
 from omsemi.errors import SizeTooLarge
 from omsemi.reducibility import SolutionTriple, bounded_omega_solution_search
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap
-from omsemi.terms import Concat, OmegaPower, format_term
-from omsemi.varieties import NORMAL_FORMS
+from omsemi.terms import Concat, Letter, OmegaPower, format_term
+from omsemi.varieties import NORMAL_FORM_STEPS, NORMAL_FORMS
 
 from test_reducibility import com_instance
 from util import (all_terms_search, commuted_copy, random_generator_map,
@@ -66,6 +67,48 @@ def test_normal_forms_are_congruences(rng, variety):
     assert keyfn(Concat(right, left)) == keyfn(Concat(right, other))
     for k in (-1, 0, 1):
         assert keyfn(OmegaPower(left, k)) == keyfn(OmegaPower(other, k))
+
+
+@search_settings
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(NORMAL_FORMS)))
+def test_normal_form_steps_are_homomorphisms(rng, variety):
+    keyfn = NORMAL_FORMS[variety]
+    letter, concat, power = NORMAL_FORM_STEPS[variety]
+    left = random_term(rng)
+    right = random_term(rng)
+    for ch in "xy":
+        assert letter(ch) == keyfn(Letter(ch))
+    assert concat(keyfn(left), keyfn(right)) == keyfn(Concat(left, right))
+    for k in range(-2, 3):
+        assert power(keyfn(left), k) == keyfn(OmegaPower(left, k))
+
+
+def test_search_never_folds_a_whole_term(monkeypatch):
+    triple = com_instance()
+
+    def refuse(t):
+        raise AssertionError("the search folded a whole term")
+
+    for variety in NORMAL_FORMS:
+        monkeypatch.setitem(NORMAL_FORMS, variety, refuse)
+    for name in ("ab_normal_form", "com_normal_form",
+                 "free_group_normal_form"):
+        monkeypatch.setattr(varieties, name, refuse)
+    monkeypatch.setattr(terms, "free_group_normal_form", refuse)
+    for variety in ("ab", "com", "g"):
+        assert _formatted(bounded_omega_solution_search(
+            triple, variety, 10, (0, -1))) == COM_PAIR
+
+
+def test_search_in_g_raises_size_too_large_for_a_large_offset():
+    C = FiniteSemigroup.cyclic(2, 2)
+    gens = GeneratorMap(C, {"x": 0})
+    assert C.n == 3
+    for s in range(C.n):
+        for t in range(C.n):
+            with pytest.raises(SizeTooLarge):
+                bounded_omega_solution_search(SolutionTriple(C, s, t, gens),
+                                              "g", 3, (10 ** 6,))
 
 
 def test_search_pins_on_com_instance_at_bound_twelve():

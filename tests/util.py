@@ -636,9 +636,18 @@ def groups_of_order(n):
     return [(name, S) for name, S in all_groups_up_to_24() if S.n == n]
 
 
+def find_identity(S):
+    """The two-sided identity of S's table, declared or not, or None."""
+    for e in range(S.n):
+        if all(S.table[e][j] == j and S.table[j][e] == j
+               for j in range(S.n)):
+            return e
+    return None
+
+
 def is_group(S):
     """Identity plus two-sided inverses (associativity is constructive)."""
-    e = S.find_identity()
+    e = find_identity(S)
     if e is None:
         return False
     return all(any(S.table[a][b] == e and S.table[b][a] == e
@@ -656,7 +665,7 @@ def element_orders(S):
 
 def _generating_sequence(S):
     """A small generating tuple, found greedily by descending element order."""
-    e = S.find_identity()
+    e = find_identity(S)
     by_order = sorted(range(S.n),
                       key=lambda s: (-S.monogenic_data(s).period, s))
     gens = []
@@ -673,7 +682,7 @@ def _generating_sequence(S):
 
 def _subgroup_closure(S, gens):
     """The set of elements of the subgroup generated by gens."""
-    e = S.find_identity()
+    e = find_identity(S)
     t = S.table
     return set(reachable([e, *gens], lambda a: [t[a][g] for g in gens]))
 
@@ -694,8 +703,8 @@ def groups_are_isomorphic(G, H):
 
 
 def _extends_to_isomorphism(G, H, gens, images):
-    eG = G.find_identity()
-    eH = H.find_identity()
+    eG = find_identity(G)
+    eH = find_identity(H)
     phi = {eG: eH}
     for g, h in zip(gens, images):
         if phi.get(g, h) != h:
