@@ -24,6 +24,8 @@ transition target, initial or accepting state that is not a state raises
 ``MalformedTable``.
 """
 
+from itertools import chain
+
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
                      ParseError)
 from .graphs import breadth_first, reachable
@@ -41,19 +43,19 @@ class Dfa:
         if len(self.letter_index) != len(self.alphabet):
             raise MalformedTable("alphabet repeats a letter: %r"
                                  % (self.alphabet,))
-        states = set(range(n))
-        for row in self.transitions:
-            if len(row) != len(self.alphabet):
-                raise MalformedTable("transition row has wrong arity")
-            # a target equal to a state but not an int, such as 0.0,
-            # makes the sum of the row a non-int
-            if not states.issuperset(row) or type(sum(row)) is not int:
-                raise MalformedTable("transition target out of range")
-        if not (isinstance(initial, int) and 0 <= initial < n):
+        if set(map(len, self.transitions)) - {len(self.alphabet)}:
+            raise MalformedTable("transition row has wrong arity")
+        # a target equal to a state but not an int, such as 0.0 or False,
+        # is rejected by its type
+        targets = list(chain.from_iterable(self.transitions))
+        if not set(range(n)).issuperset(targets) or not {int}.issuperset(
+                map(type, targets)):
+            raise MalformedTable("transition target out of range")
+        if type(initial) is not int or not 0 <= initial < n:
             raise MalformedTable("initial state out of range: %r"
                                  % (initial,))
         for q in self.accepting:
-            if not (isinstance(q, int) and 0 <= q < n):
+            if type(q) is not int or not 0 <= q < n:
                 raise MalformedTable("accepting state out of range: %r"
                                      % (q,))
 

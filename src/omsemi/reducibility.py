@@ -19,6 +19,7 @@ from .terms import (
     Concat,
     Letter,
     OmegaPower,
+    VARIETY_STEPS,
     ab_image,
     eval_term,
     iterated_commutator,
@@ -27,7 +28,6 @@ from .terms import (
     unroll,
 )
 from .varieties import (
-    NORMAL_FORM_STEPS,
     com_satisfies,
     cr_sample_satisfies,
     cr_semigroups,
@@ -241,17 +241,20 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     and powers and concatenations are built from kept terms alone.  A
     candidate's class is combined from its children's: its value by the
     table or the cycle of its base's value, its normal form by the
-    variety's NORMAL_FORM_STEPS.  So a term's class depends only on its
-    children's classes, and putting the first term of a child's class in
-    place of the child gives a term of the same class that comes earlier:
-    every first term is built from kept terms, and the pair returned is
-    the one the search over all terms would return.  No candidate term is
-    folded, and a candidate's term is built only when its class is new.
-    A non-integer bound or offset raises ValueError.  Every candidate gets
-    its normal form, so in g an offset large enough that some candidate's
-    free group image passes terms.EXPANSION_CAP letters raises
-    SizeTooLarge, whatever that candidate's value."""
-    if variety not in NORMAL_FORM_STEPS:
+    variety's steps in terms.VARIETY_STEPS, the ones terms.normal_form
+    folds a whole term with.  Each kept term keeps its working form beside
+    its frozen one, and a concatenation extends a copy of the left child's
+    working form, so no kept form changes.  So a term's class depends only
+    on its children's classes, and putting the first term of a child's
+    class in place of the child gives a term of the same class that comes
+    earlier: every first term is built from kept terms, and the pair
+    returned is the one the search over all terms would return.  No
+    candidate term is folded, and a candidate's term is built only when
+    its class is new.  A non-integer bound or offset raises ValueError.
+    Every candidate gets its normal form, so in g an offset large enough
+    that some candidate's free group image passes terms.EXPANSION_CAP
+    letters raises SizeTooLarge, whatever that candidate's value."""
+    if variety not in VARIETY_STEPS:
         raise ValueError("variety must be one of ab, com, g")
     offsets = tuple(offsets)
     if type(max_size) is not int or \
@@ -259,42 +262,47 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
         raise ValueError("term node bound and offsets must be integers")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
-    letter, concat, power = NORMAL_FORM_STEPS[variety]
+    letter, concat, power, freeze = VARIETY_STEPS[variety]
     S, gens = triple.S, triple.gens
     table = S.table
     seen = set()
-    # size -> the kept (term, value, normal form) with that many nodes
+    # size -> the kept (term, value, working form, normal form) with that
+    # many nodes
     by_size = {}
 
     def candidates(size):
-        """(value, normal form, node class, node arguments) of each
+        """(value, working form, node class, node arguments) of each
         candidate of the given size, in search order."""
         if size == 1:
             for ch in sorted(gens.assignment):
                 yield gens(ch), letter(ch), Letter, (ch,)
             return
         for off in offsets:
-            for base, val, nf in by_size[size - 1]:
-                yield S.omega_plus_k(val, off), power(nf, off), \
+            for base, val, form, _ in by_size[size - 1]:
+                yield S.omega_plus_k(val, off), power(form, off, True), \
                     OmegaPower, (base, off)
         for lsize in range(1, size - 1):
             rights = by_size[size - 1 - lsize]
-            for left, lval, lnf in by_size[lsize]:
+            for left, lval, lform, _ in by_size[lsize]:
                 row = table[lval]
-                for right, rval, rnf in rights:
-                    yield row[rval], concat(lnf, rnf), Concat, (left, right)
+                for right, rval, rform, _ in rights:
+                    yield row[rval], concat(lform.copy(), rform), Concat, \
+                        (left, right)
 
     for size in range(1, max_size + 1):
         bucket = []
-        for val, nf, node, args in candidates(size):
-            if (val, nf) not in seen:
-                seen.add((val, nf))
-                bucket.append((node(*args), val, nf))
+        for val, form, node, args in candidates(size):
+            nf = freeze(form)
+            # one hash of the class: it is new iff adding it grows seen
+            known = len(seen)
+            seen.add((val, nf))
+            if len(seen) > known:
+                bucket.append((node(*args), val, form, nf))
         by_size[size] = bucket
 
     kept = [entry for bucket in by_size.values() for entry in bucket]
-    best_u = {nf: term for term, val, nf in kept if val == triple.s}
-    for term, val, nf in kept:
+    best_u = {nf: term for term, val, _, nf in kept if val == triple.s}
+    for term, val, _, nf in kept:
         if val == triple.t and nf in best_u:
             return best_u[nf], term
     return None

@@ -25,6 +25,8 @@ Universal Algebra", 1994).
 """
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
                      ParseError, UnboundLetter)
@@ -60,30 +62,31 @@ class FiniteSemigroup:
         if n == 0:
             raise MalformedTable("a semigroup has at least one element")
         self.table = [list(row) for row in table]
-        elements = set(range(n))
-        for row in self.table:
-            if len(row) != n:
-                raise MalformedTable("table is not square")
-            # an entry equal to an element but not an int, such as 0.0,
-            # makes the sum of the row a non-int
-            if not elements.issuperset(row) or type(sum(row)) is not int:
-                raise MalformedTable("table entry out of range: %r" % (
-                    next(v for v in row
-                         if type(v) is not int or not 0 <= v < n),))
+        if set(map(len, self.table)) != {n}:
+            raise MalformedTable("table is not square")
+        # an entry equal to an element but not an int, such as 0.0 or
+        # False, is rejected by its type
+        entries = list(chain.from_iterable(self.table))
+        if not set(range(n)).issuperset(entries) or not {int}.issuperset(
+                map(type, entries)):
+            raise MalformedTable("table entry out of range: %r" % (
+                next(v for v in entries
+                     if type(v) is not int or not 0 <= v < n),))
         if generators is None:
             self.generators = tuple(range(n))
         else:
-            self.generators = tuple(sorted(set(generators)))
-            for g in self.generators:
-                if not (isinstance(g, int) and 0 <= g < n):
+            generators = list(generators)
+            for g in generators:
+                if type(g) is not int or not 0 <= g < n:
                     raise MalformedTable("generator out of range: %r" % (g,))
+            self.generators = tuple(sorted(set(generators)))
         self._check_associative()
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise MalformedTable("label count does not match table size")
         self.identity = identity
         if identity is not None:
-            if not (isinstance(identity, int) and 0 <= identity < n):
+            if type(identity) is not int or not 0 <= identity < n:
                 raise MalformedTable("identity out of range: %r"
                                      % (identity,))
             row = self.table[identity]
@@ -104,11 +107,17 @@ class FiniteSemigroup:
         if len(gens) < self.n and len(reachable(
                 gens, lambda a: map(t[a].__getitem__, gens))) != self.n:
             raise MalformedTable("generators do not generate the table")
+        if self.n == 1:
+            # [[0]] is associative; itemgetter of one index returns a bare
+            # entry, not a tuple
+            return
         for g in self.generators:
             rg = t[g]
+            # x(gy) for every y, gathered from row x in one call
+            gather = itemgetter(*rg)
             for x, tx in enumerate(t):
                 # (xg)y for every y, against x(gy) for every y
-                if t[tx[g]] != [tx[v] for v in rg]:
+                if t[tx[g]] != list(gather(tx)):
                     y = next(y for y in range(self.n)
                              if t[tx[g]][y] != tx[rg[y]])
                     raise NotAssociative(
@@ -122,11 +131,19 @@ class FiniteSemigroup:
         ca <= cb for every product c of generators, and with transitivity
         ac <= bc <= bd whenever a <= b and c <= d."""
         pairs = set()
-        for i, j in order:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise NotAPartialOrder("order pair out of range")
+        n = self.n
+        for pair in order:
+            try:
+                i, j = pair
+            except (TypeError, ValueError):
+                raise NotAPartialOrder("order entry is not a pair: %r"
+                                       % (pair,)) from None
+            if type(i) is not int or type(j) is not int \
+                    or not (0 <= i < n and 0 <= j < n):
+                raise NotAPartialOrder("order pair out of range: %r"
+                                       % (pair,))
             pairs.add((i, j))
-        for i in range(self.n):
+        for i in range(n):
             pairs.add((i, i))
         for i, j in pairs:
             if i != j and (j, i) in pairs:

@@ -13,6 +13,13 @@ commutative, abelian and free-group images, unrolling, factor expansion)
 is a fold over `_postorder`, the node list with each node after its
 subterms, so no walk recurses however long or deep the term.  Evaluation
 is one fold, which `eval_term` and `find_identity_failure` share.
+
+The normal forms over abelian groups (ab), commutative semigroups (com)
+and groups (g) are defined once each, as a (letter, concat, power, freeze)
+entry of `VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
+`com_exponents`, `ab_image` and `free_group_normal_form` read its result;
+the bounded search of `reducibility` combines its candidates' forms with
+the same steps.
 """
 
 import itertools
@@ -332,7 +339,7 @@ def satisfies_identity(S, lhs, rhs, mode="equality"):
 
 
 # ---------------------------------------------------------------------------
-# commutative images
+# normal forms over ab, com and g
 
 
 @dataclass(frozen=True)
@@ -375,56 +382,38 @@ def Inf(k):
     return ExponentValue(True, k)
 
 
-def add_exponents(left, pairs):
-    """Sum (letter, exponent) pairs into the multiplicity dict `left`, in
-    place: the multiplicities of l r from those of l and r.  Exponents are
-    ints or ExponentValues."""
-    for ch, e in pairs:
+def _add_exponents(left, right):
+    """The multiplicities of l r from the multiplicity dicts of l and r,
+    summed into `left` in place.  Exponents are ints or ExponentValues."""
+    for ch, e in right.items():
         left[ch] = left[ch] + e if ch in left else e
     return left
 
 
-def com_exponents(t):
-    """Letter multiplicities of t in N u (omega+Z), as a dict."""
-
-    def power(node, exps):
-        if type(node) is PrimeOmegaPower:
-            raise UnsupportedPrimePower("commutative and abelian images of "
-                                        "a prime-omega power are not "
-                                        "supported")
-        if type(node) is OmegaPower:
-            return {ch: e.omega_compose(node.k) for ch, e in exps.items()}
-        return {ch: e.scale(node.m) for ch, e in exps.items()}
-
-    return _fold(_postorder(t), lambda ch: {ch: Fin(1)},
-                 lambda left, right: add_exponents(left, right.items()), power)
+def _com_power(exps, e, is_omega):
+    step = ExponentValue.omega_compose if is_omega else ExponentValue.scale
+    return {ch: step(x, e) for ch, x in exps.items()}
 
 
-def ab_image(t):
-    """Integer letter multiplicities (omega collapses to its offset): the
-    offsets of the commutative exponents, whose arithmetic they share."""
-    return {ch: e.value for ch, e in com_exponents(t).items()}
-
-
-# ---------------------------------------------------------------------------
-# free group image
-
-
-def _concat_signed(left, right):
+def reduced_concat(left, right):
     """left right as a reduced word, for reduced left and right: right is
-    reduced onto the end of left, in place."""
+    reduced onto the end of left, in place.  A result of more than
+    EXPANSION_CAP letters raises SizeTooLarge."""
     for ch, s in right:
         if left and left[-1] == (ch, -s):
             left.pop()
         else:
             left.append((ch, s))
+    _check_length(len(left))
     return left
 
 
-def _power_signed(word, k):
+def reduced_power(word, k):
     """word^k for a reduced word, by cyclic reduction: word = a c a^-1 with
     c cyclically reduced gives a c^k a^-1, itself reduced (Lyndon &
-    Schupp, "Combinatorial Group Theory", 1977)."""
+    Schupp, "Combinatorial Group Theory", 1977).  The cap is checked
+    before the word is built."""
+    _check_length(len(word) * abs(k))
     if k == 0:
         return []
     if k < 0:
@@ -435,37 +424,61 @@ def _power_signed(word, k):
     return word[:i] + word[i:n - i] * k + word[n - i:]
 
 
-def reduced_concat(left, right):
-    """_concat_signed, with the cap on the reduced word it gives."""
-    word = _concat_signed(left, right)
-    _check_length(len(word))
-    return word
+# variety -> (letter, concat, power, freeze): the one definition of its
+# normal form.  A working form is built from letter(ch), concat(l, r) for
+# l r (it may extend l in place, so a fold stays linear in the word), and
+# power(l, e, is_omega) for l^(w+e) or, when is_omega is false, l^e.
+# freeze(f) is the canonical hashable form: two terms are equal over the
+# variety iff their frozen forms are.  ab and com keep letter
+# multiplicities, in Z and in N u (omega+Z), and freeze them sorted, ab
+# without zeros; g keeps the reduced signed word, whose omega part
+# vanishes in any group, and freezes it as a tuple.
+VARIETY_STEPS = {
+    "ab": (lambda ch: {ch: 1}, _add_exponents,
+           lambda exps, e, is_omega: {ch: m * e for ch, m in exps.items()},
+           lambda exps: tuple(sorted((ch, m) for ch, m in exps.items()
+                                     if m))),
+    "com": (lambda ch: {ch: Fin(1)}, _add_exponents, _com_power,
+            lambda exps: tuple(sorted(exps.items()))),
+    "g": (lambda ch: [(ch, 1)], reduced_concat,
+          lambda word, k, is_omega: reduced_power(word, k), tuple),
+}
 
 
-def reduced_power(word, k):
-    """_power_signed, with the cap on the word checked before it is built."""
-    _check_length(len(word) * abs(k))
-    return _power_signed(word, k)
+def normal_form(variety, t):
+    """The frozen normal form of t over ab, com or g, folded by the
+    variety's VARIETY_STEPS.  A prime-omega power raises
+    UnsupportedPrimePower; in g a reduced word of more than EXPANSION_CAP
+    letters on the way raises SizeTooLarge, a power's before it is
+    built."""
+    letter, concat, power, freeze = VARIETY_STEPS[variety]
+
+    def power_node(node, value):
+        if type(node) is PrimeOmegaPower:
+            raise UnsupportedPrimePower("normal forms of prime-omega powers "
+                                        "are not supported")
+        if type(node) is OmegaPower:
+            return power(value, node.k, True)
+        return power(value, node.m, False)
+
+    return freeze(_fold(_postorder(t), letter, concat, power_node))
+
+
+def com_exponents(t):
+    """Letter multiplicities of t in N u (omega+Z), as a dict."""
+    return dict(normal_form("com", t))
+
+
+def ab_image(t):
+    """Integer letter multiplicities (omega collapses to its offset): the
+    offsets of the commutative exponents, whose arithmetic they share."""
+    return {ch: e.value for ch, e in com_exponents(t).items()}
 
 
 def free_group_normal_form(t):
-    """Image of the term in the free group, as a reduced signed word.
-
-    Omega powers land on the k-th power of the base image: the omega part
-    vanishes in any group limit.  Returned as a tuple of (letter, +-1).
-    A reduced word of more than EXPANSION_CAP letters on the way raises
-    SizeTooLarge, a power's before it is built.  The bound is on reduced
-    words, so a power of a word that cancels costs nothing.
-    """
-    def power(node, word):
-        if type(node) is PrimeOmegaPower:
-            raise UnsupportedPrimePower(
-                "free group image of a prime-omega power is not supported")
-        return reduced_power(word, node.k if type(node) is OmegaPower
-                             else node.m)
-
-    return tuple(_fold(_postorder(t), lambda ch: [(ch, 1)], reduced_concat,
-                       power))
+    """Image of the term in the free group, as a reduced tuple of
+    (letter, +-1)."""
+    return normal_form("g", t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,24 @@
 """Identity decision procedures for the varieties with finite normal forms
 (abelian groups, commutative semigroups, groups, subword-ordered monoids)
-plus an enumeration-backed sampler for completely regular semigroups."""
+plus an enumeration-backed sampler for completely regular semigroups.
+
+Abelian groups (ab), commutative semigroups (com) and groups (g) are
+decided by `terms.normal_form`, whose steps are defined once per variety
+in `terms.VARIETY_STEPS`; `check_identity` pairs each of the three with
+its pool of separating structures."""
 
 from .enumeration import enumerate_semigroups
 from .errors import ParseError, SizeTooLarge
 from .groups_catalog import all_groups_up_to_24
 from .semigroup import FiniteSemigroup, GeneratorMap
 from .terms import (
-    Fin,
     FinitePower,
     _expand,
     _postorder,
-    ab_image,
-    add_exponents,
-    com_exponents,
     eval_term,
     find_identity_failure,
-    free_group_normal_form,
+    normal_form,
     parse_term,
-    reduced_concat,
-    reduced_power,
     term_alphabet,
 )
 from .words import scattered_subword
@@ -27,61 +26,19 @@ from .words import scattered_subword
 _CR_CACHE = {}
 
 
-def ab_normal_form(t):
-    """The letters of t with their nonzero multiplicities in the integer
-    completion, sorted: two terms are equal over all finite abelian groups
-    iff their normal forms are."""
-    return tuple(sorted((ch, m) for ch, m in ab_image(t).items() if m != 0))
-
-
-def com_normal_form(t):
-    """The letters of t with their exponents in N u (omega+Z), sorted: two
-    terms are equal over all finite commutative semigroups iff their
-    normal forms are."""
-    return tuple(sorted(com_exponents(t).items()))
-
-
-# variety -> normal form of a term; free-group reduction decides groups
-NORMAL_FORMS = {"ab": ab_normal_form, "com": com_normal_form,
-                "g": free_group_normal_form}
-
-
-def _ab_concat(left, right):
-    sums = add_exponents(dict(left), right)
-    return tuple(sorted((ch, m) for ch, m in sums.items() if m))
-
-
-# variety -> its (letter, concatenation, omega+k power) steps on the normal
-# forms above: the normal form of a letter ch, of l r from those of l and r,
-# and of l^(w+k) from that of l, so that a term's normal form is built from
-# its children's as its value is.  They share the folds' arithmetic.
-NORMAL_FORM_STEPS = {
-    "ab": (lambda ch: ((ch, 1),),
-           _ab_concat,
-           lambda nf, k: tuple((ch, m * k) for ch, m in nf) if k else ()),
-    "com": (lambda ch: ((ch, Fin(1)),),
-            lambda left, right: tuple(sorted(
-                add_exponents(dict(left), right).items())),
-            lambda nf, k: tuple((ch, e.omega_compose(k)) for ch, e in nf)),
-    "g": (lambda ch: ((ch, 1),),
-          lambda left, right: tuple(reduced_concat(list(left), right)),
-          lambda nf, k: tuple(reduced_power(nf, k))),
-}
-
-
 def ab_satisfies(u, v):
     """Equality over all finite abelian groups."""
-    return ab_normal_form(u) == ab_normal_form(v)
+    return normal_form("ab", u) == normal_form("ab", v)
 
 
 def com_satisfies(u, v):
     """Equality over all finite commutative semigroups."""
-    return com_normal_form(u) == com_normal_form(v)
+    return normal_form("com", u) == normal_form("com", v)
 
 
 def g_satisfies(u, v):
     """Equality over all finite groups, via free-group word reduction."""
-    return free_group_normal_form(u) == free_group_normal_form(v)
+    return normal_form("g", u) == normal_form("g", v)
 
 
 def jplus_leq(u, v):
@@ -192,6 +149,10 @@ def _semigroup_witness(S, assignment, u, v):
     }
 
 
+# variety decided by its normal form -> its pool of separating structures
+_WITNESSES = {"ab": ab_witness, "com": com_witness, "g": g_witness}
+
+
 def check_identity(variety, lhs, rhs, leq=False):
     """Decide lhs = rhs (or lhs <= rhs for jplus) over the named variety.
 
@@ -201,18 +162,11 @@ def check_identity(variety, lhs, rhs, leq=False):
     if leq and variety != "jplus":
         raise ValueError("--leq only applies to the jplus variety")
     result = {"variety": variety, "lhs": lhs, "rhs": rhs}
-    if variety == "ab":
+    if variety in _WITNESSES:
         u, v = parse_term(lhs), parse_term(rhs)
-        result["verdict"] = ab_satisfies(u, v)
-        result["witness"] = None if result["verdict"] else ab_witness(u, v)
-    elif variety == "com":
-        u, v = parse_term(lhs), parse_term(rhs)
-        result["verdict"] = com_satisfies(u, v)
-        result["witness"] = None if result["verdict"] else com_witness(u, v)
-    elif variety == "g":
-        u, v = parse_term(lhs), parse_term(rhs)
-        result["verdict"] = g_satisfies(u, v)
-        result["witness"] = None if result["verdict"] else g_witness(u, v)
+        result["verdict"] = normal_form(variety, u) == normal_form(variety, v)
+        result["witness"] = (None if result["verdict"]
+                             else _WITNESSES[variety](u, v))
     elif variety == "jplus":
         u, v = _jplus_word(lhs), _jplus_word(rhs)
         if leq:

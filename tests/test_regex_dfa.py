@@ -241,6 +241,9 @@ def test_dfa_text_roundtrip():
     ([], 0, set()),             # no state at all
     ([[0.5]], 0, set()),        # target not an integer
     ([["0"]], 0, set()),
+    ([[False]], 0, set()),      # bools equal states but are not ones
+    ([[0]], False, set()),
+    ([[0], [0]], 0, {True}),
 ])
 def test_malformed_dfa_tables(trans, initial, accepting):
     with pytest.raises(MalformedTable) as info:

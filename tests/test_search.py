@@ -1,25 +1,28 @@
 """The bounded omega-term search: it returns the pair of the search over all
 terms (kept in util as its oracle), the class congruence that lets it keep
-one term per (value, normal form) class, the normal-form steps it combines
-children's classes with, its pins on the commutative instance at bounds
-the full enumeration cannot reach, and its argument and size errors."""
+one term per (value, normal form) class, the one normal-form definition
+per variety that the search and terms.normal_form share, checked against
+the recursive oracles, its pins on the commutative instance at bounds the
+full enumeration cannot reach, and its argument and size errors."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omsemi import terms, varieties
+from omsemi import reducibility, terms, varieties
 from omsemi.errors import SizeTooLarge
 from omsemi.reducibility import SolutionTriple, bounded_omega_solution_search
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap
-from omsemi.terms import Concat, Letter, OmegaPower, format_term
-from omsemi.varieties import NORMAL_FORM_STEPS, NORMAL_FORMS
+from omsemi.terms import Concat, OmegaPower, format_term, normal_form
 
+from test_folds import _outcome
 from test_reducibility import com_instance
 from util import (all_terms_search, commuted_copy, random_generator_map,
-                  random_small_semigroup, random_term)
+                  random_small_semigroup, random_term, recursive_ab_image,
+                  recursive_com_exponents, recursive_free_group_normal_form)
 
 search_settings = settings(max_examples=200, deadline=None, derandomize=True)
 
+VARIETIES = ("ab", "com", "g")
 OFFSETS = ((), (0,), (0, -1), (1, 0), (-1, 0, 1), (0, 0), (2,))
 COM_PAIR = ("y (x y y)^(w-1)", "x (x y x)^(w-1)")
 
@@ -29,7 +32,7 @@ def _formatted(pair):
 
 
 @search_settings
-@given(st.randoms(use_true_random=False), st.sampled_from(sorted(NORMAL_FORMS)),
+@given(st.randoms(use_true_random=False), st.sampled_from(VARIETIES),
        st.sampled_from(OFFSETS), st.integers(1, 7))
 def test_search_returns_the_pair_of_the_full_enumeration(rng, variety,
                                                          offsets, bound):
@@ -53,9 +56,9 @@ def _cancelled_copy(rng, t):
 
 
 @search_settings
-@given(st.randoms(use_true_random=False), st.sampled_from(sorted(NORMAL_FORMS)))
+@given(st.randoms(use_true_random=False), st.sampled_from(VARIETIES))
 def test_normal_forms_are_congruences(rng, variety):
-    keyfn = NORMAL_FORMS[variety]
+    keyfn = lambda t: normal_form(variety, t)
     left = random_term(rng)
     right = random_term(rng)
     if variety == "g":
@@ -69,33 +72,36 @@ def test_normal_forms_are_congruences(rng, variety):
         assert keyfn(OmegaPower(left, k)) == keyfn(OmegaPower(other, k))
 
 
+ORACLES = {
+    "ab": lambda t: tuple(sorted((ch, m) for ch, m in
+                                 recursive_ab_image(t).items() if m)),
+    "com": lambda t: tuple(sorted(recursive_com_exponents(t).items())),
+    "g": recursive_free_group_normal_form,
+}
+
+
 @search_settings
-@given(st.randoms(use_true_random=False), st.sampled_from(sorted(NORMAL_FORMS)))
-def test_normal_form_steps_are_homomorphisms(rng, variety):
-    keyfn = NORMAL_FORMS[variety]
-    letter, concat, power = NORMAL_FORM_STEPS[variety]
-    left = random_term(rng)
-    right = random_term(rng)
-    for ch in "xy":
-        assert letter(ch) == keyfn(Letter(ch))
-    assert concat(keyfn(left), keyfn(right)) == keyfn(Concat(left, right))
-    for k in range(-2, 3):
-        assert power(keyfn(left), k) == keyfn(OmegaPower(left, k))
+@given(st.randoms(use_true_random=False), st.sampled_from(VARIETIES))
+def test_normal_forms_match_the_recursive_oracles(rng, variety):
+    # the search and all_terms_search share these steps, so this property
+    # is what checks them
+    t = random_term(rng, depth=rng.randrange(1, 6), offsets=(-2, -1, 0, 1, 2),
+                    primes=(2, 3) if rng.random() < 0.2 else ())
+    assert _outcome(lambda t: normal_form(variety, t), t) == \
+        _outcome(ORACLES[variety], t)
 
 
 def test_search_never_folds_a_whole_term(monkeypatch):
     triple = com_instance()
 
-    def refuse(t):
+    def refuse(*args):
         raise AssertionError("the search folded a whole term")
 
-    for variety in NORMAL_FORMS:
-        monkeypatch.setitem(NORMAL_FORMS, variety, refuse)
-    for name in ("ab_normal_form", "com_normal_form",
-                 "free_group_normal_form"):
-        monkeypatch.setattr(varieties, name, refuse)
-    monkeypatch.setattr(terms, "free_group_normal_form", refuse)
-    for variety in ("ab", "com", "g"):
+    for module in (terms, varieties, reducibility):
+        for name in ("normal_form", "com_exponents",
+                     "free_group_normal_form"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for variety in VARIETIES:
         assert _formatted(bounded_omega_solution_search(
             triple, variety, 10, (0, -1))) == COM_PAIR
 

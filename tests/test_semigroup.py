@@ -53,10 +53,16 @@ def test_identity_validation():
     lambda: FiniteSemigroup([]),
     lambda: FiniteSemigroup([[0.0]]),
     lambda: FiniteSemigroup([["0"]]),
+    lambda: FiniteSemigroup([[False, True], [True, True]]),
+    lambda: FiniteSemigroup([[0]], identity=False),
+    lambda: FiniteSemigroup([[0]], generators=[False]),
+    lambda: FiniteSemigroup([[0, 1], [1, 1]], generators=[True, 0]),
+    lambda: FiniteSemigroup([[0, 1], [1, 1]], generators=[0, "0"]),
 ], ids=["ragged", "entry-too-large", "entry-negative", "identity-range",
         "label-count", "not-an-identity", "generator-range",
         "not-generating", "text-ragged", "empty", "entry-float",
-        "entry-string"])
+        "entry-string", "entry-bool", "identity-bool", "generator-bool",
+        "generator-bool-beside-int", "generator-string-beside-int"])
 def test_malformed_table_is_typed(make):
     with pytest.raises(MalformedTable) as info:
         make()
@@ -223,6 +229,15 @@ def test_order_validation():
     # genuine failure: cyclic group of order 2 with 0 <= 1.
     with pytest.raises(NotAPartialOrder):
         FiniteSemigroup([[1, 0], [0, 1]], order=[(0, 1)])
+
+
+@pytest.mark.parametrize("order", [
+    [(0.5, 0)], [5], [("0", 0)], [(0, 1, 2)], [(0,)], [(False, 0)], [None],
+    ["00"],
+])
+def test_malformed_order_pairs_are_typed(order):
+    with pytest.raises(NotAPartialOrder):
+        FiniteSemigroup([[0]], order=order)
 
 
 def test_with_identity_adjoined():

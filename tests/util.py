@@ -589,13 +589,13 @@ def all_terms_search(triple, variety, max_size, offsets=(0,)):
     the first valid pair (u, v) with eval(u) = s, eval(v) = t, and matching
     variety normal forms, or None."""
     from omsemi.errors import SizeTooLarge
-    from omsemi.terms import Concat, Letter, OmegaPower
-    from omsemi.varieties import NORMAL_FORMS
-    if variety not in NORMAL_FORMS:
+    from omsemi.terms import VARIETY_STEPS, Concat, Letter, OmegaPower, \
+        normal_form
+    if variety not in VARIETY_STEPS:
         raise ValueError("variety must be one of ab, com, g")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
-    keyfn = NORMAL_FORMS[variety]
+    keyfn = lambda t: normal_form(variety, t)
     S, gens = triple.S, triple.gens
     letters = sorted(gens.assignment)
 
