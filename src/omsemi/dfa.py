@@ -27,19 +27,23 @@ transition target, initial or accepting state that is not a state raises
 from itertools import chain
 
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
-                     ParseError)
+                     ParseError, listed)
 from .graphs import breadth_first, reachable
 from .regex import nfa_of_regex, parse_regex, regex_alphabet
 
 
 class Dfa:
     def __init__(self, alphabet, transitions, initial, accepting):
-        self.alphabet = tuple(alphabet)
+        self.alphabet = tuple(listed(alphabet, "alphabet"))
         self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
-        self.transitions = [list(row) for row in transitions]
+        try:
+            self.transitions = [list(row) for row in transitions]
+        except TypeError:
+            raise MalformedTable("transitions are not a list of rows: %r"
+                                 % (transitions,)) from None
         self.n_states = n = len(self.transitions)
         self.initial = initial
-        self.accepting = frozenset(accepting)
+        self.accepting = frozenset(listed(accepting, "accepting states"))
         if len(self.letter_index) != len(self.alphabet):
             raise MalformedTable("alphabet repeats a letter: %r"
                                  % (self.alphabet,))

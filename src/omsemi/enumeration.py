@@ -38,7 +38,7 @@ def enumerate_semigroups(n, predicate=None):
     if n not in _CACHE:
         _CACHE[n] = _canonical_tables(n)
     for table in _CACHE[n]:
-        S = FiniteSemigroup([list(row) for row in table])
+        S = FiniteSemigroup(table)
         if predicate is None or predicate(S):
             yield S
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `listed`, which turns
+an argument that is not a collection into one of them."""
 
 
 class OmsemiError(Exception):
@@ -70,3 +71,11 @@ class SubwordObstruction(OmsemiError):
 
 class ParseError(OmsemiError):
     """Malformed regular expression or term string."""
+
+
+def listed(items, what, error=MalformedTable):
+    """list(items), or error if items is not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise error("%s is not a collection: %r" % (what, items)) from None

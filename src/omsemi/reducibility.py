@@ -12,7 +12,8 @@ from .dfa import (
     is_finite_language,
     languages_equal,
 )
-from .errors import NotASolution, SizeTooLarge, SubwordObstruction, Unreachable
+from .errors import (MalformedTable, NotASolution, SizeTooLarge,
+                     SubwordObstruction, Unreachable)
 from .semigroup import FiniteSemigroup, GeneratorMap, green_classes
 from .syntactic import syntactic_semigroup
 from .terms import (
@@ -48,8 +49,10 @@ class SolutionTriple:
     def __post_init__(self):
         if self.mode not in ("equality", "inequality"):
             raise ValueError("mode must be equality or inequality")
-        if not (0 <= self.s < self.S.n and 0 <= self.t < self.S.n):
-            raise ValueError("s and t must be elements of S")
+        for e in (self.s, self.t):
+            if type(e) is not int or not 0 <= e < self.S.n:
+                raise MalformedTable("s and t must be elements of S, not %r"
+                                     % (e,))
         if self.gens.target is not self.S:
             raise ValueError("generator map must land in S")
         if self.mode == "inequality" and self.S.order is None:

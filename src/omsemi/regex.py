@@ -3,8 +3,17 @@
 Concrete syntax is ASCII: single-character letters, juxtaposition for
 concatenation, ``|`` for union, postfix ``*`` and ``+``, parentheses.
 Whitespace is ignored.  An empty branch denotes the empty word, so ``""``
-and ``(|a)`` are both valid.  Parentheses nest at most NESTING_DEPTH_CAP
-deep; the `Scanner` that enforces this is shared with the term parser.
+and ``(|a)`` are both valid.
+
+`parse_regex` reads the text in one pass with a stack of the open groups,
+each a list of branches and each branch a list of factors, so it does not
+recurse either.  Parentheses nest at most NESTING_DEPTH_CAP deep, in terms
+too, and deeper text raises ParseError.  The parsers would not need the
+cap; it is kept because the dataclass-generated ``__eq__``, ``__hash__``
+and ``__repr__`` of the nodes recurse, and it stops parentheses from
+making trees deep for them.  It does not bound the left-nested
+concatenations of a long word: a word of a few hundred letters is already
+too deep for those three methods.
 
 Every walk over a regex tree (its alphabet, the Thompson automaton, the
 concrete syntax) is a fold over `_postorder`, the node list with each
@@ -12,10 +21,9 @@ node after its subexpressions, so no walk recurses however deep the tree.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ParseError
-
-_SPECIAL = set("|*+()")
 
 
 @dataclass(frozen=True)
@@ -71,93 +79,47 @@ def regex_alphabet(r):
     return {node.ch for node in _postorder(r) if type(node) is Sym}
 
 
+# how deep parentheses nest in a regex or a term; see the module docstring
 NESTING_DEPTH_CAP = 100
 
 
-class Scanner:
-    """The character stream of the regex and term parsers.  Whitespace is
-    skipped, and parentheses nested deeper than NESTING_DEPTH_CAP raise
-    ParseError, which keeps recursive descent off the recursion limit."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def open_group(self):
-        """Count a group whose "(" was just taken."""
-        self.depth += 1
-        if self.depth > NESTING_DEPTH_CAP:
-            raise ParseError("parentheses nested deeper than %d at position %d"
-                             % (NESTING_DEPTH_CAP, self.pos))
-
-    def close_group(self):
-        if self.take() != ")":
-            raise ParseError("missing closing parenthesis")
-        self.depth -= 1
-
-
-class _Parser(Scanner):
-    def parse(self):
-        r = self.alternation()
-        if self.peek() is not None:
-            raise ParseError("unexpected %r at position %d"
-                             % (self.peek(), self.pos))
-        return r
-
-    def alternation(self):
-        r = self.concatenation()
-        while self.peek() == "|":
-            self.take()
-            r = Union(r, self.concatenation())
-        return r
-
-    def concatenation(self):
-        parts = []
-        while True:
-            ch = self.peek()
-            if ch is None or ch in "|)":
-                break
-            parts.append(self.postfixed())
-        if not parts:
-            return Empty()
-        r = parts[0]
-        for p in parts[1:]:
-            r = Concat(r, p)
-        return r
-
-    def postfixed(self):
-        r = self.atom()
-        while self.peek() in ("*", "+"):
-            r = Star(r) if self.take() == "*" else Plus(r)
-        return r
-
-    def atom(self):
-        ch = self.take()
-        if ch == "(":
-            self.open_group()
-            r = self.alternation()
-            self.close_group()
-            return r
-        if ch is None or ch in _SPECIAL:
-            raise ParseError("unexpected %r" % (ch,))
-        return Sym(ch)
+def _group(branches):
+    """One tree for the branches of a group, each a list of factors:
+    concatenations and unions nest to the left, and an empty branch is
+    the empty word."""
+    return reduce(Union, [reduce(Concat, factors) if factors else Empty()
+                          for factors in branches])
 
 
 def parse_regex(text):
-    return _Parser(text).parse()
+    """The regex tree of text: one pass over its characters, whitespace
+    skipped, with a stack of the open groups' branches."""
+    stack = [[[]]]
+    for pos, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        factors = stack[-1][-1]
+        if ch == "(":
+            if len(stack) > NESTING_DEPTH_CAP:
+                raise ParseError("parentheses nested deeper than %d at "
+                                 "position %d" % (NESTING_DEPTH_CAP, pos + 1))
+            stack.append([[]])
+        elif ch == "|":
+            stack[-1].append([])
+        elif ch == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected ')' at position %d" % pos)
+            group = _group(stack.pop())
+            stack[-1][-1].append(group)
+        elif ch == "*" or ch == "+":
+            if not factors:
+                raise ParseError("unexpected %r" % ch)
+            factors[-1] = (Star if ch == "*" else Plus)(factors[-1])
+        else:
+            factors.append(Sym(ch))
+    if len(stack) > 1:
+        raise ParseError("missing closing parenthesis")
+    return _group(stack[0])
 
 
 def nfa_of_regex(r):

@@ -29,7 +29,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
-                     ParseError, UnboundLetter)
+                     ParseError, UnboundLetter, listed)
 from .graphs import reachable
 
 
@@ -58,10 +58,14 @@ class FiniteSemigroup:
 
     def __init__(self, table, labels=None, order=None, identity=None,
                  generators=None):
-        self.n = n = len(table)
+        try:
+            self.table = [list(row) for row in table]
+        except TypeError:
+            raise MalformedTable("table is not a list of rows: %r"
+                                 % (table,)) from None
+        self.n = n = len(self.table)
         if n == 0:
             raise MalformedTable("a semigroup has at least one element")
-        self.table = [list(row) for row in table]
         if set(map(len, self.table)) != {n}:
             raise MalformedTable("table is not square")
         # an entry equal to an element but not an int, such as 0.0 or
@@ -75,15 +79,17 @@ class FiniteSemigroup:
         if generators is None:
             self.generators = tuple(range(n))
         else:
-            generators = list(generators)
+            generators = listed(generators, "generators")
             for g in generators:
                 if type(g) is not int or not 0 <= g < n:
                     raise MalformedTable("generator out of range: %r" % (g,))
             self.generators = tuple(sorted(set(generators)))
         self._check_associative()
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise MalformedTable("label count does not match table size")
+        self.labels = None
+        if labels is not None:
+            self.labels = listed(labels, "labels")
+            if len(self.labels) != n:
+                raise MalformedTable("label count does not match table size")
         self.identity = identity
         if identity is not None:
             if type(identity) is not int or not 0 <= identity < n:
@@ -132,7 +138,7 @@ class FiniteSemigroup:
         ac <= bc <= bd whenever a <= b and c <= d."""
         pairs = set()
         n = self.n
-        for pair in order:
+        for pair in listed(order, "order", NotAPartialOrder):
             try:
                 i, j = pair
             except (TypeError, ValueError):
@@ -303,6 +309,9 @@ class GeneratorMap:
     assignment: dict
 
     def __post_init__(self):
+        if not isinstance(self.assignment, dict):
+            raise MalformedTable("assignment is not a dict: %r"
+                                 % (self.assignment,))
         for letter, e in self.assignment.items():
             if type(e) is not int or not 0 <= e < self.target.n:
                 raise MalformedTable("image of %r out of range: %r"

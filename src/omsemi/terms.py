@@ -7,6 +7,10 @@ element s^(omega+k) of s = eval(t), and t^(p^w) to the limit of s^(p^(n!)).
 
 Concrete syntax: juxtaposition concatenates, ``^w``, ``^(w+2)``, ``^(w-1)``,
 ``^(2^w)`` and ``^3`` are powers, parentheses group.  Whitespace is ignored.
+`parse_term` reads the text in one pass with a stack of the open groups'
+factors: ``^`` wraps the last factor, whose exponent `_power` reads.
+Parentheses nest at most `regex.NESTING_DEPTH_CAP` deep, for the reason
+given there.
 
 Every walk over a term (size, alphabet, concrete syntax, evaluation, the
 commutative, abelian and free-group images, unrolling, factor expansion)
@@ -25,6 +29,7 @@ the same steps.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     DepthCap,
@@ -34,7 +39,7 @@ from .errors import (
     SizeTooLarge,
     UnsupportedPrimePower,
 )
-from .regex import Scanner
+from .regex import NESTING_DEPTH_CAP
 from .semigroup import stabilized_prime_power_residue
 from .words import factors_up_to
 
@@ -142,10 +147,7 @@ def term_alphabet(t):
 def concat_all(parts):
     if not parts:
         raise ValueError("empty concatenation")
-    t = parts[0]
-    for p in parts[1:]:
-        t = Concat(t, p)
-    return t
+    return reduce(Concat, parts)
 
 
 # The 13 primes up to 41 as Miller-Rabin bases decide primality exactly
@@ -183,92 +185,86 @@ def _is_prime(p):
     return True
 
 
-class _TermParser(Scanner):
-    def number(self):
-        ch = self.peek()
-        if ch is None or not ch.isdigit():
-            raise ParseError("expected a number at position %d" % self.pos)
-        start = self.pos
-        digits = ""
-        while self.peek() is not None and self.peek().isdigit():
-            digits += self.take()
-        try:
-            return int(digits)
-        except ValueError:  # past int()'s digit limit, or not decimal
-            raise ParseError("number at position %d has too many digits or "
-                             "is not decimal" % start) from None
+def _number(chars, i):
+    """The decimal number whose digits start at chars[i], and the index
+    of the first character after them."""
+    pos, ch = chars[i]
+    if ch is None or not ch.isdigit():
+        raise ParseError("expected a number at position %d" % pos)
+    j = i
+    while chars[j][1] is not None and chars[j][1].isdigit():
+        j += 1
+    try:
+        return int("".join(c for _, c in chars[i:j])), j
+    except ValueError:  # past int()'s digit limit, or not decimal
+        raise ParseError("number at position %d has too many digits or "
+                         "is not decimal" % pos) from None
 
-    def parse(self):
-        t = self.concatenation()
-        if self.peek() is not None:
-            raise ParseError("unexpected %r at position %d"
-                             % (self.peek(), self.pos))
-        return t
 
-    def concatenation(self):
-        parts = []
-        while True:
-            ch = self.peek()
-            if ch is None or ch == ")":
-                break
-            parts.append(self.postfixed())
-        if not parts:
-            raise ParseError("empty term")
-        return concat_all(parts)
-
-    def postfixed(self):
-        t = self.atom()
-        while self.peek() == "^":
-            self.take()
-            t = self.power_of(t)
-        return t
-
-    def power_of(self, base):
-        ch = self.peek()
-        if ch == "w":
-            self.take()
-            return OmegaPower(base, 0)
-        if ch is not None and ch.isdigit():
-            m = self.number()
-            if m < 1:
-                raise ParseError("finite power must be >= 1")
-            return FinitePower(base, m)
-        if ch == "(":
-            self.take()
-            inner = self.peek()
-            if inner == "w":
-                self.take()
-                sign = self.take()
-                if sign not in ("+", "-"):
-                    raise ParseError("expected + or - after w")
-                k = self.number()
-                if self.take() != ")":
-                    raise ParseError("missing ) in exponent")
-                return OmegaPower(base, k if sign == "+" else -k)
-            p = self.number()
-            if self.take() != "^" or self.take() != "w":
-                raise ParseError("expected p^w in exponent")
-            if self.take() != ")":
-                raise ParseError("missing ) in exponent")
-            if not _is_prime(p):
-                raise ParseError("%d is not prime" % p)
-            return PrimeOmegaPower(base, p)
-        raise ParseError("bad exponent at position %d" % self.pos)
-
-    def atom(self):
-        ch = self.take()
-        if ch == "(":
-            self.open_group()
-            t = self.concatenation()
-            self.close_group()
-            return t
-        if ch is None or not ch.isalpha():
-            raise ParseError("expected a letter, got %r" % (ch,))
-        return Letter(ch)
+def _power(base, chars, i):
+    """base raised to the exponent that starts at chars[i], one of w, m,
+    (w+k), (w-k) and (p^w), and the index of the character after it."""
+    pos, ch = chars[i]
+    if ch == "w":
+        return OmegaPower(base, 0), i + 1
+    if ch is not None and ch.isdigit():
+        m, i = _number(chars, i)
+        if m < 1:
+            raise ParseError("finite power must be >= 1")
+        return FinitePower(base, m), i
+    if ch != "(":
+        raise ParseError("bad exponent at position %d" % pos)
+    if chars[i + 1][1] == "w":
+        sign = chars[i + 2][1]
+        if sign != "+" and sign != "-":
+            raise ParseError("expected + or - after w")
+        k, i = _number(chars, i + 3)
+        if chars[i][1] != ")":
+            raise ParseError("missing ) in exponent")
+        return OmegaPower(base, k if sign == "+" else -k), i + 1
+    p, i = _number(chars, i + 1)
+    if chars[i][1] != "^" or chars[i + 1][1] != "w":
+        raise ParseError("expected p^w in exponent")
+    if chars[i + 2][1] != ")":
+        raise ParseError("missing ) in exponent")
+    if not _is_prime(p):
+        raise ParseError("%d is not prime" % p)
+    return PrimeOmegaPower(base, p), i + 3
 
 
 def parse_term(text):
-    return _TermParser(text).parse()
+    """The term tree of text: one pass over its characters, whitespace
+    skipped, with a stack of the open groups' factors."""
+    chars = [(pos, ch) for pos, ch in enumerate(text) if not ch.isspace()]
+    chars.append((len(text), None))
+    stack = [[]]
+    i = 0
+    while True:
+        pos, ch = chars[i]
+        i += 1
+        factors = stack[-1]
+        if ch == "(":
+            if len(stack) > NESTING_DEPTH_CAP:
+                raise ParseError("parentheses nested deeper than %d at "
+                                 "position %d" % (NESTING_DEPTH_CAP, pos + 1))
+            stack.append([])
+        elif ch is None or ch == ")":
+            if not factors:
+                raise ParseError("empty term")
+            stack.pop()
+            if ch is None:
+                if stack:
+                    raise ParseError("missing closing parenthesis")
+                return concat_all(factors)
+            if not stack:
+                raise ParseError("unexpected ')' at position %d" % pos)
+            stack[-1].append(concat_all(factors))
+        elif ch == "^" and factors:
+            factors[-1], i = _power(factors[-1], chars, i)
+        elif ch.isalpha():
+            factors.append(Letter(ch))
+        else:
+            raise ParseError("expected a letter, got %r" % ch)
 
 
 def _exponent(node):

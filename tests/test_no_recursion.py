@@ -1,55 +1,83 @@
-"""No function in the package calls itself by name, so no input's shape
-can drive a walk into the recursion limit.  Syntax trees are walked as
-folds over their postorder, graphs by the breadth-first walks of
-omsemi.graphs or with explicit stacks, and the enumeration's search by
-one loop over the table cells."""
+"""No function in the package calls itself, directly or through other
+functions of its module, so no input's shape can drive a walk into the
+recursion limit.  Syntax trees are built by one loop per parser over a
+stack of open groups and walked as folds over their postorder, graphs by
+the breadth-first walks of omsemi.graphs or with explicit stacks, and the
+enumeration's search by one loop over the table cells.
+
+The cycle guard reads each module's call graph from its source, with no
+exemption list: a call by plain name goes to the module's functions of
+that name, and a self./cls. call to its classes' methods of that name."""
 
 import ast
 import pathlib
 
 import omsemi
+from omsemi.graphs import reachable
 
 
-def _self_calls(tree):
-    """(qualified name, line) of each call of a function to itself, by
-    plain name or as self./cls. attribute."""
-    found = []
+def _call_graph(tree):
+    """{qualified name: qualified names it calls} over the functions of a
+    module.  A call by plain name goes to every function of the module of
+    that name that is not a method, and a self./cls. call to every method
+    of that name in any class of the module."""
+    defs, functions, methods = {}, {}, {}
 
-    def visit(node, prefix):
+    def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = prefix + child.name
-                for sub in ast.walk(child):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    f = sub.func
-                    by_name = isinstance(f, ast.Name) and f.id == child.name
-                    by_self = (isinstance(f, ast.Attribute)
-                               and f.attr == child.name
-                               and isinstance(f.value, ast.Name)
-                               and f.value.id in ("self", "cls"))
-                    if by_name or by_self:
-                        found.append((name, sub.lineno))
-                visit(child, name + ".")
+                defs[name] = child
+                (methods if in_class else functions).setdefault(
+                    child.name, []).append(name)
+                visit(child, name + ".", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
+                visit(child, prefix + child.name + ".", True)
             else:
-                visit(child, prefix)
+                visit(child, prefix, in_class)
 
-    visit(tree, "")
-    return found
+    visit(tree, "", False)
+    graph = {}
+    for name, node in defs.items():
+        graph[name] = callees = set()
+        for sub in ast.walk(node):
+            f = getattr(sub, "func", None)
+            if isinstance(f, ast.Name):
+                callees.update(functions.get(f.id, ()))
+            elif (isinstance(f, ast.Attribute)
+                  and isinstance(f.value, ast.Name)
+                  and f.value.id in ("self", "cls")):
+                callees.update(methods.get(f.attr, ()))
+    return graph
 
 
-def test_no_function_calls_itself():
+def _cycles(graph):
+    """The strongly connected components of graph that hold a cycle, a
+    self-call included, as sorted tuples in sorted order."""
+    after = {u: set(reachable(graph[u], graph.__getitem__)) for u in graph}
+    return sorted({tuple(sorted(v for v in after[u] if u in after[v]))
+                   for u in graph if u in after[u]})
+
+
+def test_no_call_graph_cycle():
     package = pathlib.Path(omsemi.__file__).parent
-    found = ["%s.py:%d: %s calls itself" % (path.stem, line, name)
+    found = ["%s.py: a cycle through %s" % (path.stem, ", ".join(cycle))
              for path in sorted(package.glob("*.py"))
-             for name, line in _self_calls(ast.parse(path.read_text()))]
+             for cycle in _cycles(_call_graph(ast.parse(path.read_text())))]
     assert found == []
 
 
-def test_guard_sees_self_calls():
-    tree = ast.parse("def f(t):\n    return f(t.left)\n"
-                     "class A:\n    def g(self):\n        return self.g()\n"
+def test_guard_sees_call_graph_cycles():
+    tree = ast.parse("def f(t):\n    return g(t)\n"
+                     "def g(t):\n    return f(t.left)\n"
+                     "def leaf(t):\n    return f(t)\n"
+                     "class A:\n"
+                     "    def a(self):\n        return self.b()\n"
+                     "    def b(self):\n        return self.c()\n"
+                     "    def c(self):\n        return self.a()\n"
+                     "    def d(self):\n        return self.a()\n"
+                     "def s(t):\n    return s(t.left)\n"
+                     "class B:\n    def m(self):\n        return self.m()\n"
                      "def h():\n    def go(n):\n        return go(n - 1)\n")
-    assert sorted(_self_calls(tree)) == [("A.g", 5), ("f", 2), ("h.go", 8)]
+    assert _cycles(_call_graph(tree)) == [
+        ("A.a", "A.b", "A.c"), ("B.m",), ("f", "g"), ("h.go",), ("s",)]

@@ -1,6 +1,8 @@
 """The term and regex parsers are total: on any text they return a syntax
-tree or raise a typed error, and they do so quickly."""
+tree or raise a typed error, and they do so quickly.  Malformed text gets
+the exact ParseError message pinned here."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from omsemi.errors import ParseError, SizeTooLarge
@@ -22,3 +24,72 @@ def test_parsers_return_or_raise_typed_errors(text):
             parse(text)
         except (ParseError, SizeTooLarge):
             pass
+
+
+def _deep(inner, depth, extra=""):
+    return "(" * depth + inner + ")" * depth + extra
+
+
+# malformed text, and the ParseError message each parser gives it
+REGEX_ERRORS = [
+    (_deep("a", 101), "parentheses nested deeper than 100 at position 101"),
+    (_deep("a", 100, ")"), "unexpected ')' at position 201"),
+    ("a)b", "unexpected ')' at position 1"),
+    ("*a", "unexpected '*'"),
+    ("+", "unexpected '+'"),
+    ("a|*", "unexpected '*'"),
+    ("(*a)", "unexpected '*'"),
+    ("a||+", "unexpected '+'"),
+    ("x**(+)", "unexpected '+'"),
+    ("(a", "missing closing parenthesis"),
+    ("((a)", "missing closing parenthesis"),
+    ("(a|b", "missing closing parenthesis"),
+    (" (  (a ) ", "missing closing parenthesis"),
+    ("((((", "missing closing parenthesis"),
+    ("(a(b|c(d*|e)+)", "missing closing parenthesis"),
+    (")", "unexpected ')' at position 0"),
+    ("a ) ", "unexpected ')' at position 2"),
+    ("(|)*)", "unexpected ')' at position 4"),
+    ("ab(c)d)e", "unexpected ')' at position 6"),
+    ("a|b)|c", "unexpected ')' at position 3"),
+]
+
+TERM_ERRORS = [
+    (_deep("x", 101), "parentheses nested deeper than 100 at position 101"),
+    (_deep("x", 100, ")"), "unexpected ')' at position 201"),
+    ("x(", "empty term"),
+    ("", "empty term"),
+    ("()", "empty term"),
+    ("x^(w", "expected + or - after w"),
+    ("x^(w*1)", "expected + or - after w"),
+    ("x^1" + "0" * 4999,
+     "number at position 2 has too many digits or is not decimal"),
+    ("x^²", "number at position 2 has too many digits or is not decimal"),
+    ("x^(w+²)", "number at position 5 has too many digits or is not decimal"),
+    ("x^(4^w)", "4 is not prime"),
+    ("x^(" + "9" * 30 + "^w)",
+     "prime exponents must be below 3317044064679887385961981"),
+    ("x^(w+)", "expected a number at position 5"),
+    ("x^(w+1", "missing ) in exponent"),
+    ("x^(3^v)", "expected p^w in exponent"),
+    ("x^ ", "bad exponent at position 3"),
+    ("x^-1", "bad exponent at position 2"),
+    ("x^0", "finite power must be >= 1"),
+    ("a)b", "unexpected ')' at position 1"),
+    ("x ^ (w - 1) ) y", "unexpected ')' at position 12"),
+    ("*a", "expected a letter, got '*'"),
+    ("^x", "expected a letter, got '^'"),
+    ("(x", "missing closing parenthesis"),
+]
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_regex, text, message) for text, message in REGEX_ERRORS] + [
+    (parse_term, text, message) for text, message in TERM_ERRORS],
+    ids=["regex-%d" % i for i in range(len(REGEX_ERRORS))]
+    + ["term-%d" % i for i in range(len(TERM_ERRORS))])
+def test_parse_errors_are_pinned(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert type(info.value) is ParseError
+    assert str(info.value) == message

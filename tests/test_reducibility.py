@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from omsemi.dfa import Dfa
-from omsemi.errors import NotASolution, SizeTooLarge, SubwordObstruction, Unreachable
+from omsemi.errors import (MalformedTable, NotASolution, SizeTooLarge,
+                           SubwordObstruction, Unreachable)
 from omsemi.reducibility import (
     COM_LANGUAGE,
     SolutionTriple,
@@ -303,6 +304,15 @@ def test_solution_triple_validation():
     other = GeneratorMap(FiniteSemigroup.cyclic(1, 2), {"x": 0})
     with pytest.raises(ValueError):
         SolutionTriple(C2, 0, 0, other)
+
+
+@pytest.mark.parametrize("s,t", [(0.5, 0), (True, 0), (1.0, 0), (0, False),
+                                 ("0", 0), (None, 0), (0, -1), (3, 0)])
+def test_solution_triple_takes_only_elements(s, t):
+    C3 = FiniteSemigroup.cyclic(1, 3)
+    g = GeneratorMap(C3, {"x": 1})
+    with pytest.raises(MalformedTable):
+        SolutionTriple(C3, s, t, g)
 
 
 def test_search_trivial_instance():

@@ -244,11 +244,20 @@ def test_dfa_text_roundtrip():
     ([[False]], 0, set()),      # bools equal states but are not ones
     ([[0]], False, set()),
     ([[0], [0]], 0, {True}),
+    ([5], 0, set()),            # not collections
+    (5, 0, set()),
+    ([[0]], 0, 5),
 ])
 def test_malformed_dfa_tables(trans, initial, accepting):
     with pytest.raises(MalformedTable) as info:
         Dfa("a", trans, initial, accepting)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("alphabet", [5, None])
+def test_malformed_dfa_alphabets(alphabet):
+    with pytest.raises(MalformedTable):
+        Dfa(alphabet, [[0]], 0, set())
 
 
 def test_repeated_letter_is_malformed():

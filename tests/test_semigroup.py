@@ -58,11 +58,20 @@ def test_identity_validation():
     lambda: FiniteSemigroup([[0]], generators=[False]),
     lambda: FiniteSemigroup([[0, 1], [1, 1]], generators=[True, 0]),
     lambda: FiniteSemigroup([[0, 1], [1, 1]], generators=[0, "0"]),
+    lambda: FiniteSemigroup(5),
+    lambda: FiniteSemigroup([5]),
+    lambda: FiniteSemigroup([[0]], labels=5),
+    lambda: FiniteSemigroup([[0]], generators=5),
+    lambda: GeneratorMap(FiniteSemigroup([[0]]), 5),
+    lambda: GeneratorMap(FiniteSemigroup([[0]]), [("x", 0)]),
 ], ids=["ragged", "entry-too-large", "entry-negative", "identity-range",
         "label-count", "not-an-identity", "generator-range",
         "not-generating", "text-ragged", "empty", "entry-float",
         "entry-string", "entry-bool", "identity-bool", "generator-bool",
-        "generator-bool-beside-int", "generator-string-beside-int"])
+        "generator-bool-beside-int", "generator-string-beside-int",
+        "table-not-iterable", "row-not-iterable", "labels-not-iterable",
+        "generators-not-iterable", "assignment-not-a-dict",
+        "assignment-pairs"])
 def test_malformed_table_is_typed(make):
     with pytest.raises(MalformedTable) as info:
         make()
@@ -233,7 +242,7 @@ def test_order_validation():
 
 @pytest.mark.parametrize("order", [
     [(0.5, 0)], [5], [("0", 0)], [(0, 1, 2)], [(0,)], [(False, 0)], [None],
-    ["00"],
+    ["00"], 5,
 ])
 def test_malformed_order_pairs_are_typed(order):
     with pytest.raises(NotAPartialOrder):
