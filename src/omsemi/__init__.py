@@ -8,8 +8,6 @@ from .semigroup import (
     GreenClasses,
     MonogenicData,
     green_classes,
-    semigroup_from_text,
-    semigroup_to_text,
     stabilized_prime_power_residue,
 )
 from .dfa import (
@@ -65,7 +63,6 @@ from .reducibility import (
     loop_removal,
     simple_path_word,
     syntactic_solution_triple,
-    verify_all,
     verify_com_counterexample,
     verify_cr_counterexample,
     verify_groups_counterexample,

@@ -3,7 +3,7 @@
 States are 0..n-1; transitions are total.  ``compile_min_dfa`` takes a
 regex (string or syntax tree) to the minimal complete DFA, renumbered
 canonically by breadth-first search from the initial state, so equal
-languages over the same alphabet give byte-identical dumps.
+languages over the same alphabet give equal automata.
 
 ``Dfa.minimize`` is Hopcroft's partition refinement, O(n |A| log n)
 (Hopcroft, "An n log n algorithm for minimizing states in a finite
@@ -19,15 +19,14 @@ Every walk over states goes through the breadth-first searches of
 and the subset construction of ``compile_min_dfa``, the two numberings of
 ``minimize``, and the reachable state pairs of the product automaton that
 ``languages_equal`` and ``has_common_word`` inspect.  A ``Dfa`` built from
-a table of the wrong shape, an alphabet that repeats a letter, or a
-transition target, initial or accepting state that is not a state raises
-``MalformedTable``.
+a table of the wrong shape, an alphabet that repeats a letter or holds
+an unhashable one, or a transition target, initial or accepting state
+that is not a state raises ``MalformedTable``.
 """
 
 from itertools import chain
 
-from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
-                     ParseError, listed)
+from .errors import AlphabetMismatch, EmptyAlphabet, MalformedTable, listed
 from .graphs import breadth_first, reachable
 from .regex import nfa_of_regex, parse_regex, regex_alphabet
 
@@ -35,7 +34,6 @@ from .regex import nfa_of_regex, parse_regex, regex_alphabet
 class Dfa:
     def __init__(self, alphabet, transitions, initial, accepting):
         self.alphabet = tuple(listed(alphabet, "alphabet"))
-        self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
         try:
             self.transitions = [list(row) for row in transitions]
         except TypeError:
@@ -43,7 +41,12 @@ class Dfa:
                                  % (transitions,)) from None
         self.n_states = n = len(self.transitions)
         self.initial = initial
-        self.accepting = frozenset(listed(accepting, "accepting states"))
+        try:
+            self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
+            self.accepting = frozenset(listed(accepting, "accepting states"))
+        except TypeError:
+            raise MalformedTable("a letter or accepting state is not "
+                                 "hashable") from None
         if len(self.letter_index) != len(self.alphabet):
             raise MalformedTable("alphabet repeats a letter: %r"
                                  % (self.alphabet,))
@@ -252,75 +255,3 @@ def enumerate_accepted(d, max_len):
                     nxt.append((w + ch, r))
         level = nxt
     return out
-
-
-def dfa_to_text(d):
-    lines = ["states %d" % d.n_states,
-             "alphabet %s" % " ".join(d.alphabet),
-             "initial %d" % d.initial,
-             "accepting %s" % " ".join(str(q) for q in sorted(d.accepting)),
-             "trans:"]
-    for q in range(d.n_states):
-        for a, ch in enumerate(d.alphabet):
-            lines.append("%d %s %d" % (q, ch, d.transitions[q][a]))
-    return "\n".join(lines) + "\n"
-
-
-def dfa_from_text(text):
-    """Parse the format of dfa_to_text; malformed text raises ParseError
-    naming its line."""
-    fields = {}
-    trans_lines = []
-    in_trans = False
-    for no, ln in enumerate(text.splitlines(), 1):
-        ln = ln.strip()
-        if ln == "trans:":
-            in_trans = True
-        elif in_trans and ln:
-            trans_lines.append((no, ln.split()))
-        elif ln:
-            key, _, rest = ln.partition(" ")
-            fields[key] = (no, rest.strip())
-
-    def field(key):
-        if key not in fields:
-            raise ParseError("no %r line" % key)
-        return fields[key]
-
-    def integer(no, word, n=None):
-        try:
-            q = int(word)
-        except ValueError:
-            raise ParseError("line %d: expected an integer, got %r"
-                             % (no, word)) from None
-        if n is not None and not 0 <= q < n:
-            raise ParseError("line %d: state %d out of range" % (no, q))
-        return q
-
-    n = integer(*field("states"))
-    if n < 1:
-        raise ParseError("line %d: a DFA has at least one state"
-                         % fields["states"][0])
-    no, letters = field("alphabet")
-    alphabet = tuple(letters.split())
-    if not alphabet:
-        raise ParseError("line %d: empty alphabet" % no)
-    initial = integer(*field("initial"), n)
-    no, accepting = fields.get("accepting", (0, ""))
-    accepting = {integer(no, v, n) for v in accepting.split()}
-    if len(trans_lines) < n * len(alphabet):
-        raise ParseError("incomplete transition table")
-    letter_index = {ch: i for i, ch in enumerate(alphabet)}
-    trans = [[-1] * len(alphabet) for _ in range(n)]
-    for no, words in trans_lines:
-        if len(words) != 3:
-            raise ParseError("line %d: expected 'state letter state'" % no)
-        if words[1] not in letter_index:
-            raise ParseError("line %d: letter %r not in the alphabet"
-                             % (no, words[1]))
-        trans[integer(no, words[0], n)][letter_index[words[1]]] = integer(
-            no, words[2], n)
-    for row in trans:
-        if -1 in row:
-            raise ParseError("incomplete transition table")
-    return Dfa(alphabet, trans, initial, accepting)

@@ -1,9 +1,9 @@
-"""Breadth-first search, the one closure walk of the package.
+"""Breadth-first search, the closure walk of the package.
 
 A graph is given by a function from a node to its successors, in order;
 nodes are any hashable values.  Both walks visit the nodes first in first
 out, successors in the order given, so their output order is fixed by
-the graph alone.  Every closure the package computes goes through them:
+the graph alone.  All but two of the package's closures go through them:
 
 - ``reachable``: the reachable and co-accessible states of a DFA, the
   ε-closures of the subset construction, the state pairs reachable in the
@@ -14,8 +14,11 @@ the graph alone.  Every closure the package computes goes through them:
   ``Dfa.minimize`` and the numbering of the residual keys of a class
   language, which need each node's successor positions.
 
-The syntactic closure of ``syntactic_semigroup`` is its own loop: it also
-records each class's word and stops at ``max_elements``.
+Two walks are their own loops.  The syntactic closure of
+``syntactic_semigroup`` also records each class's word and stops at
+``max_elements``.  ``reducibility.simple_path_word`` walks the right
+Cayley graph with a ``deque``, stops at its target and records each
+node's parent, to read the shortest word back.
 """
 
 

@@ -5,8 +5,8 @@ Elements are integers 0..n-1.  A table is a list of n rows of n entries,
 on construction, by Light's test over a generating set: when the
 generating set is known (syntactic semigroups, cyclic semigroups, identity
 adjunction) this costs n^2 per generator, and otherwise the generators are
-all n elements and it is the full n^3 proof, which is what untrusted
-tables (text input, enumeration, the group catalogue) get.  A smaller
+all n elements and it is the full n^3 proof, which is what enumeration,
+the group catalogue and caller-built tables get.  A smaller
 generating set is first checked to generate the table, by the
 breadth-first closure of ``omsemi.graphs`` under right multiplication by
 the generators.  A semigroup
@@ -29,7 +29,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
-                     ParseError, UnboundLetter, listed)
+                     UnboundLetter, listed)
 from .graphs import reachable
 
 
@@ -343,15 +343,6 @@ class GreenClasses:
     j: tuple
     h: tuple
 
-    def l_class(self, a):
-        for cls in self.l:
-            if a in cls:
-                return cls
-        raise ValueError("element out of range")
-
-    def same_l(self, a, b):
-        return b in self.l_class(a)
-
 
 def _partition_by(keys):
     groups = {}
@@ -421,63 +412,3 @@ def green_classes(S):
     return GreenClasses(r=_partition_by(r_of), l=_partition_by(l_of),
                         j=_partition_by(j_of),
                         h=_partition_by(list(zip(r_of, l_of))))
-
-
-def semigroup_to_text(S):
-    """Dump in the plain text exchange format."""
-    head = [str(S.n)]
-    if S.order is not None:
-        head.append("ordered")
-    if S.identity is not None:
-        head.append("monoid=%d" % S.identity)
-    lines = [" ".join(head)]
-    for row in S.table:
-        lines.append(" ".join(str(v) for v in row))
-    if S.order is not None:
-        lines.append("order:")
-        for i, j in sorted(S.order):
-            if i != j:
-                lines.append("%d<=%d" % (i, j))
-    return "\n".join(lines) + "\n"
-
-
-def semigroup_from_text(text):
-    """Parse the plain text exchange format; malformed text raises
-    ParseError naming its line."""
-    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
-            if ln.strip()]
-    if not rows:
-        raise ParseError("no header line")
-
-    def ints(no, fields):
-        try:
-            return [int(v) for v in fields]
-        except ValueError:
-            raise ParseError("line %d: expected integers" % no) from None
-
-    no, head = rows[0]
-    n = ints(no, head[:1])[0]
-    if n < 1:
-        raise ParseError("line %d: order must be at least 1" % no)
-    identity = None
-    for tok in head[1:]:
-        if tok.startswith("monoid="):
-            identity = ints(no, [tok[len("monoid="):]])[0]
-            if not 0 <= identity < n:
-                raise ParseError("line %d: identity out of range" % no)
-    if len(rows) <= n:
-        raise ParseError("line %d: expected %d table rows"
-                         % (rows[-1][0], n))
-    table = [ints(no, fields) for no, fields in rows[1:1 + n]]
-    order = None
-    rest = rows[1 + n:]
-    if rest and rest[0][1] == ["order:"]:
-        order = []
-        for no, fields in rest[1:]:
-            pair = ints(no, "".join(fields).split("<="))
-            if len(pair) != 2:
-                raise ParseError("line %d: expected an order pair i<=j" % no)
-            order.append(tuple(pair))
-    elif "ordered" in head[1:] and not rest:
-        order = []
-    return FiniteSemigroup(table, order=order, identity=identity)

@@ -240,13 +240,22 @@ def test_verify_paper_text_mode():
     assert "section 6 overall: PASS (12 checks)" in r.stdout
 
 
-def test_verify_paper_text_is_pinned():
-    # sha256 of the text report, recorded before the walks of dfa,
-    # syntactic, semigroup and groups_catalog moved to omsemi.graphs
-    r = run_cli("verify-paper")
+@pytest.mark.parametrize("argv,digest", [
+    # the text report, recorded before the walks of dfa, syntactic,
+    # semigroup and groups_catalog moved to omsemi.graphs
+    (["verify-paper"],
+     "7ecf0461fb92241828ba9abd2b7344405953d3212bec14f21c30af0548a839eb"),
+    # the JSON reports, recorded while section 6 still checked "q p L q^2 p"
+    # on Green's L-classes rather than as two identities
+    (["verify-paper", "--json", "-"],
+     "25d62340e3b8191383344694bc12a5252c9dc74023388fa05cabf85a8560017b"),
+    (["verify-paper", "--section", "6", "--cr-bound", "5", "--json", "-"],
+     "5d56d524fda7e97322eba9341d72555e61f2727f49af00632d3658934d5c25ef"),
+], ids=["text", "json", "section-6-bound-5-json"])
+def test_verify_paper_text_is_pinned(argv, digest):
+    r = run_cli(*argv)
     assert r.returncode == 0
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
-        "7ecf0461fb92241828ba9abd2b7344405953d3212bec14f21c30af0548a839eb")
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_verify_paper_single_section_json_file(tmp_path):

@@ -5,12 +5,13 @@ and the minimised trimmed one (oracles in util)."""
 
 from hypothesis import assume, given, settings, strategies as st
 
-from omsemi.dfa import Dfa, dfa_to_text
+from omsemi.dfa import Dfa
 from omsemi.errors import SizeTooLarge
 from omsemi.syntactic import syntactic_semigroup
 
 from test_kernel import MAX_CLASSES, presentations
-from util import full_class_language, moore_minimize, trimmed_class_language
+from util import (full_class_language, moore_minimize, same_dfa,
+                  trimmed_class_language)
 
 minimize_settings = settings(max_examples=200, deadline=None,
                              derandomize=True)
@@ -27,11 +28,6 @@ def any_dfas(draw):
     row = st.lists(state, min_size=len(alphabet), max_size=len(alphabet))
     transitions = draw(st.lists(row, min_size=n, max_size=n))
     return Dfa(alphabet, transitions, draw(state), draw(st.sets(state)))
-
-
-def same_dfa(d1, d2):
-    return (d1.alphabet, d1.transitions, d1.initial, d1.accepting) == (
-        d2.alphabet, d2.transitions, d2.initial, d2.accepting)
 
 
 @minimize_settings
@@ -56,9 +52,9 @@ def test_hopcroft_edge_cases():
 
 def assert_class_languages_match_oracles(sp):
     for e in range(len(sp.elements)):
-        text = dfa_to_text(sp.class_language(e))
-        assert text == dfa_to_text(full_class_language(sp, e))
-        assert text == dfa_to_text(trimmed_class_language(sp, e))
+        d = sp.class_language(e)
+        assert same_dfa(d, full_class_language(sp, e))
+        assert same_dfa(d, trimmed_class_language(sp, e))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

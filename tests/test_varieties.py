@@ -4,7 +4,7 @@ import pytest
 
 from omsemi.enumeration import enumerate_semigroups
 from omsemi.errors import SizeTooLarge, UnsupportedPrimePower
-from omsemi.semigroup import FiniteSemigroup, GeneratorMap
+from omsemi.semigroup import FiniteSemigroup, GeneratorMap, green_classes
 from omsemi.groups_catalog import all_groups_up_to_24
 from omsemi.terms import (
     Concat,
@@ -255,6 +255,22 @@ def test_cr_semigroups_match_identity_filter():
         assert [S.table for S in cr_semigroups(bound)] == \
             [t for t in cr if len(t) <= bound]
     assert len(cr_semigroups(5)) == 438
+
+
+def test_cr_l_equivalence_is_two_omega_identities():
+    # in a completely regular semigroup a L b iff a b^w = a and b a^w = b,
+    # which lets section 6 check "q p L q^2 p" as two identities;
+    # cr_semigroups(5) holds cr_semigroups(4) as its first members
+    pairs = 0
+    for S in cr_semigroups(5):
+        l_class = {a: cls for cls in green_classes(S).l for a in cls}
+        for a in range(S.n):
+            for b in range(S.n):
+                absorbs = (S.table[a][S.omega_plus_k(b, 0)] == a
+                           and S.table[b][S.omega_plus_k(a, 0)] == b)
+                assert absorbs == (b in l_class[a])
+                pairs += 1
+    assert pairs == 10031
 
 
 def test_check_identity_dispatch():

@@ -453,6 +453,11 @@ def recursive_expand_for_factors(t, k):
 # omsemi.syntactic, kept as oracles
 
 
+def same_dfa(d1, d2):
+    return (d1.alphabet, d1.transitions, d1.initial, d1.accepting) == (
+        d2.alphabet, d2.transitions, d2.initial, d2.accepting)
+
+
 def moore_minimize(d):
     """The minimal DFA of d by Moore partition refinement, renumbered by
     breadth-first search from the initial state."""
