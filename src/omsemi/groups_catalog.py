@@ -92,11 +92,8 @@ def symmetric_group(k):
     return _closure_group([swap, cycle], _perm_compose)
 
 
-def alternating_group(k):
-    if k <= 2:
-        return cyclic_group(1)
-    if k == 3:
-        return cyclic_group(3)
+def alternating_group():
+    """A4: the even permutations of four points."""
     return _closure_group([(1, 2, 0, 3), (1, 0, 3, 2)], _perm_compose)
 
 
@@ -207,7 +204,7 @@ def all_groups_up_to_24():
         elif n == 12:
             entries.append(("C6xC2", _prod(C(6), C(2))))
             entries.append(("D6", dihedral_group(6)))
-            entries.append(("A4", alternating_group(4)))
+            entries.append(("A4", alternating_group()))
             entries.append(("Dic3", dicyclic_group(3)))
         elif n == 14:
             entries.append(("D7", dihedral_group(7)))
@@ -244,7 +241,7 @@ def all_groups_up_to_24():
             entries.append(("C6xC2xC2", _prod(C(6), C(2), C(2))))
             entries.append(("S4", symmetric_group(4)))
             entries.append(("SL23", special_linear_2_3()))
-            entries.append(("A4xC2", _prod(alternating_group(4), C(2))))
+            entries.append(("A4xC2", _prod(alternating_group(), C(2))))
             entries.append(("D12", dihedral_group(12)))
             entries.append(("Dic6", dicyclic_group(6)))
             entries.append(("C3:C8", semidirect_cyclic(3, 8, 2)))

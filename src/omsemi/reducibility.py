@@ -407,7 +407,7 @@ def verify_groups_counterexample():
 
     a = sp.classof("a")
     report.add("class of a is the singleton {a}", ["a"],
-               _finite_class_words(sp, a, 6))
+               _finite_class_words(sp, a))
     report.add("[a]^4 = [a]^3", True,
                sp.classof("aaaa") == sp.classof("aaa"))
     report.add("[b]^2 = [b]", True, sp.classof("bb") == sp.classof("b"))
@@ -446,7 +446,7 @@ def verify_cr_counterexample(bound=4):
 
     a2b = sp.classof("aab")
     report.add("class of a^2 b is the singleton {a^2 b}", ["aab"],
-               _finite_class_words(sp, a2b, 6))
+               _finite_class_words(sp, a2b))
     report.add("[a^2 b]^4 = [a^2 b]^3", True,
                sp.classof("aab" * 4) == sp.classof("aab" * 3))
     report.add("[a b^2]^2 = [a b^2]", True,
@@ -489,8 +489,11 @@ def verify_cr_counterexample(bound=4):
     return report
 
 
-def _finite_class_words(sp, element, max_len):
+def _finite_class_words(sp, element):
+    """Every word of the class language of element, or None if it is
+    infinite: a word of a finite language is shorter than the number of
+    states."""
     d = sp.class_language(element)
     if not is_finite_language(d):
         return None
-    return enumerate_accepted(d, max_len)
+    return enumerate_accepted(d, d.n_states)

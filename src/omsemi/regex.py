@@ -8,12 +8,13 @@ and ``(|a)`` are both valid.
 `parse_regex` reads the text in one pass with a stack of the open groups,
 each a list of branches and each branch a list of factors, so it does not
 recurse either.  Parentheses nest at most NESTING_DEPTH_CAP deep, in terms
-too, and deeper text raises ParseError.  The parsers would not need the
-cap; it is kept because the dataclass-generated ``__eq__``, ``__hash__``
-and ``__repr__`` of the nodes recurse, and it stops parentheses from
-making trees deep for them.  It does not bound the left-nested
+too, and deeper text raises ParseError.  The dataclass-generated
+``__eq__``, ``__hash__`` and ``__repr__`` of the nodes recurse, but no
+package code calls them: `dfa_to_regex` never compares labels.  The cap
+protects callers who compare or print trees, as parentheses cannot make
+trees deep for those three methods.  It does not bound the left-nested
 concatenations of a long word: a word of a few hundred letters is already
-too deep for those three methods.
+too deep for them.
 
 Every walk over a regex tree (its alphabet, the Thompson automaton, the
 concrete syntax) is a fold over `_postorder`, the node list with each
@@ -185,33 +186,12 @@ def format_regex(r):
     return out[0][0]
 
 
-def _alt(a, b):
-    """Union with None standing for the empty language."""
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    return Union(a, b)
-
-
 def _cat(a, b):
-    if a is None or b is None:
-        return None
     if isinstance(a, Empty):
         return b
     if isinstance(b, Empty):
         return a
     return Concat(a, b)
-
-
-def _star(a):
-    if a is None or isinstance(a, Empty):
-        return Empty()
-    if isinstance(a, Star):
-        return a
-    if isinstance(a, Plus):
-        return Star(a.body)
-    return Star(a)
 
 
 def dfa_to_regex(d):
@@ -221,7 +201,18 @@ def dfa_to_regex(d):
     states in index order; the output is deterministic in the input.
     Only the states from which acceptance is reachable get edges and are
     eliminated: no path through another state reaches the accepting end,
-    so the trees built for it would all be thrown away."""
+    so the trees built for it would all be thrown away.
+
+    Why no label is ever compared or simplified:
+    - every edge label denotes a nonempty set of words;
+    - the automaton is deterministic, so a word fixes the states its run
+      passes through, and the words that take i to j through k are
+      disjoint from those that avoid k: the two labels `put` joins are
+      never equal, so the expression is unambiguous (Book, Even,
+      Greibach & Ott, "Ambiguity in graphs and expressions", 1971);
+    - an ``Empty`` label sits only on an edge out of the start or into
+      the accepting end, so a self-loop's label is never ``Empty``,
+      ``Star`` or ``Plus`` and starring it needs no case."""
     n = d.n_states
     start, accept = n, n + 1
     useful = sorted(d.coaccessible_states())
@@ -229,7 +220,7 @@ def dfa_to_regex(d):
     edges = {}
 
     def put(i, j, r):
-        edges[i, j] = _alt(edges.get((i, j)), r)
+        edges[i, j] = Union(edges[i, j], r) if (i, j) in edges else r
 
     for q in useful:
         for ch, r in zip(d.alphabet, d.transitions[q]):
@@ -241,14 +232,15 @@ def dfa_to_regex(d):
         put(q, accept, Empty())
 
     for k in useful:
-        loop = _star(edges.pop((k, k), None))
+        loop = edges.pop((k, k), None)
         into = [(i, r) for (i, j), r in edges.items() if j == k]
-        out = [(j, r) for (i, j), r in edges.items() if i == k]
+        out = [(j, r if loop is None else _cat(Star(loop), r))
+               for (i, j), r in edges.items() if i == k]
         for i, _ in into:
             edges.pop((i, k))
         for j, _ in out:
             edges.pop((k, j))
         for i, rin in into:
             for j, rout in out:
-                put(i, j, _cat(rin, _cat(loop, rout)))
+                put(i, j, _cat(rin, rout))
     return edges.get((start, accept))

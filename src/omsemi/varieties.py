@@ -169,15 +169,11 @@ def check_identity(variety, lhs, rhs, leq=False):
                              else _WITNESSES[variety](u, v))
     elif variety == "jplus":
         u, v = _jplus_word(lhs), _jplus_word(rhs)
-        if leq:
-            result["verdict"] = jplus_leq(u, v)
-        else:
-            result["verdict"] = jplus_leq(u, v) and jplus_leq(v, u)
-        if not result["verdict"]:
-            bad = u if not jplus_leq(u, v) else v
-            result["witness"] = {"obstruction_word": bad}
-        else:
-            result["witness"] = None
+        # the witness is the first side that does not embed in the other
+        pairs = [(u, v)] if leq else [(u, v), (v, u)]
+        result["witness"] = next(({"obstruction_word": w} for w, x in pairs
+                                  if not jplus_leq(w, x)), None)
+        result["verdict"] = result["witness"] is None
     elif variety.startswith("cr:"):
         try:
             bound = int(variety.split(":", 1)[1])

@@ -106,7 +106,7 @@ def test_iso_basic_negatives():
 
 def test_closure_construction_sizes():
     assert symmetric_group(4).n == 24
-    assert alternating_group(4).n == 12
+    assert alternating_group().n == 12
     assert special_linear_2_3().n == 24
     assert pauli_group().n == 16
 

@@ -3,31 +3,18 @@
 language read off the table equals the minimised full Cayley automaton
 and the minimised trimmed one (oracles in util)."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from omsemi.dfa import Dfa
 from omsemi.errors import SizeTooLarge
 from omsemi.syntactic import syntactic_semigroup
 
 from test_kernel import MAX_CLASSES, presentations
-from util import (full_class_language, moore_minimize, same_dfa,
+from util import (any_dfas, full_class_language, moore_minimize, same_dfa,
                   trimmed_class_language)
 
 minimize_settings = settings(max_examples=200, deadline=None,
                              derandomize=True)
-
-
-@st.composite
-def any_dfas(draw):
-    """A complete DFA of 1-8 states over {a, b} or {a, b, c}, with any
-    initial state and any accepting set, so some have unreachable states,
-    no accepting state or only accepting states."""
-    alphabet = draw(st.sampled_from(["ab", "abc"]))
-    n = draw(st.integers(1, 8))
-    state = st.integers(0, n - 1)
-    row = st.lists(state, min_size=len(alphabet), max_size=len(alphabet))
-    transitions = draw(st.lists(row, min_size=n, max_size=n))
-    return Dfa(alphabet, transitions, draw(state), draw(st.sets(state)))
 
 
 @minimize_settings

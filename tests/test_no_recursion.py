@@ -7,13 +7,24 @@ enumeration's search by one loop over the table cells.
 
 The cycle guard reads each module's call graph from its source, with no
 exemption list: a call by plain name goes to the module's functions of
-that name, and a self./cls. call to its classes' methods of that name."""
+that name, and a self./cls. call to its classes' methods of that name.
+
+The ``__eq__``, ``__hash__`` and ``__repr__`` that ``dataclass``
+generates for the regex and term nodes do recurse, so no package path
+may call them: the tree-method guard makes all three raise on every node
+class and runs the CLI commands and the bounded search through them."""
 
 import ast
 import pathlib
 
+import pytest
+
 import omsemi
+from omsemi import cli, regex, terms
 from omsemi.graphs import reachable
+from omsemi.reducibility import (COM_LANGUAGE, CR_LANGUAGE, GROUPS_LANGUAGE,
+                                 bounded_omega_solution_search,
+                                 syntactic_solution_triple)
 
 
 def _call_graph(tree):
@@ -81,3 +92,51 @@ def test_guard_sees_call_graph_cycles():
                      "def h():\n    def go(n):\n        return go(n - 1)\n")
     assert _cycles(_call_graph(tree)) == [
         ("A.a", "A.b", "A.c"), ("B.m",), ("f", "g"), ("h.go",), ("s",)]
+
+
+NODE_CLASSES = (regex.Empty, regex.Sym, regex.Union, regex.Concat,
+                regex.Star, regex.Plus, terms.Letter, terms.Concat,
+                terms.OmegaPower, terms.PrimeOmegaPower, terms.FinitePower)
+
+# (argv, exit code): every command, on the paper's languages and on each
+# variety; check exits 1 on a false verdict
+COMMANDS = (
+    [(["syn", lang, "--order", "--green", "--classes"], 0)
+     for lang in (COM_LANGUAGE, GROUPS_LANGUAGE, CR_LANGUAGE)]
+    + [(["verify-paper"], 0)]
+    + [(["check", "--variety", variety, "--lhs", lhs, "--rhs", rhs], code)
+       for variety, lhs, rhs, code in (
+           ("ab", "x y", "y x", 0), ("com", "x^w", "x", 1),
+           ("g", "x y", "y x", 1), ("cr:3", "(y x) (y^2 x)^w", "y x", 0),
+           ("jplus", "x y x", "x y", 1))]
+    + [(["check", "--variety", "jplus", "--lhs", "x y", "--rhs", "x x y",
+         "--leq"], 0)]
+    + [(["eval", "--regex", "b*ab*", "--term", "(x y)^w",
+         "--map", "x=a,y=b"], 0),
+       (["reduce", "jplus", "--regex", "b*ab*", "--u", "a", "--v", "b a b"],
+        0),
+       (["enum", "3", "--identity", "x y = y x"], 0)])
+
+
+def test_no_package_path_calls_generated_tree_methods(monkeypatch, capsys):
+    def tripwire(name):
+        def trip(self, *args):
+            raise AssertionError("%s.%s called" % (type(self).__name__, name))
+        return trip
+
+    for cls in NODE_CLASSES:
+        for name in ("__eq__", "__hash__", "__repr__"):
+            monkeypatch.setattr(cls, name, tripwire(name))
+    for call in (lambda: regex.Sym("a") == regex.Sym("a"),
+                 lambda: hash(terms.Letter("x")), lambda: repr(regex.Empty())):
+        with pytest.raises(AssertionError):
+            call()
+
+    for argv, code in COMMANDS:
+        assert cli.main(argv) == code, argv
+    capsys.readouterr()
+    triple = syntactic_solution_triple(
+        COM_LANGUAGE, {"x": "a", "y": "b"},
+        "y (x y^2)^(w-1)", "(x^2 y)^(w-1) x")
+    assert bounded_omega_solution_search(triple, "com", max_size=10,
+                                         offsets=(0, -1)) is not None

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from omsemi.errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
                            ParseError)
@@ -25,7 +26,7 @@ from omsemi.regex import (
     regex_alphabet,
 )
 
-from util import same_dfa
+from util import any_dfas, same_dfa
 
 
 def naive_matches(r, w, memo=None):
@@ -278,19 +279,25 @@ def test_format_regex_inverts_parse():
         assert languages_equal(d1, d2)
 
 
-def test_dfa_to_regex_roundtrip():
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_dfas())
+def test_dfa_to_regex_roundtrip(d):
     from omsemi.regex import dfa_to_regex, format_regex
-    rng = random.Random(92)
-    for _ in range(200):
-        n = rng.randrange(1, 7)
-        trans = [[rng.randrange(n) for _ in "ab"] for _ in range(n)]
-        accepting = {q for q in range(n) if rng.random() < 0.5}
-        d = Dfa("ab", trans, 0, accepting).minimize()
-        r = dfa_to_regex(d)
-        if r is None:
-            assert is_empty(d)
-            continue
-        assert languages_equal(d, compile_min_dfa(format_regex(r), "ab"))
+    r = dfa_to_regex(d)
+    if r is None:
+        assert is_empty(d)
+    else:
+        assert languages_equal(
+            d, compile_min_dfa(format_regex(r), d.alphabet))
+
+
+def test_dfa_to_regex_of_a_long_cycle():
+    # a^333 (a^400)*: eliminating the cycle nests the label hundreds deep
+    from omsemi.regex import dfa_to_regex, format_regex
+    d = Dfa("ab", [[(q + 1) % 400, 400] for q in range(400)] + [[400, 400]],
+            0, {333})
+    assert languages_equal(
+        d, compile_min_dfa(format_regex(dfa_to_regex(d)), "ab"))
 
 
 def test_dfa_to_regex_empty_language():

@@ -282,6 +282,9 @@ def test_check_identity_dispatch():
     assert r["verdict"] is False and r["witness"]["group"] == "S3"
     r = check_identity("jplus", "xy", "xxy", leq=True)
     assert r["verdict"] is True
+    r = check_identity("jplus", "x y x", "x y", leq=True)
+    assert r["verdict"] is False
+    assert r["witness"] == {"obstruction_word": "xyx"}
     r = check_identity("jplus", "xy", "xxy")
     assert r["verdict"] is False
     assert r["witness"] == {"obstruction_word": "xxy"}

@@ -2,6 +2,8 @@
 
 import itertools
 
+from hypothesis import strategies as st
+
 from omsemi.graphs import reachable
 from omsemi.groups_catalog import all_groups_up_to_24
 from omsemi.semigroup import FiniteSemigroup
@@ -731,3 +733,17 @@ def _extends_to_isomorphism(G, H, gens, images):
         return False
     return all(phi[G.table[a][b]] == H.table[phi[a]][phi[b]]
                for a in range(G.n) for b in range(G.n))
+
+
+@st.composite
+def any_dfas(draw):
+    """A complete DFA of 1-8 states over {a, b} or {a, b, c}, with any
+    initial state and any accepting set, so some have unreachable states,
+    no accepting state or only accepting states."""
+    from omsemi.dfa import Dfa
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    row = st.lists(state, min_size=len(alphabet), max_size=len(alphabet))
+    transitions = draw(st.lists(row, min_size=n, max_size=n))
+    return Dfa(alphabet, transitions, draw(state), draw(st.sets(state)))
