@@ -1,11 +1,18 @@
 """Identity decision procedures for the varieties with finite normal forms
 (abelian groups, commutative semigroups, groups, subword-ordered monoids)
-plus an enumeration-backed sampler for completely regular semigroups.
+plus the completely regular semigroups up to a bound on the order.
 
 Abelian groups (ab), commutative semigroups (com) and groups (g) are
 decided by `terms.normal_form`, whose steps are defined once per variety
 in `terms.VARIETY_STEPS`; `check_identity` pairs each of the three with
-its pool of separating structures."""
+its pool of separating structures.
+
+The completely regular sample of order <= N is enumerated, and an
+identity is decided on its core (`cr_core`): the few subdirectly
+irreducible members that embed in no other.  An identity that fails in
+some member fails in one of them."""
+
+from itertools import combinations, permutations
 
 from .enumeration import enumerate_semigroups
 from .errors import ParseError, SizeTooLarge
@@ -24,6 +31,7 @@ from .terms import (
 from .words import scattered_subword
 
 _CR_CACHE = {}
+_CORE_CACHE = {}
 
 
 def ab_satisfies(u, v):
@@ -76,24 +84,106 @@ def cr_semigroups(bound):
     return _CR_CACHE[bound]
 
 
+def cr_core(bound):
+    """The core of cr_semigroups(bound), computed once per bound: the
+    subdirectly irreducible members that are not isomorphic to a proper
+    subsemigroup of another subdirectly irreducible member, in pool order.
+
+    An identity holds in every member iff it holds in the core.  A finite
+    semigroup is a subdirect product of its subdirectly irreducible
+    quotients (Birkhoff, "Subdirect unions in universal algebra", Bull.
+    AMS 1944), omega-identities pass to quotients, subsemigroups and finite
+    products (Almeida, "Finite Semigroups and Universal Algebra", 1994),
+    and the pool holds every quotient and subsemigroup of its members up
+    to isomorphism.  So a failure in a member is a failure in one of its
+    subdirectly irreducible quotients, and so in a core member that holds
+    a copy of it.  Pool tables are their class's least relabelling in
+    row-major order, so a subsemigroup is matched by its own least
+    relabelling."""
+    if bound not in _CORE_CACHE:
+        irreducible = [S for S in cr_semigroups(bound)
+                       if _subdirectly_irreducible(S.table)]
+        embedded = set()
+        for S in irreducible:
+            embedded |= _proper_subsemigroup_tables(S.table)
+        _CORE_CACHE[bound] = [S for S in irreducible
+                              if tuple(map(tuple, S.table)) not in embedded]
+    return _CORE_CACHE[bound]
+
+
+def _subdirectly_irreducible(t):
+    """Do the congruences other than equality meet in one other than
+    equality?  Each of them holds a principal congruence theta(a, b) with
+    a != b, so it is enough to meet those: two elements related in every
+    one share their tuple of class labels."""
+    n = len(t)
+    labels = [_principal_congruence(t, a, b)
+              for a, b in combinations(range(n), 2)]
+    return n > 1 and len(set(zip(*labels))) < n
+
+
+def _principal_congruence(t, a, b):
+    """Each element's class label in theta(a, b), the least congruence
+    relating a and b: merging two classes relates the left and right
+    multiples of the pair that merged them."""
+    label = list(range(len(t)))
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        old, new = label[x], label[y]
+        if old != new:
+            label = [new if c == old else c for c in label]
+            pending += [(row[x], row[y]) for row in t]
+            pending += zip(t[x], t[y])
+    return label
+
+
+def _proper_subsemigroup_tables(t):
+    """The least relabelling, in row-major order, of every proper
+    subsemigroup of t with at least two elements."""
+    found = set()
+    for k in range(2, len(t)):
+        for sub in combinations(range(len(t)), k):
+            if all(t[x][y] in sub for x in sub for y in sub):
+                found.add(min(
+                    tuple(tuple(rank[t[x][y]] for y in order)
+                          for x in order)
+                    for order in permutations(sub)
+                    for rank in [{s: i for i, s in enumerate(order)}]))
+    return found
+
+
 def cr_sample_satisfies(u, v, bound=4):
-    """Necessary-condition sampler: does u = v hold in every completely
-    regular semigroup of order <= bound under every assignment?"""
+    """Does u = v hold in every completely regular semigroup of order
+    <= bound under every assignment?  Decided exactly on cr_core(bound)."""
     return cr_witness(u, v, bound) is None
 
 
 def cr_witness(u, v, bound=4):
+    """The first member of cr_semigroups(bound) in which u = v fails, as a
+    witness with the first failing assignment there, or None when u = v
+    holds in all of them.  The verdict is decided on cr_core(bound); only
+    a failure goes on to the whole pool, so the witness does not depend
+    on the core."""
+    if all(find_identity_failure(S, u, v) is None for S in cr_core(bound)):
+        return None
     for S in cr_semigroups(bound):
         bad = find_identity_failure(S, u, v)
         if bad is not None:
             return _semigroup_witness(S, bad, u, v)
-    return None
 
 
 def ab_witness(u, v):
-    """A separating abelian group among the cyclic groups of order <= 12."""
+    """The cyclic group C_m of least order m >= 2 that separates u and v,
+    with one letter at its generator and the others at the identity.
+    C_m separates them iff m does not divide some letter's exponent
+    difference d, and m = |d| + 1 never does, so the moduli stop there;
+    an ab-equal pair has no difference and gets None.  A prime-omega power
+    raises UnsupportedPrimePower, as in ab_satisfies."""
     alphabet = sorted(term_alphabet(u) | term_alphabet(v))
-    for m in range(2, 13):
+    lhs, rhs = dict(normal_form("ab", u)), dict(normal_form("ab", v))
+    gap = max(abs(lhs.get(ch, 0) - rhs.get(ch, 0)) for ch in alphabet)
+    for m in range(2, gap + 2):
         G = FiniteSemigroup.cyclic(1, m)
         witness = _single_letter_witness(G, alphabet, u, v)
         if witness is not None:
@@ -175,10 +265,10 @@ def check_identity(variety, lhs, rhs, leq=False):
                                   if not jplus_leq(w, x)), None)
         result["verdict"] = result["witness"] is None
     elif variety.startswith("cr:"):
-        try:
-            bound = int(variety.split(":", 1)[1])
-        except ValueError:
+        digits = variety[3:]
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad bound in variety tag {variety!r}")
+        bound = int(digits)
         u, v = parse_term(lhs), parse_term(rhs)
         result["witness"] = cr_witness(u, v, bound)
         result["verdict"] = result["witness"] is None

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from omsemi import cli
+
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "omsemi.cli", *argv],
@@ -167,6 +169,58 @@ def test_check_group_witness_is_pinned():
     assert r.returncode == 1
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
         "65978b558aef471d6fb48bd6ba8275536771e5923e312a64791fe0520665a3bb")
+
+
+# sha256 of the stdout, recorded while cr:N was still decided on every
+# member of the sample: true verdicts, including section 6's identities,
+# and false ones whose witness tables have orders 2 to 5.  Run through
+# cli.main in this process, so the order-5 sample is enumerated once.
+@pytest.mark.parametrize("variety,lhs,rhs,code,digest", [
+    ("cr:3", "x^2", "x", 1,
+     "26987d424fa6341fc8719992ca55d88fd22d75c19aa56e69fd63d97d0a547d8d"),
+    ("cr:3", "x^(w+1)", "x", 0,
+     "d0bb7338649dfcdd930c5b995a6e484ec7e2073f0327ad974863ec6eee335c6e"),
+    ("cr:4", "(x^2 y)^(w-1) (x y^2)^w (x^2 y)^2", "x^2 y", 0,
+     "af2474bd84a0bbe4a4359d00c94a7d741259b67e0b0f76041920e9635b76eca6"),
+    ("cr:4", "(y x) (y^2 x)^w", "y x", 0,
+     "c1351dc2e28ae6b2d25ddebfbb6984a6dbf864a1c868d7d51a30446608681c0e"),
+    ("cr:4", "x^2", "x", 1,
+     "c61d835f1858088b7f056d411d9b8ead9427b6b9ebf21e187fe2ed651ac81cbc"),
+    ("cr:4", "x y", "y x", 1,
+     "0f3f4999df2cc90da08befcab445118279856d5e5ffeea0f5d818fa351584d6b"),
+    ("cr:4", "x^(2^w)", "x^w", 1,
+     "e8480f04e86f8a489fd36fdd329160074695d76ccdaff8def838715caec37917"),
+    ("cr:4", "x^3", "x", 1,
+     "f08f327205f307e85cc865cf1c8c0b151655ccdd81fec01e2e1401131e105868"),
+    ("cr:5", "(x^2 y)^(w-1) (x y^2)^w (x^2 y)^2", "x^2 y", 0,
+     "49ba0abebe2d8d20abf0352907a5b7c45be6aa699b1d45048211f424025d4010"),
+    ("cr:5", "(y^2 x) (y x)^w", "y^2 x", 0,
+     "6360e653263cc55da8eb6e8cfe92816c0d10484db2f845e9e07913941ad53ab1"),
+    ("cr:5", "x^2", "x", 1,
+     "374f10c56e953065c7448f2dd81caa608f42112a0d71dfcee6077b9bb2545399"),
+    ("cr:5", "x^w y^w", "(x y)^w", 1,
+     "fee3489116e4d2c5df63ab1274c473a1f0c4545081c7191bb084b76b9aa70b1d"),
+    ("cr:5", "x^12", "x^w", 1,
+     "01d4d0065aab480dba2ffae2e514991479b4718c6821b00b162125fa6aa9f9a0"),
+    ("cr:5", "(x y z)^w", "(x z y)^w", 1,
+     "ed266b6f4fa3e82b1fbd129408f75e4b03063de423f597f8c6c3f300b447c4d8"),
+])
+def test_check_cr_output_is_pinned(capsys, variety, lhs, rhs, code, digest):
+    assert cli.main(["check", "--variety", variety, "--lhs", lhs,
+                     "--rhs", rhs]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("variety", [
+    "cr:\u0664", "cr: 4", "cr:+4", "cr:0_4", "cr:", "cr:x"])
+def test_check_malformed_cr_bound_exits_2(capsys, variety):
+    # int() would read the first four as 4
+    assert cli.main(["check", "--variety", variety, "--lhs", "x",
+                     "--rhs", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad bound in variety tag %r\n" % variety
 
 
 def test_check_jplus_leq():

@@ -1,6 +1,10 @@
 import random
+from dataclasses import replace
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omsemi.enumeration import enumerate_semigroups
 from omsemi.errors import SizeTooLarge, UnsupportedPrimePower
@@ -8,6 +12,8 @@ from omsemi.semigroup import FiniteSemigroup, GeneratorMap, green_classes
 from omsemi.groups_catalog import all_groups_up_to_24
 from omsemi.terms import (
     Concat,
+    FinitePower,
+    Letter,
     OmegaPower,
     eval_term,
     parse_term,
@@ -19,6 +25,7 @@ from omsemi.varieties import (
     check_identity,
     com_satisfies,
     com_witness,
+    cr_core,
     cr_sample_satisfies,
     cr_semigroups,
     cr_witness,
@@ -27,7 +34,7 @@ from omsemi.varieties import (
     jplus_leq,
 )
 
-from util import random_term
+from util import full_pool_cr_witness, random_term
 
 P = parse_term
 
@@ -273,6 +280,104 @@ def test_cr_l_equivalence_is_two_omega_identities():
     assert pairs == 10031
 
 
+def _cr_rewrite(rng, t):
+    """A term equal to t in every completely regular semigroup, by one
+    rewrite at a random node: s -> s^(w+1), s^(w+k) -> s^(w+k-1) s or
+    s s^(w+k-1), s^(w+k) <-> s^k for k >= 1, and
+    (s r)^(w+1) -> s (r s)^w r."""
+    if type(t) is Concat and rng.random() < 0.7:
+        if rng.random() < 0.5:
+            return Concat(_cr_rewrite(rng, t.left), t.right)
+        return Concat(t.left, _cr_rewrite(rng, t.right))
+    if type(t) not in (Letter, Concat) and rng.random() < 0.4:
+        return replace(t, base=_cr_rewrite(rng, t.base))
+    moves = [OmegaPower(t, 1)]
+    if type(t) is OmegaPower:
+        s, k = t.base, t.k
+        moves += [Concat(OmegaPower(s, k - 1), s),
+                  Concat(s, OmegaPower(s, k - 1))]
+        if k >= 1:
+            moves.append(FinitePower(s, k))
+        if k == 1 and type(s) is Concat:
+            moves.append(Concat(s.left, Concat(
+                OmegaPower(Concat(s.right, s.left), 0), s.right)))
+    if type(t) is FinitePower:
+        moves.append(OmegaPower(t.base, t.m))
+    return rng.choice(moves)
+
+
+def _core_against_full_pool(rng, rewrite, bound, alphabet):
+    # prime-omega and omega-1 powers included; a rewrite must hold
+    u = random_term(rng, alphabet, offsets=(0, 1, -1), primes=(2, 3))
+    v = (_cr_rewrite(rng, u) if rewrite
+         else random_term(rng, alphabet, offsets=(0, 1, -1), primes=(2, 3)))
+    witness = cr_witness(u, v, bound)
+    assert witness == full_pool_cr_witness(u, v, bound)
+    if rewrite:
+        assert witness is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([(3, "xyz"), (4, "xy")]))
+def test_cr_core_verdict_equals_full_pool(rng, rewrite, case):
+    _core_against_full_pool(rng, rewrite, *case)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_cr_core_verdict_equals_full_pool_at_bound_five(rng, rewrite):
+    _core_against_full_pool(rng, rewrite, 5, "xy")
+
+
+@lru_cache(maxsize=None)
+def _partitions(n):
+    """Every set partition of range(n), as its restricted growth string."""
+    return [p for p in product(range(n), repeat=n)
+            if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(n))]
+
+
+def _minimal_congruences(t):
+    """The minimal members of the congruences of table t other than
+    equality, found among all set partitions."""
+    n = len(t)
+    congruences = [p for p in _partitions(n) if len(set(p)) < n and all(
+        p[t[a][c]] == p[t[b][c]] and p[t[c][a]] == p[t[c][b]]
+        for a in range(n) for b in range(n) if p[a] == p[b]
+        for c in range(n))]
+
+    def finer(q, p):
+        return q != p and all(p[a] == p[b] for a in range(n)
+                              for b in range(n) if q[a] == q[b])
+
+    return [p for p in congruences
+            if not any(finer(q, p) for q in congruences)]
+
+
+def _embeds(s, t):
+    """Is table s isomorphic to a subsemigroup of table t?"""
+    n = len(s)
+    return any(all(f[s[a][b]] == t[f[a]][f[b]]
+                   for a in range(n) for b in range(n))
+               for f in permutations(range(len(t)), n))
+
+
+def test_cr_core_against_brute_force():
+    assert [len(cr_core(b)) for b in range(2, 6)] == [4, 6, 7, 11]
+    # cr_semigroups(5) holds each smaller sample as its first members
+    irreducible = [S.table for S in cr_semigroups(5)
+                   if len(_minimal_congruences(S.table)) == 1]
+    for bound in range(2, 6):
+        core = [S.table for S in cr_core(bound)]
+        for t in core:
+            assert len(_minimal_congruences(t)) == 1
+        for s, t in permutations(core, 2):
+            assert not _embeds(s, t)
+        for s in irreducible:
+            if len(s) <= bound:
+                assert any(_embeds(s, t) for t in core)
+
+
 def test_check_identity_dispatch():
     r = check_identity("ab", "x y", "y x")
     assert r["verdict"] is True and r["witness"] is None
@@ -302,3 +407,20 @@ def test_ab_witness_example():
     w = ab_witness(P("x"), P("x^2"))
     assert w is not None
     _check_witness(w, P("x"), P("x^2"))
+
+
+def test_ab_witness_past_twelve():
+    # 27720 = lcm(1..12), so the least modulus that separates is 13
+    w = ab_witness(P("x^27721"), P("x"))
+    assert w is not None and w["order"] == 13
+    _check_witness(w, P("x^27721"), P("x"))
+    assert check_identity("ab", "x^27721", "x")["witness"] == w
+    w = ab_witness(P("x^(w+27721) y"), P("y x^(w+1)"))
+    assert w is not None and w["order"] == 13
+
+
+def test_ab_witness_none_on_ab_equal_pairs():
+    for lhs, rhs in [("x y", "y x"), ("x^(w-1) y x", "y"),
+                     ("x^27721 y^w", "y^(w+1) x^27721 y^(w-1)")]:
+        assert ab_satisfies(P(lhs), P(rhs))
+        assert ab_witness(P(lhs), P(rhs)) is None

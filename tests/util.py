@@ -198,6 +198,18 @@ def random_term(rng, alphabet="xy", depth=3, offsets=(0, 1, -1), primes=()):
     return OmegaPower(sub(), rng.choice(offsets))
 
 
+def full_pool_cr_witness(u, v, bound=4):
+    """cr_witness as it was before the core: the first member of the whole
+    completely regular sample, in pool order, where u = v fails."""
+    from omsemi.terms import find_identity_failure
+    from omsemi.varieties import _semigroup_witness, cr_semigroups
+    for S in cr_semigroups(bound):
+        bad = find_identity_failure(S, u, v)
+        if bad is not None:
+            return _semigroup_witness(S, bad, u, v)
+    return None
+
+
 def random_generator_map(rng, S, alphabet="xy"):
     from omsemi.semigroup import GeneratorMap
     return GeneratorMap(S, {ch: rng.randrange(S.n) for ch in alphabet})
