@@ -27,8 +27,11 @@ def enumerate_semigroups(n, predicate=None):
 
     Each class is represented by its lexicographically smallest table, and
     classes come out in lexicographic table order, so the stream is
-    deterministic.  `predicate` may be a callable on semigroups or a pair of
-    terms (lhs, rhs) filtering by the identity lhs = rhs.
+    deterministic.  The semigroups of each order are built once per
+    process, so every call yields the same objects, with the powers they
+    have cached; callers must treat them as read-only.  `predicate` may be
+    a callable on semigroups or a pair of terms (lhs, rhs) filtering by
+    the identity lhs = rhs.
     """
     if not 1 <= n <= 5:
         raise SizeTooLarge(f"can only enumerate orders 1..5, got {n}")
@@ -36,9 +39,8 @@ def enumerate_semigroups(n, predicate=None):
         lhs, rhs = predicate
         predicate = lambda S: satisfies_identity(S, lhs, rhs)
     if n not in _CACHE:
-        _CACHE[n] = _canonical_tables(n)
-    for table in _CACHE[n]:
-        S = FiniteSemigroup(table)
+        _CACHE[n] = [FiniteSemigroup(table) for table in _canonical_tables(n)]
+    for S in _CACHE[n]:
         if predicate is None or predicate(S):
             yield S
 

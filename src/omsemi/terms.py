@@ -23,13 +23,17 @@ and groups (g) are defined once each, as a (letter, concat, power, freeze)
 entry of `VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
 `com_exponents`, `ab_image` and `free_group_normal_form` read its result;
 the bounded search of `reducibility` combines its candidates' forms with
-the same steps.
+the same steps.  com's form maps each letter to a plain (infinite, value)
+pair for its multiplicity in N u (omega+Z); `ExponentValue` is a named
+tuple of the same two fields, so the pairs equal their ExponentValues,
+which `com_exponents` returns.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import (
     DepthCap,
@@ -338,9 +342,12 @@ def satisfies_identity(S, lhs, rhs, mode="equality"):
 # normal forms over ab, com and g
 
 
-@dataclass(frozen=True)
-class ExponentValue:
-    """An exponent in N or omega+Z: Fin(n) or Inf(k) standing for omega+k."""
+class ExponentValue(NamedTuple):
+    """An exponent in N or omega+Z: Fin(n) or Inf(k) standing for omega+k.
+
+    A plain (infinite, value) pair compares and hashes equal to it, so the
+    com normal form is computed over bare pairs and only `com_exponents`
+    builds ExponentValues."""
 
     infinite: bool
     value: int
@@ -379,16 +386,21 @@ def Inf(k):
 
 
 def _add_exponents(left, right):
-    """The multiplicities of l r from the multiplicity dicts of l and r,
-    summed into `left` in place.  Exponents are ints or ExponentValues."""
+    """The ab multiplicities of l r from the int multiplicity dicts of l
+    and r, summed into `left` in place."""
     for ch, e in right.items():
         left[ch] = left[ch] + e if ch in left else e
     return left
 
 
-def _com_power(exps, e, is_omega):
-    step = ExponentValue.omega_compose if is_omega else ExponentValue.scale
-    return {ch: step(x, e) for ch, x in exps.items()}
+def _add_com_exponents(left, right):
+    """The com multiplicities of l r from the (infinite, value) dicts of l
+    and r, summed into `left` in place: omega+i plus n is omega+(i+n)."""
+    get = left.get
+    for ch, e in right.items():
+        old = get(ch)
+        left[ch] = e if old is None else (old[0] or e[0], old[1] + e[1])
+    return left
 
 
 def reduced_concat(left, right):
@@ -425,16 +437,23 @@ def reduced_power(word, k):
 # l r (it may extend l in place, so a fold stays linear in the word), and
 # power(l, e, is_omega) for l^(w+e) or, when is_omega is false, l^e.
 # freeze(f) is the canonical hashable form: two terms are equal over the
-# variety iff their frozen forms are.  ab and com keep letter
-# multiplicities, in Z and in N u (omega+Z), and freeze them sorted, ab
-# without zeros; g keeps the reduced signed word, whose omega part
-# vanishes in any group, and freezes it as a tuple.
+# variety iff their frozen forms are.  ab keeps the letter multiplicities
+# in Z and freezes them sorted without zeros.  com keeps them in
+# N u (omega+Z) as plain (infinite, value) pairs, each equal to its
+# ExponentValue, and freezes them sorted; an omega power makes every
+# letter infinite.  ExponentValue.omega_compose's Fin(0) branch cannot
+# arise here: a multiplicity starts at 1, finite powers are >= 1
+# (FinitePower.__post_init__) and sums only grow, so every letter present
+# has a nonzero finite count or is infinite.  g keeps the reduced signed
+# word, whose omega part vanishes in any group, and freezes it as a tuple.
 VARIETY_STEPS = {
     "ab": (lambda ch: {ch: 1}, _add_exponents,
            lambda exps, e, is_omega: {ch: m * e for ch, m in exps.items()},
            lambda exps: tuple(sorted((ch, m) for ch, m in exps.items()
                                      if m))),
-    "com": (lambda ch: {ch: Fin(1)}, _add_exponents, _com_power,
+    "com": (lambda ch: {ch: (False, 1)}, _add_com_exponents,
+            lambda exps, e, is_omega: {ch: (is_omega or f, v * e)
+                                       for ch, (f, v) in exps.items()},
             lambda exps: tuple(sorted(exps.items()))),
     "g": (lambda ch: [(ch, 1)], reduced_concat,
           lambda word, k, is_omega: reduced_power(word, k), tuple),
@@ -461,14 +480,15 @@ def normal_form(variety, t):
 
 
 def com_exponents(t):
-    """Letter multiplicities of t in N u (omega+Z), as a dict."""
-    return dict(normal_form("com", t))
+    """Letter multiplicities of t in N u (omega+Z), as a dict of
+    ExponentValues."""
+    return {ch: ExponentValue._make(e) for ch, e in normal_form("com", t)}
 
 
 def ab_image(t):
     """Integer letter multiplicities (omega collapses to its offset): the
     offsets of the commutative exponents, whose arithmetic they share."""
-    return {ch: e.value for ch, e in com_exponents(t).items()}
+    return {ch: value for ch, (_, value) in normal_form("com", t)}
 
 
 def free_group_normal_form(t):

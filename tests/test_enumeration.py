@@ -104,10 +104,27 @@ def test_size_guards():
         list(enumerate_semigroups(6))
 
 
+# sha256 of the order-5 stream of the search that tested canonicity only
+# at complete tables
+ORDER_FIVE_SHA256 = (
+    "cf3296d9d59beddda8c2696613fa944696898cd1455b5bba3ead07ee5ef742da")
+
+
+def _stream_sha256(n):
+    tables = [tuple(map(tuple, S.table)) for S in enumerate_semigroups(n)]
+    return len(tables), hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
 def test_count_order_five():
-    tables = [tuple(map(tuple, S.table)) for S in enumerate_semigroups(5)]
-    assert len(tables) == 1915
-    # sha256 of the order-5 stream of the search that tested canonicity
-    # only at complete tables
-    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
-        "cf3296d9d59beddda8c2696613fa944696898cd1455b5bba3ead07ee5ef742da")
+    assert _stream_sha256(5) == (1915, ORDER_FIVE_SHA256)
+
+
+def test_calls_yield_the_same_semigroups():
+    for n in (4, 5):
+        first = list(enumerate_semigroups(n))
+        # an identity filter fills the power caches of the shared objects
+        list(enumerate_semigroups(n, (parse_term("x^(w+1)"), parse_term("x"))))
+        second = list(enumerate_semigroups(n))
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+    assert _stream_sha256(5) == (1915, ORDER_FIVE_SHA256)

@@ -106,6 +106,22 @@ def test_search_never_folds_a_whole_term(monkeypatch):
             triple, variety, 10, (0, -1))) == COM_PAIR
 
 
+def test_com_hot_path_builds_no_exponent_value(monkeypatch):
+    # com's normal form and search work over plain (infinite, value) pairs
+    def refuse(*args):
+        raise AssertionError("com built or combined an ExponentValue")
+
+    for name in ("Fin", "Inf"):
+        monkeypatch.setattr(terms, name, refuse)
+    for name in ("__add__", "scale", "omega_compose", "__repr__"):
+        monkeypatch.setattr(terms.ExponentValue, name, refuse)
+    word = terms.parse_term("x y y " * 666 + "x y")
+    assert normal_form("com", word) == (("x", (False, 667)),
+                                        ("y", (False, 1333)))
+    assert _formatted(bounded_omega_solution_search(
+        com_instance(), "com", 10, (0, -1))) == COM_PAIR
+
+
 def test_search_in_g_raises_size_too_large_for_a_large_offset():
     C = FiniteSemigroup.cyclic(2, 2)
     gens = GeneratorMap(C, {"x": 0})

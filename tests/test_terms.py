@@ -15,6 +15,7 @@ from omsemi.terms import (
     EXPANSION_CAP,
     PRIME_TEST_CAP,
     Concat,
+    ExponentValue,
     FinitePower,
     Fin,
     Inf,
@@ -31,6 +32,7 @@ from omsemi.terms import (
     format_term,
     free_group_normal_form,
     iterated_commutator,
+    normal_form,
     parse_term,
     satisfies_identity,
     term_alphabet,
@@ -276,6 +278,31 @@ def test_com_exponents_examples():
         com_exponents(parse_term("x^w"))
     with pytest.raises(UnsupportedPrimePower):
         com_exponents(parse_term("(x y)^(3^w)"))
+
+
+# term -> letter -> (infinite, value, repr) of its com exponent
+COM_EXPONENT_PINS = {
+    "x^(w-1) x": {"x": (True, 0, "w")},
+    "(x y^2)^(w+3) x^5": {"x": (True, 8, "w+8"), "y": (True, 6, "w+6")},
+    "((x^2)^w)^3": {"x": (True, 0, "w")},
+    "x y x": {"x": (False, 2, "2"), "y": (False, 1, "1")},
+}
+
+
+def test_com_exponents_pins():
+    for text, want in COM_EXPONENT_PINS.items():
+        got = com_exponents(parse_term(text))
+        assert all(type(e) is ExponentValue for e in got.values())
+        assert {ch: (e.infinite, e.value, repr(e))
+                for ch, e in got.items()} == want
+
+
+def test_com_normal_form_is_the_sorted_exponents():
+    rng = random.Random(19)
+    for _ in range(300):
+        t = random_term(rng, depth=rng.randrange(1, 6),
+                        offsets=(-2, -1, 0, 1, 2))
+        assert normal_form("com", t) == tuple(sorted(com_exponents(t).items()))
 
 
 def test_exponent_value_arithmetic():
