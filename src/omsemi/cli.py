@@ -14,7 +14,6 @@ import json
 import os
 import sys
 
-from .dfa import enumerate_accepted, is_finite_language
 from .enumeration import enumerate_semigroups
 from .errors import NotASolution, OmsemiError, SubwordObstruction
 from .reducibility import (
@@ -27,7 +26,7 @@ from .reducibility import (
 from .regex import dfa_to_regex, format_regex
 from .semigroup import GeneratorMap, green_classes
 from .syntactic import syntactic_semigroup
-from .terms import eval_term, parse_term, term_alphabet
+from .terms import eval_term, parse_term, satisfies_identity, term_alphabet
 from .varieties import check_identity
 
 
@@ -96,43 +95,47 @@ def _build_parser():
 
 
 def _render_presentation(sp, show_order, show_green, show_classes):
+    """The lines of `syn`'s output, one at a time."""
     S = sp.semigroup
-    labels = list(S.labels)
+    labels = sp.words
     width = max(len(x) for x in labels)
 
     padded = [x.rjust(width) for x in labels]
-    lines = ["order %d" % S.n, "table"]
-    lines.append(" " * width + " | " + " ".join(padded))
+    yield "order %d" % S.n
+    yield "table"
+    yield " " * width + " | " + " ".join(padded)
     for label, row in zip(padded, S.table):
-        lines.append(label + " | " + " ".join(map(padded.__getitem__, row)))
+        yield label + " | " + " ".join(map(padded.__getitem__, row))
     if show_order:
-        lines.append("syntactic order")
+        yield "syntactic order"
         for i, j in sorted(sp.syntactic_order()):
             if i != j:
-                lines.append("  %s <= %s" % (labels[i], labels[j]))
+                yield "  %s <= %s" % (labels[i], labels[j])
     if show_green:
         greens = green_classes(S)
         for name, part in (("R", greens.r), ("L", greens.l),
                            ("J", greens.j), ("H", greens.h)):
-            lines.append("%s-classes" % name)
+            yield "%s-classes" % name
             for cls in part:
-                lines.append("  " + " ".join(labels[e] for e in cls))
+                yield "  " + " ".join(labels[e] for e in cls)
     if show_classes:
-        lines.append("classes")
+        yield "classes"
         for e in range(S.n):
-            d = sp.class_language(e)
-            if is_finite_language(d):
-                words = enumerate_accepted(d, d.n_states)
-                lines.append("  [%s] = {%s}" % (labels[e], ", ".join(words)))
+            words = sp.finite_class_words(e)
+            if words is not None:
+                yield "  [%s] = {%s}" % (labels[e], ", ".join(words))
             else:
-                lines.append("  [%s] = %s"
-                             % (labels[e], format_regex(dfa_to_regex(d))))
-    return "\n".join(lines)
+                yield "  [%s] = %s" % (labels[e], format_regex(
+                    dfa_to_regex(sp.class_language(e))))
 
 
 def _cmd_syn(args):
     sp = syntactic_semigroup(args.regex)
-    print(_render_presentation(sp, args.order, args.green, args.classes))
+    # one write per line: the output is never held whole
+    write = sys.stdout.write
+    for line in _render_presentation(sp, args.order, args.green,
+                                     args.classes):
+        write(line + "\n")
     return 0
 
 
@@ -160,7 +163,7 @@ def _cmd_eval(args):
     assignment = {tl: sp.classof(w) for tl, w in sorted(mapping.items())}
     g = GeneratorMap(sp.semigroup, assignment)
     e = eval_term(sp.semigroup, g, t)
-    print("class %d [%s]" % (e, sp.semigroup.labels[e]))
+    print("class %d [%s]" % (e, sp.words[e]))
     return 0
 
 
@@ -183,13 +186,14 @@ def _cmd_reduce(args):
 
 
 def _cmd_enum(args):
-    predicate = None
+    semigroups = enumerate_semigroups(args.n)
     if args.identity is not None:
         if "=" not in args.identity:
             raise ValueError("identity must have the form 'LHS = RHS'")
-        lhs, rhs = args.identity.split("=", 1)
-        predicate = (parse_term(lhs), parse_term(rhs))
-    print(sum(1 for _ in enumerate_semigroups(args.n, predicate=predicate)))
+        lhs, rhs = map(parse_term, args.identity.split("=", 1))
+        semigroups = (S for S in semigroups
+                      if satisfies_identity(S, lhs, rhs))
+    print(sum(1 for _ in semigroups))
     return 0
 
 

@@ -17,32 +17,24 @@ from itertools import permutations
 
 from .errors import SizeTooLarge
 from .semigroup import FiniteSemigroup
-from .terms import satisfies_identity
 
 _CACHE = {}
 
 
-def enumerate_semigroups(n, predicate=None):
+def enumerate_semigroups(n):
     """Yield one semigroup per isomorphism class of order n, 1 <= n <= 5.
 
     Each class is represented by its lexicographically smallest table, and
     classes come out in lexicographic table order, so the stream is
     deterministic.  The semigroups of each order are built once per
     process, so every call yields the same objects, with the powers they
-    have cached; callers must treat them as read-only.  `predicate` may be
-    a callable on semigroups or a pair of terms (lhs, rhs) filtering by
-    the identity lhs = rhs.
+    have cached; callers must treat them as read-only.
     """
     if not 1 <= n <= 5:
         raise SizeTooLarge(f"can only enumerate orders 1..5, got {n}")
-    if isinstance(predicate, tuple):
-        lhs, rhs = predicate
-        predicate = lambda S: satisfies_identity(S, lhs, rhs)
     if n not in _CACHE:
         _CACHE[n] = [FiniteSemigroup(table) for table in _canonical_tables(n)]
-    for S in _CACHE[n]:
-        if predicate is None or predicate(S):
-            yield S
+    yield from _CACHE[n]
 
 
 def _canonical_tables(n):

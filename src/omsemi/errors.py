@@ -11,8 +11,8 @@ class NotAssociative(OmsemiError):
 
 
 class MalformedTable(OmsemiError, ValueError):
-    """Multiplication table, labels, identity or generators of the wrong
-    shape or out of range."""
+    """Multiplication table, identity or generators of the wrong shape or
+    out of range."""
 
 
 class NotAPartialOrder(OmsemiError):

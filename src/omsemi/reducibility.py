@@ -9,7 +9,6 @@ from .dfa import (
     compile_min_dfa,
     enumerate_accepted,
     has_common_word,
-    is_finite_language,
     languages_equal,
 )
 from .errors import (MalformedTable, NotASolution, SizeTooLarge,
@@ -407,7 +406,7 @@ def verify_groups_counterexample():
 
     a = sp.classof("a")
     report.add("class of a is the singleton {a}", ["a"],
-               _finite_class_words(sp, a))
+               sp.finite_class_words(a))
     report.add("[a]^4 = [a]^3", True,
                sp.classof("aaaa") == sp.classof("aaa"))
     report.add("[b]^2 = [b]", True, sp.classof("bb") == sp.classof("b"))
@@ -446,7 +445,7 @@ def verify_cr_counterexample(bound=4):
 
     a2b = sp.classof("aab")
     report.add("class of a^2 b is the singleton {a^2 b}", ["aab"],
-               _finite_class_words(sp, a2b))
+               sp.finite_class_words(a2b))
     report.add("[a^2 b]^4 = [a^2 b]^3", True,
                sp.classof("aab" * 4) == sp.classof("aab" * 3))
     report.add("[a b^2]^2 = [a b^2]", True,
@@ -487,13 +486,3 @@ def verify_cr_counterexample(bound=4):
     report.add("x y x and y x y occur in iterate 5", True,
                "xyx" in tm5 and "yxy" in tm5)
     return report
-
-
-def _finite_class_words(sp, element):
-    """Every word of the class language of element, or None if it is
-    infinite: a word of a finite language is shorter than the number of
-    states."""
-    d = sp.class_language(element)
-    if not is_finite_language(d):
-        return None
-    return enumerate_accepted(d, d.n_states)

@@ -26,6 +26,7 @@ Universal Algebra", 1994).
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
@@ -56,8 +57,7 @@ class FiniteSemigroup:
     graphs over it, so a small generating set makes all three cheaper.
     """
 
-    def __init__(self, table, labels=None, order=None, identity=None,
-                 generators=None):
+    def __init__(self, table, order=None, identity=None, generators=None):
         try:
             self.table = [list(row) for row in table]
         except TypeError:
@@ -85,11 +85,6 @@ class FiniteSemigroup:
                     raise MalformedTable("generator out of range: %r" % (g,))
             self.generators = tuple(sorted(set(generators)))
         self._check_associative()
-        self.labels = None
-        if labels is not None:
-            self.labels = listed(labels, "labels")
-            if len(self.labels) != n:
-                raise MalformedTable("label count does not match table size")
         self.identity = identity
         if identity is not None:
             if type(identity) is not int or not 0 <= identity < n:
@@ -227,11 +222,10 @@ class FiniteSemigroup:
         n = self.n
         table = [row + [i] for i, row in enumerate(self.table)] + \
                 [list(range(n)) + [n]]
-        labels = self.labels + ["1"] if self.labels is not None else None
         order = None
         if self.order is not None:
             order = set(self.order) | {(n, n)}
-        return FiniteSemigroup(table, labels=labels, order=order, identity=n,
+        return FiniteSemigroup(table, order=order, identity=n,
                                generators=self.generators + (n,))
 
     def __repr__(self):
@@ -250,11 +244,9 @@ class FiniteSemigroup:
 
         table = [[reduce(a + b) - 1 for b in range(1, n + 1)]
                  for a in range(1, n + 1)]
-        labels = ["s" if k == 1 else "s^%d" % k for k in range(1, n + 1)]
-        ident = None
-        if index == 1:
-            ident = period - 1  # s^period is the identity of the cyclic group
-        return cls(table, labels=labels, identity=ident, generators=[0])
+        # s^period is the identity of the cyclic group
+        return cls(table, identity=period - 1 if index == 1 else None,
+                   generators=[0])
 
     @classmethod
     def direct_product(cls, a, b):
@@ -270,35 +262,25 @@ class FiniteSemigroup:
                     for j2 in range(b.n):
                         table[idx(i1, j1)][idx(i2, j2)] = \
                             idx(a.table[i1][i2], b.table[j1][j2])
-        labels = None
-        if a.labels is not None and b.labels is not None:
-            labels = ["(%s,%s)" % (a.labels[i], b.labels[j])
-                      for i in range(a.n) for j in range(b.n)]
-        ident = None
-        if a.identity is not None and b.identity is not None:
-            ident = idx(a.identity, b.identity)
-        return cls(table, labels=labels, identity=ident)
+        if a.identity is None or b.identity is None:
+            return cls(table)
+        return cls(table, identity=idx(a.identity, b.identity))
 
 
 def stabilized_prime_power_residue(p, period):
     """The eventual value of p^(n!) mod period.
 
-    Iterates r_1 = p mod period, r_{n+1} = r_n^(n+1) mod period and returns
-    the stabilised value.  The cap is generous: stabilisation happens once
-    n! kills both the p-part of the period and the multiplicative order of
-    p modulo the rest.
+    Split period into rest, made of the primes dividing p, and coprime,
+    made of the others.  Once n! passes every exponent in rest and is a
+    multiple of the order of p modulo coprime, p^(n!) is 0 mod rest and 1
+    mod coprime, which the Chinese remainder theorem joins into one
+    residue mod period.
     """
-    if period == 1:
-        return 0
-    cap = period + p.bit_length() + 4
-    r = p % period
-    prev = None
-    for n in range(2, cap + 1):
-        prev = r
-        r = pow(r, n, period)
-    if r != prev:
-        raise AssertionError("prime power residue failed to stabilise")
-    return r
+    coprime = period
+    while (g := gcd(coprime, p)) > 1:
+        coprime //= g
+    rest = period // coprime
+    return rest * pow(rest, -1, coprime) % period
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ the letter classes are passed to FiniteSemigroup as its generators.
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
-one pass over the table lists for every e and s at once.
+one pass over the table lists for every e and s at once.  Whether a class
+is finite is read off the table as well, so `finite_class_words` builds
+the DFA of a finite class only.
 """
 
-from .dfa import Dfa, compile_min_dfa
+from .dfa import Dfa, compile_min_dfa, enumerate_accepted
 from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
-from .graphs import breadth_first
+from .graphs import breadth_first, reachable
 from .semigroup import FiniteSemigroup, GeneratorMap
 
 
@@ -34,13 +36,13 @@ class SyntacticPresentation:
         self.dfa = dfa
         self.elements = elements
         self.words = words
-        self.semigroup = FiniteSemigroup(
-            table, labels=list(words), identity=identity,
-            generators=letter_map.values())
+        self.semigroup = FiniteSemigroup(table, identity=identity,
+                                         generators=letter_map.values())
         self.gens = GeneratorMap(self.semigroup, dict(letter_map))
         self._order = None
         self._cayley = None
         self._sol = None
+        self._infinite = None
 
     @property
     def alphabet(self):
@@ -106,6 +108,11 @@ class SyntacticPresentation:
             S.order = S._check_order(self.syntactic_order())
         return S
 
+    def _check_class(self, e):
+        if (isinstance(e, bool) or not isinstance(e, int)
+                or not 0 <= e < len(self.elements)):
+            raise ElementNotWordImage("no class with index %r" % (e,))
+
     def _cayley_automaton(self):
         """The right Cayley graph with a start state, as the rows of an
         automaton: state 0 is the start, state 1 + i the class i, and
@@ -148,9 +155,7 @@ class SyntacticPresentation:
         Automata Theory, ch. IV).  The keys, walked breadth-first from
         the start's, are the states of the minimal DFA, numbered as
         Dfa.minimize numbers them."""
-        if (isinstance(e, bool) or not isinstance(e, int)
-                or not 0 <= e < len(self.elements)):
-            raise ElementNotWordImage("no class with index %r" % (e,))
+        self._check_class(e)
         rows = self._cayley_automaton()
         sol = self._solutions()[e]
         start = (False, (e,))
@@ -169,6 +174,30 @@ class SyntacticPresentation:
         keys, trans = breadth_first(start, successors)
         return Dfa(self.alphabet, trans, 0,
                    {i for i, k in enumerate(keys) if k[0]})
+
+    def finite_class_words(self, e):
+        """Every word of class e in length-lexicographic order, or None if
+        the class is infinite.
+
+        The class is infinite iff e lies in the ideal S^1 E S^1 that the
+        idempotents generate: e = a f b with f = f^k has words with f's
+        word k times over for every k, and a word of more than |S| letters
+        has two prefixes of one class s, so s = s v = s v^omega, with the
+        idempotent v^omega.  The ideal is walked once per presentation,
+        from the idempotents along the left and right Cayley graphs.  A
+        finite class's words are read off its class language, each
+        shorter than the number of states."""
+        self._check_class(e)
+        if self._infinite is None:
+            t = self.semigroup.table
+            gens = self.semigroup.generators
+            self._infinite = set(reachable(
+                [f for f, row in enumerate(t) if row[f] == f],
+                lambda a: [t[a][g] for g in gens] + [t[g][a] for g in gens]))
+        if e in self._infinite:
+            return None
+        d = self.class_language(e)
+        return enumerate_accepted(d, d.n_states)
 
     def __repr__(self):
         return "<syntactic semigroup: %d classes over %s>" % (

@@ -26,7 +26,10 @@ the bounded search of `reducibility` combines its candidates' forms with
 the same steps.  com's form maps each letter to a plain (infinite, value)
 pair for its multiplicity in N u (omega+Z); `ExponentValue` is a named
 tuple of the same two fields, so the pairs equal their ExponentValues,
-which `com_exponents` returns.
+which `com_exponents` returns.  ab works with the same form, since the
+omega power of an element of a finite abelian group is 1, and freezes
+only its values: an ab multiplicity is the com one with omega+k read as k
+(Almeida, "Finite Semigroups and Universal Algebra", 1994).
 """
 
 import itertools
@@ -385,14 +388,6 @@ def Inf(k):
     return ExponentValue(True, k)
 
 
-def _add_exponents(left, right):
-    """The ab multiplicities of l r from the int multiplicity dicts of l
-    and r, summed into `left` in place."""
-    for ch, e in right.items():
-        left[ch] = left[ch] + e if ch in left else e
-    return left
-
-
 def _add_com_exponents(left, right):
     """The com multiplicities of l r from the (infinite, value) dicts of l
     and r, summed into `left` in place: omega+i plus n is omega+(i+n)."""
@@ -437,24 +432,24 @@ def reduced_power(word, k):
 # l r (it may extend l in place, so a fold stays linear in the word), and
 # power(l, e, is_omega) for l^(w+e) or, when is_omega is false, l^e.
 # freeze(f) is the canonical hashable form: two terms are equal over the
-# variety iff their frozen forms are.  ab keeps the letter multiplicities
-# in Z and freezes them sorted without zeros.  com keeps them in
-# N u (omega+Z) as plain (infinite, value) pairs, each equal to its
+# variety iff their frozen forms are.  com keeps the letter multiplicities
+# in N u (omega+Z) as plain (infinite, value) pairs, each equal to its
 # ExponentValue, and freezes them sorted; an omega power makes every
 # letter infinite.  ExponentValue.omega_compose's Fin(0) branch cannot
 # arise here: a multiplicity starts at 1, finite powers are >= 1
 # (FinitePower.__post_init__) and sums only grow, so every letter present
-# has a nonzero finite count or is infinite.  g keeps the reduced signed
-# word, whose omega part vanishes in any group, and freezes it as a tuple.
+# has a nonzero finite count or is infinite.  ab shares com's letter,
+# concat and power steps, since x^w = 1 in a finite abelian group: it
+# freezes the values alone, omega+k read as k, sorted and without zeros.
+# g keeps the reduced signed word, whose omega part vanishes in any group,
+# and freezes it as a tuple.
+_COM_STEPS = (lambda ch: {ch: (False, 1)}, _add_com_exponents,
+              lambda exps, e, is_omega: {ch: (is_omega or f, v * e)
+                                         for ch, (f, v) in exps.items()})
 VARIETY_STEPS = {
-    "ab": (lambda ch: {ch: 1}, _add_exponents,
-           lambda exps, e, is_omega: {ch: m * e for ch, m in exps.items()},
-           lambda exps: tuple(sorted((ch, m) for ch, m in exps.items()
-                                     if m))),
-    "com": (lambda ch: {ch: (False, 1)}, _add_com_exponents,
-            lambda exps, e, is_omega: {ch: (is_omega or f, v * e)
-                                       for ch, (f, v) in exps.items()},
-            lambda exps: tuple(sorted(exps.items()))),
+    "ab": _COM_STEPS + (lambda exps: tuple(sorted(
+        (ch, v) for ch, (_, v) in exps.items() if v)),),
+    "com": _COM_STEPS + (lambda exps: tuple(sorted(exps.items())),),
     "g": (lambda ch: [(ch, 1)], reduced_concat,
           lambda word, k, is_omega: reduced_power(word, k), tuple),
 }

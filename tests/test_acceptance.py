@@ -69,7 +69,7 @@ def test_jplus_reduction_on_a_thousand_random_instances():
     for i in range(1000):
         M, gm = random_transition_monoid(rng, max_states=6, max_elements=120)
         order = frozenset((e, e) for e in range(M.n))
-        S = FiniteSemigroup(M.table, labels=M.labels, order=order,
+        S = FiniteSemigroup(M.table, order=order,
                             identity=M.identity, generators=M.generators)
         letters = sorted(gm.assignment)
         g = GeneratorMap(S, {tl: gm(ll) for tl, ll in zip("xy", letters)})
@@ -143,7 +143,8 @@ def commutative_semigroups_up_to(bound):
     out = []
     xy, yx = parse_term("x y"), parse_term("y x")
     for n in range(1, bound + 1):
-        out.extend(enumerate_semigroups(n, predicate=(xy, yx)))
+        out.extend(S for S in enumerate_semigroups(n)
+                   if satisfies_identity(S, xy, yx))
     return out
 
 

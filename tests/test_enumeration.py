@@ -5,7 +5,7 @@ import pytest
 
 from omsemi.enumeration import _canonical_tables, enumerate_semigroups
 from omsemi.errors import SizeTooLarge
-from omsemi.terms import parse_term
+from omsemi.terms import parse_term, satisfies_identity
 
 from util import find_identity, leaf_canonical_tables
 
@@ -76,15 +76,18 @@ def test_representatives_are_lex_min():
 
 
 def test_identity_pair_predicate():
-    cr = list(enumerate_semigroups(3, (parse_term("x^(w+1)"), parse_term("x"))))
-    assert len(cr) == 13
-    com = list(enumerate_semigroups(3, (parse_term("x y"), parse_term("y x"))))
-    assert len(com) == 12
+    def satisfying(lhs, rhs):
+        lhs, rhs = parse_term(lhs), parse_term(rhs)
+        return [S for S in enumerate_semigroups(3)
+                if satisfies_identity(S, lhs, rhs)]
+
+    assert len(satisfying("x^(w+1)", "x")) == 13
+    assert len(satisfying("x y", "y x")) == 12
 
 
 def test_callable_predicate():
-    monoids = list(enumerate_semigroups(
-        3, lambda S: find_identity(S) is not None))
+    monoids = [S for S in enumerate_semigroups(3)
+               if find_identity(S) is not None]
     assert len(monoids) == 7
     def is_group(S):
         e = find_identity(S)
@@ -93,8 +96,8 @@ def test_callable_predicate():
         return all(any(S.table[a][b] == e and S.table[b][a] == e
                        for b in range(S.n)) for a in range(S.n))
 
-    assert sum(1 for _ in enumerate_semigroups(2, is_group)) == 1
-    assert sum(1 for _ in enumerate_semigroups(4, is_group)) == 2
+    assert sum(map(is_group, enumerate_semigroups(2))) == 1
+    assert sum(map(is_group, enumerate_semigroups(4))) == 2
 
 
 def test_size_guards():
@@ -123,7 +126,9 @@ def test_calls_yield_the_same_semigroups():
     for n in (4, 5):
         first = list(enumerate_semigroups(n))
         # an identity filter fills the power caches of the shared objects
-        list(enumerate_semigroups(n, (parse_term("x^(w+1)"), parse_term("x"))))
+        lhs, rhs = parse_term("x^(w+1)"), parse_term("x")
+        for S in enumerate_semigroups(n):
+            satisfies_identity(S, lhs, rhs)
         second = list(enumerate_semigroups(n))
         assert len(first) == len(second)
         assert all(a is b for a, b in zip(first, second))

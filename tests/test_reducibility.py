@@ -68,7 +68,7 @@ def word_image(M, gens, word):
 
 def diagonal_ordered(M):
     order = frozenset((i, i) for i in range(M.n))
-    return FiniteSemigroup(M.table, labels=M.labels, order=order,
+    return FiniteSemigroup(M.table, order=order,
                            identity=M.identity)
 
 

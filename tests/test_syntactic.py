@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from omsemi.dfa import Dfa, compile_min_dfa, languages_equal
+from omsemi.dfa import (Dfa, compile_min_dfa, enumerate_accepted,
+                        is_finite_language, languages_equal)
 from omsemi.errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
 from omsemi.semigroup import GeneratorMap
 from omsemi.syntactic import syntactic_semigroup
@@ -126,6 +127,11 @@ def test_class_languages_partition_nonempty_words():
         for w in all_words("ab", 1, 8 if len(langs) < 30 else 5):
             hits = [e for e, d in enumerate(langs) if d.accepts(w)]
             assert hits == [sp.classof(w)]
+        # finiteness is read off the table, without the class's DFA
+        for e, d in enumerate(langs):
+            assert sp.finite_class_words(e) == (
+                enumerate_accepted(d, d.n_states)
+                if is_finite_language(d) else None)
 
 
 def test_class_language_rejects_empty_word():
@@ -145,6 +151,8 @@ def test_class_language_rejects_non_class_index(index):
     sp = syntactic_semigroup("(ab)*")
     with pytest.raises(ElementNotWordImage):
         sp.class_language(index)
+    with pytest.raises(ElementNotWordImage):
+        sp.finite_class_words(index)
 
 
 def test_class_languages_merge_identity_with_start():
