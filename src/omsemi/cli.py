@@ -23,7 +23,6 @@ from .reducibility import (
     verify_cr_counterexample,
     verify_groups_counterexample,
 )
-from .regex import dfa_to_regex, format_regex
 from .semigroup import GeneratorMap, green_classes
 from .syntactic import syntactic_semigroup
 from .terms import eval_term, parse_term, satisfies_identity, term_alphabet
@@ -125,8 +124,7 @@ def _render_presentation(sp, show_order, show_green, show_classes):
             if words is not None:
                 yield "  [%s] = {%s}" % (labels[e], ", ".join(words))
             else:
-                yield "  [%s] = %s" % (labels[e], format_regex(
-                    dfa_to_regex(sp.class_language(e))))
+                yield "  [%s] = %s" % (labels[e], sp.class_expression(e))
 
 
 def _cmd_syn(args):

@@ -10,15 +10,17 @@ each a list of branches and each branch a list of factors, so it does not
 recurse either.  Parentheses nest at most NESTING_DEPTH_CAP deep, in terms
 too, and deeper text raises ParseError.  The dataclass-generated
 ``__eq__``, ``__hash__`` and ``__repr__`` of the nodes recurse, but no
-package code calls them: `dfa_to_regex` never compares labels.  The cap
-protects callers who compare or print trees, as parentheses cannot make
-trees deep for those three methods.  It does not bound the left-nested
-concatenations of a long word: a word of a few hundred letters is already
-too deep for them.
+package code calls them on parsed trees, and `dfa_to_regex` builds no
+tree.  The cap protects callers who compare or print parsed trees, as
+parentheses cannot make trees deep for those three methods.  It does not
+bound the left-nested concatenations of a long word: a word of a few
+hundred letters is already too deep for them.
 
 Every walk over a regex tree (its alphabet, the Thompson automaton, the
 concrete syntax) is a fold over `_postorder`, the node list with each
 node after its subexpressions, so no walk recurses however deep the tree.
+`dfa_to_regex` goes the other way, from an automaton straight to the
+concrete syntax that `format_regex` would print for its tree.
 """
 
 from dataclasses import dataclass
@@ -159,6 +161,12 @@ def nfa_of_regex(r):
     return n, trans, *frags.pop()
 
 
+def _operand(label, need):
+    """The text of a (text, precedence) label, parenthesised when its
+    precedence is below what its parent needs."""
+    return "(%s)" % label[0] if label[1] < need else label[0]
+
+
 def format_regex(r):
     """Concrete syntax for a regex tree; parse_regex inverts it.
 
@@ -166,42 +174,53 @@ def format_regex(r):
     precedence 0, a concatenation 1, atoms and postfix nodes 2, and a
     child is parenthesised when its precedence is below what its parent
     needs."""
-
-    def operand(pair, need):
-        return "(%s)" % pair[0] if pair[1] < need else pair[0]
-
     out = []
     for node in _postorder(r):
         kind = type(node)
         if kind is Empty or kind is Sym:
             out.append(("()" if kind is Empty else node.ch, 2))
         elif kind is Star or kind is Plus:
-            out[-1] = (operand(out[-1], 2) + ("*" if kind is Star else "+"),
+            out[-1] = (_operand(out[-1], 2) + ("*" if kind is Star else "+"),
                        2)
         else:
             prec = 0 if kind is Union else 1
-            right = operand(out.pop(), prec)
-            out[-1] = (operand(out[-1], prec) + ("|" if prec == 0 else "")
+            right = _operand(out.pop(), prec)
+            out[-1] = (_operand(out[-1], prec) + ("|" if prec == 0 else "")
                        + right, prec)
     return out[0][0]
 
 
+# the label of the empty word: it prints "()" and _cat drops it
+_EPSILON = ("()", 2)
+
+
 def _cat(a, b):
-    if isinstance(a, Empty):
+    if a is _EPSILON:
         return b
-    if isinstance(b, Empty):
+    if b is _EPSILON:
         return a
-    return Concat(a, b)
+    return _operand(a, 1) + _operand(b, 1), 1
 
 
-def dfa_to_regex(d):
-    """A regex tree for the language of a DFA, or None if it is empty.
+def dfa_to_regex(alphabet, rows, initial, accepting, states):
+    """Concrete syntax for the language of a DFA, or None if it is empty.
 
-    Classic state elimination on the generalized automaton, removing DFA
-    states in index order; the output is deterministic in the input.
-    Only the states from which acceptance is reachable get edges and are
-    eliminated: no path through another state reaches the accepting end,
-    so the trees built for it would all be thrown away.
+    The DFA is given by its rows (rows[q][i]: the state letter i of the
+    alphabet takes q to), its initial and accepting states, and the
+    states to eliminate, in order: those from which acceptance is
+    reachable.  An edge into any other state is left out, since no path
+    through it reaches the accepting end.  Classic state elimination on
+    the generalized automaton, with a start and an accepting end added;
+    the output is deterministic in the input, and parse_regex reads it.
+
+    Each edge label is the text of its expression with its precedence,
+    the (text, precedence) pairs format_regex folds with: a union is 0,
+    a concatenation 1, a letter or a star 2.  A union's operands are
+    never parenthesised, a concatenation's are when they are unions, and
+    a star's body when it is not a letter or a star; so the text is the
+    one format_regex prints for the tree of the same unions,
+    concatenations and stars, however they nest.  The empty word is the
+    one label _EPSILON, which prints "()" and which _cat drops.
 
     Why no label is ever compared or simplified:
     - every edge label denotes a nonempty set of words;
@@ -210,37 +229,49 @@ def dfa_to_regex(d):
       disjoint from those that avoid k: the two labels `put` joins are
       never equal, so the expression is unambiguous (Book, Even,
       Greibach & Ott, "Ambiguity in graphs and expressions", 1971);
-    - an ``Empty`` label sits only on an edge out of the start or into
-      the accepting end, so a self-loop's label is never ``Empty``,
-      ``Star`` or ``Plus`` and starring it needs no case."""
-    n = d.n_states
-    start, accept = n, n + 1
-    useful = sorted(d.coaccessible_states())
-    alive = set(useful)
-    edges = {}
+    - _EPSILON sits only on an edge out of the start or into the
+      accepting end, so a self-loop's label is never _EPSILON or a star,
+      and starring it needs no case.
 
-    def put(i, j, r):
-        edges[i, j] = Union(edges[i, j], r) if (i, j) in edges else r
+    Each state keeps its edges out (out_of[i][j], the label) and the
+    sources of its edges in (into[j]), so eliminating a state touches
+    only its own edges."""
+    start, accept = object(), object()
+    out_of = {q: {} for q in states}
+    into = {q: {} for q in states}
+    out_of[start] = {}
+    into[accept] = {}
 
-    for q in useful:
-        for ch, r in zip(d.alphabet, d.transitions[q]):
-            if r in alive:
-                put(q, r, Sym(ch))
-    if d.initial in alive:
-        put(start, d.initial, Empty())
-    for q in d.accepting:
-        put(q, accept, Empty())
+    def put(i, j, label):
+        out = out_of[i]
+        if j in out:
+            out[j] = out[j][0] + "|" + label[0], 0
+        else:
+            out[j] = label
+            into[j][i] = None
 
-    for k in useful:
-        loop = edges.pop((k, k), None)
-        into = [(i, r) for (i, j), r in edges.items() if j == k]
-        out = [(j, r if loop is None else _cat(Star(loop), r))
-               for (i, j), r in edges.items() if i == k]
-        for i, _ in into:
-            edges.pop((i, k))
-        for j, _ in out:
-            edges.pop((k, j))
-        for i, rin in into:
-            for j, rout in out:
-                put(i, j, _cat(rin, rout))
-    return edges.get((start, accept))
+    for q in states:
+        for ch, r in zip(alphabet, rows[q]):
+            if r in into:
+                put(q, r, (ch, 2))
+    if initial in out_of:
+        put(start, initial, _EPSILON)
+    for q in accepting:
+        put(q, accept, _EPSILON)
+
+    for k in states:
+        out = out_of.pop(k)
+        loop = out.pop(k, None)
+        sources = into.pop(k)
+        sources.pop(k, None)
+        for j in out:
+            del into[j][k]
+        if loop is not None:
+            star = (_operand(loop, 2) + "*", 2)
+            out = {j: _cat(star, label) for j, label in out.items()}
+        for i in sources:
+            label_in = out_of[i].pop(k)
+            for j, label_out in out.items():
+                put(i, j, _cat(label_in, label_out))
+    label = out_of[start].get(accept)
+    return None if label is None else label[0]

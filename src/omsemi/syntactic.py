@@ -13,15 +13,27 @@ the letter classes are passed to FiniteSemigroup as its generators.
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
-one pass over the table lists for every e and s at once.  Whether a class
-is finite is read off the table as well, so `finite_class_words` builds
-the DFA of a finite class only.
+one pass over the table lists for every e and s at once.  Every class
+with no solution shares the dead key, whose residual is empty; every
+other key's residual is nonempty.  So `class_expression` hands the key
+rows to `dfa_to_regex` to eliminate every key but the dead one, with no
+DFA in between.  Whether a class is finite is read off the table as
+well, so `finite_class_words` builds the DFA of a finite class only.
+
+The syntactic order rests on the residual-inclusion preorder on states,
+found by Moore's pair marking: the pairs (accepting, rejecting) are
+marked first, and each marked pair marks its predecessor pairs under
+each letter, each pair at most once.
 """
 
 from .dfa import Dfa, compile_min_dfa, enumerate_accepted
 from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
 from .graphs import breadth_first, reachable
+from .regex import dfa_to_regex
 from .semigroup import FiniteSemigroup, GeneratorMap
+
+# the residual key of every class with no solution t: the empty residual
+_DEAD = (False, ())
 
 
 def _compose(f, g):
@@ -142,8 +154,9 @@ class SyntacticPresentation:
                     sol[e][s] = shared.setdefault(ts, ts)
         return self._sol
 
-    def class_language(self, e):
-        """Minimal DFA for the set of nonempty words in class e.
+    def _residual_keys(self, e):
+        """The residual keys of class e, walked breadth-first from the
+        start's, and each key's successors by letter, as positions.
 
         The residual of the class by a word of class s is the set of
         words of the classes t with st = e, together with the empty word
@@ -152,9 +165,8 @@ class SyntacticPresentation:
         1 + e has the key (s == e, the classes t with st = e), the start
         has the key (False, (e,)), and two states have the same residual
         iff they have the same key (Pin, Mathematical Foundations of
-        Automata Theory, ch. IV).  The keys, walked breadth-first from
-        the start's, are the states of the minimal DFA, numbered as
-        Dfa.minimize numbers them."""
+        Automata Theory, ch. IV).  Every class with no solution t has the
+        dead key (False, ()), the one key whose residual is empty."""
         self._check_class(e)
         rows = self._cayley_automaton()
         sol = self._solutions()[e]
@@ -171,9 +183,25 @@ class SyntacticPresentation:
                 out.append(k)
             return out
 
-        keys, trans = breadth_first(start, successors)
+        return breadth_first(start, successors)
+
+    def class_language(self, e):
+        """Minimal DFA for the set of nonempty words in class e: the
+        residual keys are its states, numbered as Dfa.minimize numbers
+        them."""
+        keys, trans = self._residual_keys(e)
         return Dfa(self.alphabet, trans, 0,
                    {i for i, k in enumerate(keys) if k[0]})
+
+    def class_expression(self, e):
+        """A regular expression for the words in class e, in concrete
+        syntax, eliminating the residual keys in order.  Every key but the
+        dead one has a nonempty residual, so it is eliminated; no DFA is
+        built."""
+        keys, trans = self._residual_keys(e)
+        return dfa_to_regex(self.alphabet, trans, 0,
+                            [i for i, k in enumerate(keys) if k[0]],
+                            [i for i, k in enumerate(keys) if k != _DEAD])
 
     def finite_class_words(self, e):
         """Every word of class e in length-lexicographic order, or None if
@@ -207,23 +235,34 @@ class SyntacticPresentation:
 def _state_preorder(d):
     """below[p][q]: every word accepted from state p is accepted from q.
 
-    The greatest relation that refines "p accepting implies q accepting"
-    and is closed under each letter, found by deleting pairs until no
-    letter leads out of the relation."""
+    Moore's pair marking: a pair (p, q) is not below when p accepts and q
+    rejects, or when some letter takes it to a pair that is not below.
+    The base pairs are marked first; each marked pair, popped from the
+    worklist, marks the unmarked pairs of its predecessors under each
+    letter, so each pair is marked at most once."""
     nq = d.n_states
     acc = d.accepting
-    trans = d.transitions
-    below = [[p not in acc or q in acc for q in range(nq)]
-             for p in range(nq)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(nq):
-            for q in range(nq):
-                if below[p][q] and not all(
-                        below[a][b] for a, b in zip(trans[p], trans[q])):
-                    below[p][q] = False
-                    changed = True
+    # preds[i][r]: the states that letter i takes to r
+    preds = []
+    for i in range(len(d.alphabet)):
+        into = [[] for _ in range(nq)]
+        for p, row in enumerate(d.transitions):
+            into[row[i]].append(p)
+        preds.append(into)
+    below = [[True] * nq for _ in range(nq)]
+    marked = [(p, q) for p in acc for q in range(nq) if q not in acc]
+    for p, q in marked:
+        below[p][q] = False
+    while marked:
+        p, q = marked.pop()
+        for into in preds:
+            sources = into[q]
+            for a in into[p]:
+                row = below[a]
+                for b in sources:
+                    if row[b]:
+                        row[b] = False
+                        marked.append((a, b))
     return below
 
 

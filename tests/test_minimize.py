@@ -1,17 +1,20 @@
 """Properties of Hopcroft minimisation and of the class languages:
-`Dfa.minimize` gives the automaton of Moore's refinement, and every class
+`Dfa.minimize` gives the automaton of Moore's refinement, every class
 language read off the table equals the minimised full Cayley automaton
-and the minimised trimmed one (oracles in util)."""
+and the minimised trimmed one, the pair-marking state preorder equals
+the repeated sweep, and the text of state elimination equals the text of
+the former elimination over trees (oracles in util)."""
 
 from hypothesis import assume, given, settings
 
 from omsemi.dfa import Dfa
 from omsemi.errors import SizeTooLarge
-from omsemi.syntactic import syntactic_semigroup
+from omsemi.syntactic import _state_preorder, syntactic_semigroup
 
 from test_kernel import MAX_CLASSES, presentations
-from util import (any_dfas, full_class_language, moore_minimize, same_dfa,
-                  trimmed_class_language)
+from util import (any_dfas, full_class_language, moore_minimize,
+                  regex_text, same_dfa, sweep_state_preorder,
+                  tree_dfa_to_regex, trimmed_class_language)
 
 minimize_settings = settings(max_examples=200, deadline=None,
                              derandomize=True)
@@ -58,3 +61,24 @@ def test_class_language_matches_oracles_on_any_dfa(d):
     except SizeTooLarge:
         assume(False)
     assert_class_languages_match_oracles(sp)
+
+
+@minimize_settings
+@given(any_dfas())
+def test_pair_marking_preorder_matches_sweep(d):
+    m = d.minimize()
+    assert _state_preorder(m) == sweep_state_preorder(m)
+
+
+@minimize_settings
+@given(any_dfas())
+def test_elimination_text_matches_tree_oracle(d):
+    assert regex_text(d) == tree_dfa_to_regex(d)
+    try:
+        sp = syntactic_semigroup(d, max_elements=MAX_CLASSES)
+    except SizeTooLarge:
+        assume(False)
+    for e in range(len(sp.elements)):
+        if sp.finite_class_words(e) is None:
+            assert sp.class_expression(e) == \
+                tree_dfa_to_regex(sp.class_language(e))

@@ -26,7 +26,7 @@ from omsemi.regex import (
     regex_alphabet,
 )
 
-from util import any_dfas, same_dfa
+from util import any_dfas, regex_text, same_dfa
 
 
 def naive_matches(r, w, memo=None):
@@ -282,35 +282,39 @@ def test_format_regex_inverts_parse():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(any_dfas())
 def test_dfa_to_regex_roundtrip(d):
-    from omsemi.regex import dfa_to_regex, format_regex
-    r = dfa_to_regex(d)
-    if r is None:
+    s = regex_text(d)
+    if s is None:
         assert is_empty(d)
     else:
-        assert languages_equal(
-            d, compile_min_dfa(format_regex(r), d.alphabet))
+        assert languages_equal(d, compile_min_dfa(s, d.alphabet))
 
 
 def test_dfa_to_regex_of_a_long_cycle():
     # a^333 (a^400)*: eliminating the cycle nests the label hundreds deep
-    from omsemi.regex import dfa_to_regex, format_regex
     d = Dfa("ab", [[(q + 1) % 400, 400] for q in range(400)] + [[400, 400]],
             0, {333})
-    assert languages_equal(
-        d, compile_min_dfa(format_regex(dfa_to_regex(d)), "ab"))
+    assert languages_equal(d, compile_min_dfa(regex_text(d), "ab"))
 
 
 def test_dfa_to_regex_empty_language():
-    from omsemi.regex import dfa_to_regex
     d = Dfa("ab", [[0, 0]], 0, set())
-    assert dfa_to_regex(d) is None
+    assert regex_text(d) is None
 
 
 def test_dfa_to_regex_examples():
-    from omsemi.regex import dfa_to_regex, format_regex
     d = compile_min_dfa("a(a|b)*", "ab")
-    s = format_regex(dfa_to_regex(d))
+    s = regex_text(d)
     assert languages_equal(compile_min_dfa(s, "ab"), d)
     d_eps = compile_min_dfa("", "ab")
-    s_eps = format_regex(dfa_to_regex(d_eps))
+    s_eps = regex_text(d_eps)
     assert languages_equal(compile_min_dfa(s_eps, "ab"), d_eps)
+
+
+@pytest.mark.parametrize("regex, text", [
+    ("", "()"),
+    ("(ab)*", "()|a(ba)*b"),          # the empty word in a union
+    ("(|a)b*", "()|(a|b)b*"),         # a union inside a concatenation
+    ("a(a|b)*", "a(a|b)*"),
+])
+def test_dfa_to_regex_exact_text(regex, text):
+    assert regex_text(compile_min_dfa(regex, "ab")) == text

@@ -546,6 +546,85 @@ def trimmed_class_language(sp, e):
     return Dfa(sp.alphabet, trans, 0, {num[target]}).minimize()
 
 
+# the residual-inclusion preorder by repeated sweeps over every state pair,
+# and state elimination over regex trees printed by format_regex, the
+# former code of omsemi.syntactic and omsemi.regex, kept as oracles
+
+
+def sweep_state_preorder(d):
+    """below[p][q]: every word accepted from state p is accepted from q,
+    found by deleting pairs until no letter leads out of the relation."""
+    nq = d.n_states
+    acc = d.accepting
+    trans = d.transitions
+    below = [[p not in acc or q in acc for q in range(nq)]
+             for p in range(nq)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(nq):
+            for q in range(nq):
+                if below[p][q] and not all(
+                        below[a][b] for a, b in zip(trans[p], trans[q])):
+                    below[p][q] = False
+                    changed = True
+    return below
+
+
+def regex_text(d):
+    """dfa_to_regex on a Dfa, eliminating its coaccessible states in
+    index order."""
+    from omsemi.regex import dfa_to_regex
+    return dfa_to_regex(d.alphabet, d.transitions, d.initial, d.accepting,
+                        sorted(d.coaccessible_states()))
+
+
+def tree_dfa_to_regex(d):
+    """The text of d's language by state elimination over regex trees in
+    index order on the coaccessible states, printed by format_regex, or
+    None if the language is empty."""
+    from omsemi.regex import Concat, Empty, Star, Sym, Union, format_regex
+
+    def cat(a, b):
+        if isinstance(a, Empty):
+            return b
+        if isinstance(b, Empty):
+            return a
+        return Concat(a, b)
+
+    n = d.n_states
+    start, accept = n, n + 1
+    useful = sorted(d.coaccessible_states())
+    alive = set(useful)
+    edges = {}
+
+    def put(i, j, r):
+        edges[i, j] = Union(edges[i, j], r) if (i, j) in edges else r
+
+    for q in useful:
+        for ch, r in zip(d.alphabet, d.transitions[q]):
+            if r in alive:
+                put(q, r, Sym(ch))
+    if d.initial in alive:
+        put(start, d.initial, Empty())
+    for q in d.accepting:
+        put(q, accept, Empty())
+    for k in useful:
+        loop = edges.pop((k, k), None)
+        into = [(i, r) for (i, j), r in edges.items() if j == k]
+        out = [(j, r if loop is None else cat(Star(loop), r))
+               for (i, j), r in edges.items() if i == k]
+        for i, _ in into:
+            edges.pop((i, k))
+        for j, _ in out:
+            edges.pop((k, j))
+        for i, rin in into:
+            for j, rout in out:
+                put(i, j, cat(rin, rout))
+    r = edges.get((start, accept))
+    return None if r is None else format_regex(r)
+
+
 # ---------------------------------------------------------------------------
 # semigroup enumeration: the search that tests canonicity only at complete
 # tables, as omsemi.enumeration did before it pruned relabelled prefixes,
