@@ -2,8 +2,7 @@
 search for omega-term solutions, and three scripted verification suites
 covering the commutative, group, and completely regular case studies."""
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 from .dfa import (
     compile_min_dfa,
@@ -13,7 +12,7 @@ from .dfa import (
 )
 from .errors import (MalformedTable, NotASolution, SizeTooLarge,
                      SubwordObstruction, Unreachable)
-from .semigroup import FiniteSemigroup, GeneratorMap
+from .semigroup import GeneratorMap
 from .syntactic import syntactic_semigroup
 from .terms import (
     Concat,
@@ -35,43 +34,40 @@ from .varieties import (
 from .words import count_occurrences, is_cube_free, ptm_iterate, scattered_subword
 
 
-@dataclass(frozen=True)
-class SolutionTriple:
+class SolutionTriple(namedtuple("SolutionTriple", "S s t gens mode")):
     """An instance (S, s, t) of the single equation x = y (or x <= y)."""
-    S: FiniteSemigroup
-    s: int
-    t: int
-    gens: GeneratorMap
-    mode: str = "equality"
 
-    def __post_init__(self):
-        if self.mode not in ("equality", "inequality"):
+    __slots__ = ()
+
+    def __new__(cls, S, s, t, gens, mode="equality"):
+        if mode not in ("equality", "inequality"):
             raise ValueError("mode must be equality or inequality")
-        for e in (self.s, self.t):
-            if type(e) is not int or not 0 <= e < self.S.n:
+        for e in (s, t):
+            if type(e) is not int or not 0 <= e < S.n:
                 raise MalformedTable("s and t must be elements of S, not %r"
                                      % (e,))
-        if self.gens.target is not self.S:
+        if gens.target is not S:
             raise ValueError("generator map must land in S")
-        if self.mode == "inequality" and self.S.order is None:
+        if mode == "inequality" and S.order is None:
             raise ValueError("inequality mode needs an ordered semigroup")
+        return super().__new__(cls, S, s, t, gens, mode)
+
+    # namedtuple's _make, which _replace calls, would skip those checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: object
-    computed: object
+class Check(namedtuple("Check", "name expected computed")):
+    __slots__ = ()
 
     @property
     def passed(self):
         return self.expected == self.computed
 
 
-@dataclass
 class VerificationReport:
-    section: str
-    checks: list = field(default_factory=list)
+    def __init__(self, section):
+        self.section = section
+        self.checks = []
 
     def add(self, name, expected, computed):
         self.checks.append(Check(name, expected, computed))

@@ -7,14 +7,12 @@ and ``(|a)`` are both valid.
 
 `parse_regex` reads the text in one pass with a stack of the open groups,
 each a list of branches and each branch a list of factors, so it does not
-recurse either.  Parentheses nest at most NESTING_DEPTH_CAP deep, in terms
-too, and deeper text raises ParseError.  The dataclass-generated
-``__eq__``, ``__hash__`` and ``__repr__`` of the nodes recurse, but no
-package code calls them on parsed trees, and `dfa_to_regex` builds no
-tree.  The cap protects callers who compare or print parsed trees, as
-parentheses cannot make trees deep for those three methods.  It does not
-bound the left-nested concatenations of a long word: a word of a few
-hundred letters is already too deep for them.
+recurse either, and parentheses may nest to any depth.
+
+The nodes of both tree families, these and the terms', derive from
+`Node`, whose ``==``, ``hash`` and ``repr`` walk the tree with an explicit
+stack, so they return on a word of any length: the left-nested
+concatenations of a long word are as deep as it is long.
 
 Every walk over a regex tree (its alphabet, the Thompson automaton, the
 concrete syntax) is a fold over `_postorder`, the node list with each
@@ -23,42 +21,92 @@ node after its subexpressions, so no walk recurses however deep the tree.
 concrete syntax that `format_regex` would print for its tree.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Empty:
+class Node:
+    """An immutable syntax tree node, whose fields are named by its class's
+    ``__slots__``.  Equality and hashing go through one tuple, each node's
+    type followed by its field values in preorder; a type fixes how many
+    fields follow it, so the tuple determines the tree.  ``repr`` prints
+    ``Concat(left=Sym(ch='a'), right=Empty())``.  All three walk the tree
+    with an explicit stack."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError("%s takes %d fields, not %d" % (
+                type(self).__name__, len(self.__slots__), len(values)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s nodes are immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def _key(self):
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Node):
+                out.append(type(node))
+                stack += [getattr(node, f) for f in reversed(node.__slots__)]
+            else:
+                out.append(node)
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Node):
+                out.append(item)
+                continue
+            parts = [type(item).__qualname__ + "("]
+            for i, name in enumerate(item.__slots__):
+                value = getattr(item, name)
+                parts += [(", " if i else "") + name + "=",
+                          value if isinstance(value, Node) else repr(value)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
+
+
+class Empty(Node):
     """The empty word."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sym:
-    ch: str
+class Sym(Node):
+    __slots__ = ("ch",)
 
 
-@dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
+class Union(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: object
-    right: object
+class Concat(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Star:
-    body: object
+class Star(Node):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class Plus:
-    body: object
+class Plus(Node):
+    __slots__ = ("body",)
 
 
 def _postorder(r):
@@ -82,10 +130,6 @@ def regex_alphabet(r):
     return {node.ch for node in _postorder(r) if type(node) is Sym}
 
 
-# how deep parentheses nest in a regex or a term; see the module docstring
-NESTING_DEPTH_CAP = 100
-
-
 def _group(branches):
     """One tree for the branches of a group, each a list of factors:
     concatenations and unions nest to the left, and an empty branch is
@@ -103,9 +147,6 @@ def parse_regex(text):
             continue
         factors = stack[-1][-1]
         if ch == "(":
-            if len(stack) > NESTING_DEPTH_CAP:
-                raise ParseError("parentheses nested deeper than %d at "
-                                 "position %d" % (NESTING_DEPTH_CAP, pos + 1))
             stack.append([[]])
         elif ch == "|":
             stack[-1].append([])

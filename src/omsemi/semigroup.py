@@ -24,7 +24,7 @@ N >= index with N = k mod period (Almeida, "Finite Semigroups and
 Universal Algebra", 1994).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import gcd
 from operator import itemgetter
@@ -34,18 +34,11 @@ from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
 from .graphs import reachable
 
 
-@dataclass(frozen=True)
-class MonogenicData:
-    """The power sequence of one element, with its index and period.
-
-    The powers s, s^2, s^3, ... are eventually periodic: the first repeated
-    value occurs at s^(index+period) = s^index.  ``powers`` lists s, ...,
-    s^(index+period-1), so every power of s is one of its entries.
-    """
-
-    index: int
-    period: int
-    powers: tuple
+# The power sequence of one element, with its index and period.  The
+# powers s, s^2, s^3, ... are eventually periodic: the first repeated value
+# occurs at s^(index+period) = s^index.  ``powers`` lists s, ...,
+# s^(index+period-1), so every power of s is one of its entries.
+MonogenicData = namedtuple("MonogenicData", "index period powers")
 
 
 class FiniteSemigroup:
@@ -283,21 +276,23 @@ def stabilized_prime_power_residue(p, period):
     return rest * pow(rest, -1, coprime) % period
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(namedtuple("GeneratorMap", "target assignment")):
     """Assignment of letters to elements of a target semigroup."""
 
-    target: FiniteSemigroup
-    assignment: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.assignment, dict):
+    def __new__(cls, target, assignment):
+        if not isinstance(assignment, dict):
             raise MalformedTable("assignment is not a dict: %r"
-                                 % (self.assignment,))
-        for letter, e in self.assignment.items():
-            if type(e) is not int or not 0 <= e < self.target.n:
+                                 % (assignment,))
+        for letter, e in assignment.items():
+            if type(e) is not int or not 0 <= e < target.n:
                 raise MalformedTable("image of %r out of range: %r"
                                      % (letter, e))
+        return super().__new__(cls, target, assignment)
+
+    # namedtuple's _make, which _replace calls, would skip those checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __call__(self, letter):
         try:
@@ -316,14 +311,8 @@ class GeneratorMap:
         return e
 
 
-@dataclass(frozen=True)
-class GreenClasses:
-    """Partitions of a semigroup into R, L, J and H classes."""
-
-    r: tuple
-    l: tuple
-    j: tuple
-    h: tuple
+# partitions of a semigroup into R, L, J and H classes
+GreenClasses = namedtuple("GreenClasses", "r l j h")
 
 
 def _partition_by(keys):

@@ -9,8 +9,8 @@ Concrete syntax: juxtaposition concatenates, ``^w``, ``^(w+2)``, ``^(w-1)``,
 ``^(2^w)`` and ``^3`` are powers, parentheses group.  Whitespace is ignored.
 `parse_term` reads the text in one pass with a stack of the open groups'
 factors: ``^`` wraps the last factor, whose exponent `_power` reads.
-Parentheses nest at most `regex.NESTING_DEPTH_CAP` deep, for the reason
-given there.
+Parentheses may nest to any depth.  The nodes derive from `regex.Node`,
+whose ``==``, ``hash`` and ``repr`` do not recurse either.
 
 Every walk over a term (size, alphabet, concrete syntax, evaluation, the
 commutative, abelian and free-group images, unrolling, factor expansion)
@@ -34,9 +34,8 @@ only its values: an ab multiplicity is the com one with omega+k read as k
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
-from typing import NamedTuple
 
 from .errors import (
     DepthCap,
@@ -46,44 +45,45 @@ from .errors import (
     SizeTooLarge,
     UnsupportedPrimePower,
 )
-from .regex import NESTING_DEPTH_CAP
+from .regex import Node
 from .semigroup import stabilized_prime_power_residue
 from .words import factors_up_to
 
 
-@dataclass(frozen=True)
-class Letter:
-    ch: str
+# Letter and Concat, which parse_term builds once per letter of a word,
+# set their fields directly rather than through Node's loop
+class Letter(Node):
+    __slots__ = ("ch",)
+
+    def __init__(self, ch):
+        object.__setattr__(self, "ch", ch)
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: object
-    right: object
+class Concat(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class OmegaPower:
+class OmegaPower(Node):
     """base^(omega+k); k may be negative (inverse walk around the cycle)."""
-    base: object
-    k: int
+    __slots__ = ("base", "k")
 
 
-@dataclass(frozen=True)
-class PrimeOmegaPower:
+class PrimeOmegaPower(Node):
     """base^(p^omega) for a prime p."""
-    base: object
-    p: int
+    __slots__ = ("base", "p")
 
 
-@dataclass(frozen=True)
-class FinitePower:
-    base: object
-    m: int
+class FinitePower(Node):
+    __slots__ = ("base", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, base, m):
+        if m < 1:
             raise ValueError("finite power must be >= 1 (terms are nonempty)")
+        Node.__init__(self, base, m)
 
 
 def _postorder(t):
@@ -251,9 +251,6 @@ def parse_term(text):
         i += 1
         factors = stack[-1]
         if ch == "(":
-            if len(stack) > NESTING_DEPTH_CAP:
-                raise ParseError("parentheses nested deeper than %d at "
-                                 "position %d" % (NESTING_DEPTH_CAP, pos + 1))
             stack.append([])
         elif ch is None or ch == ")":
             if not factors:
@@ -345,34 +342,14 @@ def satisfies_identity(S, lhs, rhs, mode="equality"):
 # normal forms over ab, com and g
 
 
-class ExponentValue(NamedTuple):
+class ExponentValue(namedtuple("ExponentValue", "infinite value")):
     """An exponent in N or omega+Z: Fin(n) or Inf(k) standing for omega+k.
 
     A plain (infinite, value) pair compares and hashes equal to it, so the
     com normal form is computed over bare pairs and only `com_exponents`
     builds ExponentValues."""
 
-    infinite: bool
-    value: int
-
-    def __add__(self, other):
-        if self.infinite or other.infinite:
-            return Inf(self.value + other.value)
-        return Fin(self.value + other.value)
-
-    def scale(self, m):
-        """Exponent of t^m given the exponent in t."""
-        return Inf(self.value * m) if self.infinite else Fin(self.value * m)
-
-    def omega_compose(self, j):
-        """Exponent of t^(w+j) given the exponent in t.
-
-        A letter absent from t stays absent; one occurring n >= 1 times
-        occurs omega + n*j times; an omega+i occurrence becomes omega+i*j.
-        """
-        if not self.infinite and self.value == 0:
-            return self
-        return Inf(self.value * j)
+    __slots__ = ()
 
     def __repr__(self):
         if self.infinite:
@@ -435,10 +412,9 @@ def reduced_power(word, k):
 # variety iff their frozen forms are.  com keeps the letter multiplicities
 # in N u (omega+Z) as plain (infinite, value) pairs, each equal to its
 # ExponentValue, and freezes them sorted; an omega power makes every
-# letter infinite.  ExponentValue.omega_compose's Fin(0) branch cannot
-# arise here: a multiplicity starts at 1, finite powers are >= 1
-# (FinitePower.__post_init__) and sums only grow, so every letter present
-# has a nonzero finite count or is infinite.  ab shares com's letter,
+# letter of its base infinite.  The dict holds only letters present, each
+# with a nonzero count: a multiplicity starts at 1, finite powers are
+# >= 1 (FinitePower.__init__) and sums only grow.  ab shares com's letter,
 # concat and power steps, since x^w = 1 in a finite abelian group: it
 # freezes the values alone, omega+k read as k, sorted and without zeros.
 # g keeps the reduced signed word, whose omega part vanishes in any group,
@@ -561,11 +537,7 @@ def unroll(t, targets, pad=0):
 # bounded factors
 
 
-@dataclass(frozen=True)
-class FactorData:
-    factors: frozenset
-    prefix: str
-    suffix: str
+FactorData = namedtuple("FactorData", "factors prefix suffix")
 
 
 def expand_for_factors(t, k):

@@ -1,8 +1,11 @@
 """Properties of the folds over the postorder of a syntax tree: each term
 walk equals the recursive walk kept in util as its oracle, and parsing
-inverts formatting for terms and for regexes."""
+inverts formatting for terms and for regexes.  The nodes' own ``repr``,
+``==`` and ``hash`` agree with recursive oracles too."""
 
+import copy
 import itertools
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,11 +19,11 @@ from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
                           free_group_normal_form, parse_term, term_alphabet,
                           unroll)
 
-from util import (random_generator_map, random_small_semigroup,
+from util import (random_generator_map, random_small_semigroup, rebuild,
                   recursive_ab_image, recursive_com_exponents,
                   recursive_eval_term, recursive_expand_for_factors,
                   recursive_format_term, recursive_free_group_normal_form,
-                  recursive_unroll)
+                  recursive_node_repr, recursive_structure, recursive_unroll)
 
 fold_settings = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -124,3 +127,19 @@ def test_parse_inverts_format_term(t):
 @given(regexes)
 def test_parse_inverts_format_regex(r):
     assert parse_regex(format_regex(r)) == r
+
+
+trees = st.one_of(any_terms, regexes)
+
+
+@fold_settings
+@given(trees, trees)
+def test_node_methods_match_recursive_oracles(a, b):
+    assert repr(a) == recursive_node_repr(a)
+    assert (a == b) == (recursive_structure(a) == recursive_structure(b))
+    assert (a != b) == (recursive_structure(a) != recursive_structure(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    twin = rebuild(recursive_structure(a))
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a

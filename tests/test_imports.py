@@ -1,9 +1,13 @@
 """Every name a module imports is used in that module, so code that moves
 or goes leaves no import behind.  The package's __init__ is left out: its
-imports are the re-exported API."""
+imports are the re-exported API.  Importing the package loads none of
+dataclasses, inspect or typing."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import omsemi
 
@@ -40,3 +44,15 @@ def test_guard_sees_unused_imports():
                      "def g():\n    import h\n    return os.sep, f, h\n")
     assert sorted(_unused_imports(tree)) == [
         ("b", 3), ("d", 3), ("itertools", 1)]
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # -S keeps site, which may import typing, out of the interpreter
+    heavy = ("dataclasses", "inspect", "typing")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", "import omsemi, sys; print(sorted("
+         "m for m in %r if m in sys.modules))" % (heavy,)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["[]"]

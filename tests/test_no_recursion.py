@@ -9,10 +9,12 @@ The cycle guard reads each module's call graph from its source, with no
 exemption list: a call by plain name goes to the module's functions of
 that name, and a self./cls. call to its classes' methods of that name.
 
-The ``__eq__``, ``__hash__`` and ``__repr__`` that ``dataclass``
-generates for the regex and term nodes do recurse, so no package path
-may call them: the tree-method guard makes all three raise on every node
-class and runs the CLI commands and the bounded search through them."""
+The nodes' ``__eq__``, ``__hash__`` and ``__repr__`` walk the whole tree
+with an explicit stack, so they return on a word of any length, which
+the long-word tests check.  A walk over a whole tree still has no place
+on a hot path, so no package path may call them: the tree-method guard
+makes all three raise on every node class and runs the CLI commands and
+the bounded search through them."""
 
 import ast
 import pathlib
@@ -116,6 +118,21 @@ COMMANDS = (
        (["reduce", "jplus", "--regex", "b*ab*", "--u", "a", "--v", "b a b"],
         0),
        (["enum", "3", "--identity", "x y = y x"], 0)])
+
+
+@pytest.mark.parametrize("parse, ch, other", [
+    (regex.parse_regex, "a", "b"), (terms.parse_term, "x", "y")],
+    ids=["regex", "term"])
+def test_tree_methods_return_on_long_words(parse, ch, other):
+    # a parsed word is a left comb 2000 nodes deep whose deepest leaf is
+    # its first letter, so a and c differ only there
+    a, b = parse(ch * 2000), parse(ch * 2000)
+    c = parse(other + ch * 1999)
+    assert a == b and hash(a) == hash(b)
+    assert a != c and not a == c
+    text = repr(a)
+    assert text == repr(b) and text.count("(") == 3999
+    assert repr(c) == text.replace(repr(ch), repr(other), 1)
 
 
 def test_no_package_path_calls_generated_tree_methods(monkeypatch, capsys):

@@ -1,13 +1,14 @@
 """The term and regex parsers are total: on any text they return a syntax
 tree or raise a typed error, and they do so quickly.  Malformed text gets
-the exact ParseError message pinned here."""
+the exact ParseError message pinned here, and parentheses nest to any
+depth."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omsemi.errors import ParseError, SizeTooLarge
-from omsemi.regex import parse_regex
-from omsemi.terms import parse_term
+from omsemi.regex import Sym, format_regex, parse_regex
+from omsemi.terms import Letter, format_term, parse_term
 
 # the characters of both grammars, letters, ASCII and non-ASCII digits
 # (which str.isdigit accepts but int() may not) and whitespace, plus any
@@ -32,7 +33,7 @@ def _deep(inner, depth, extra=""):
 
 # malformed text, and the ParseError message each parser gives it
 REGEX_ERRORS = [
-    (_deep("a", 101), "parentheses nested deeper than 100 at position 101"),
+    ("(" * 10000 + "a", "missing closing parenthesis"),
     (_deep("a", 100, ")"), "unexpected ')' at position 201"),
     ("a)b", "unexpected ')' at position 1"),
     ("*a", "unexpected '*'"),
@@ -55,7 +56,7 @@ REGEX_ERRORS = [
 ]
 
 TERM_ERRORS = [
-    (_deep("x", 101), "parentheses nested deeper than 100 at position 101"),
+    ("(" * 10000 + "x", "missing closing parenthesis"),
     (_deep("x", 100, ")"), "unexpected ')' at position 201"),
     ("x(", "empty term"),
     ("", "empty term"),
@@ -93,3 +94,18 @@ def test_parse_errors_are_pinned(parse, text, message):
         parse(text)
     assert type(info.value) is ParseError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("depth", [101, 10000])
+def test_deep_parentheses_parse_and_round_trip(depth):
+    assert parse_regex(_deep("a", depth)) == Sym("a")
+    assert parse_term(_deep("x", depth)) == Letter("x")
+    # each group nests inside the last: a(b|a(b|...c)) is a tree 2 * depth
+    # deep, and (x (x ... y)^2)^2 one of depth powers over concatenations
+    regex = "a(b|" * depth + "c" + ")" * depth
+    term = "(x " * depth + "y" + ")^2" * depth
+    for parse, show, text in ((parse_regex, format_regex, regex),
+                              (parse_term, format_term, term)):
+        tree = parse(text)
+        assert show(tree) == text
+        assert parse(show(tree)) == tree

@@ -303,6 +303,16 @@ def test_solution_triple_validation():
     other = GeneratorMap(FiniteSemigroup.cyclic(1, 2), {"x": 0})
     with pytest.raises(ValueError):
         SolutionTriple(C2, 0, 0, other)
+    # the records are immutable tuples, and _replace checks like the
+    # constructor
+    triple = SolutionTriple(C2, 0, 0, g)
+    assert triple == (C2, 0, 0, g, "equality")
+    with pytest.raises(AttributeError):
+        triple.s = 1
+    with pytest.raises(ValueError):
+        triple._replace(mode="weird")
+    with pytest.raises(MalformedTable):
+        g._replace(assignment={"x": 5})
 
 
 @pytest.mark.parametrize("s,t", [(0.5, 0), (True, 0), (1.0, 0), (0, False),

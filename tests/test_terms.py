@@ -305,15 +305,23 @@ def test_com_normal_form_is_the_sorted_exponents():
         assert normal_form("com", t) == tuple(sorted(com_exponents(t).items()))
 
 
+# term -> its com normal form: sums, omega powers and finite powers of
+# the (infinite, value) multiplicities
+COM_ARITHMETIC = {
+    "x^2 x^3": (("x", (False, 5)),),
+    "x^2 x^(w-1)": (("x", (True, 1)),),
+    "x^(w+1) x^(w+2)": (("x", (True, 3)),),
+    "x^(w+5) y": (("x", (True, 5)), ("y", (False, 1))),
+    "(x^2)^(w-1)": (("x", (True, -2)),),
+    "(x^(w+3))^(w+2)": (("x", (True, 6)),),
+    "(x^3)^4": (("x", (False, 12)),),
+    "(x^(w-1))^2": (("x", (True, -2)),),
+}
+
+
 def test_exponent_value_arithmetic():
-    assert Fin(2) + Fin(3) == Fin(5)
-    assert Fin(2) + Inf(-1) == Inf(1)
-    assert Inf(1) + Inf(2) == Inf(3)
-    assert Fin(0).omega_compose(5) == Fin(0)
-    assert Fin(2).omega_compose(-1) == Inf(-2)
-    assert Inf(3).omega_compose(2) == Inf(6)
-    assert Fin(3).scale(4) == Fin(12)
-    assert Inf(-1).scale(2) == Inf(-2)
+    for text, want in COM_ARITHMETIC.items():
+        assert normal_form("com", parse_term(text)) == want, text
 
 
 def test_free_group_normal_form():

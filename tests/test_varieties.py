@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -290,7 +289,8 @@ def _cr_rewrite(rng, t):
             return Concat(_cr_rewrite(rng, t.left), t.right)
         return Concat(t.left, _cr_rewrite(rng, t.right))
     if type(t) not in (Letter, Concat) and rng.random() < 0.4:
-        return replace(t, base=_cr_rewrite(rng, t.base))
+        exponent = getattr(t, type(t).__slots__[1])  # its k, p or m
+        return type(t)(_cr_rewrite(rng, t.base), exponent)
     moves = [OmegaPower(t, 1)]
     if type(t) is OmegaPower:
         s, k = t.base, t.k

@@ -4,6 +4,7 @@ import itertools
 
 from hypothesis import strategies as st
 
+from omsemi import regex, terms
 from omsemi.graphs import reachable
 from omsemi.groups_catalog import all_groups_up_to_24
 from omsemi.semigroup import FiniteSemigroup
@@ -337,23 +338,62 @@ def recursive_format_term(t):
     return base + exp
 
 
+# the fields of each node class, in the order its constructor takes them
+NODE_FIELDS = {
+    regex.Empty: (), regex.Sym: ("ch",), regex.Union: ("left", "right"),
+    regex.Concat: ("left", "right"), regex.Star: ("body",),
+    regex.Plus: ("body",), terms.Letter: ("ch",),
+    terms.Concat: ("left", "right"), terms.OmegaPower: ("base", "k"),
+    terms.PrimeOmegaPower: ("base", "p"), terms.FinitePower: ("base", "m"),
+}
+
+
+def recursive_node_repr(t):
+    """The repr of a node in the format of a dataclass, e.g.
+    Concat(left=Letter(ch='x'), right=FinitePower(base=Letter(ch='x'), m=2))."""
+    if type(t) not in NODE_FIELDS:
+        return repr(t)
+    return "%s(%s)" % (type(t).__name__, ", ".join(
+        "%s=%s" % (f, recursive_node_repr(getattr(t, f)))
+        for f in NODE_FIELDS[type(t)]))
+
+
+def recursive_structure(t):
+    """A node as the nested tuple (type, field values...)."""
+    if type(t) not in NODE_FIELDS:
+        return t
+    return (type(t),) + tuple(recursive_structure(getattr(t, f))
+                              for f in NODE_FIELDS[type(t)])
+
+
+def rebuild(structure):
+    """A new tree of new nodes from recursive_structure's tuple."""
+    if type(structure) is not tuple:
+        return structure
+    return structure[0](*map(rebuild, structure[1:]))
+
+
 def recursive_com_exponents(t):
+    """The com multiplicities of t's letters as (infinite, value) pairs,
+    omega+k being (True, k), with arithmetic of their own."""
     from omsemi.errors import UnsupportedPrimePower
-    from omsemi.terms import (Concat, Fin, FinitePower, Letter, OmegaPower,
+    from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
                               PrimeOmegaPower)
     if isinstance(t, Letter):
-        return {t.ch: Fin(1)}
+        return {t.ch: (False, 1)}
     if isinstance(t, Concat):
         out = dict(recursive_com_exponents(t.left))
-        for ch, e in recursive_com_exponents(t.right).items():
-            out[ch] = out[ch] + e if ch in out else e
+        for ch, (f, v) in recursive_com_exponents(t.right).items():
+            g, w = out.get(ch, (False, 0))
+            out[ch] = (f or g, v + w)
         return out
     if isinstance(t, OmegaPower):
-        return {ch: e.omega_compose(t.k)
-                for ch, e in recursive_com_exponents(t.base).items()}
+        # every letter of the base occurs omega + (its count * k) times
+        return {ch: (True, v * t.k)
+                for ch, (_, v) in recursive_com_exponents(t.base).items()}
     if isinstance(t, FinitePower):
-        return {ch: e.scale(t.m)
-                for ch, e in recursive_com_exponents(t.base).items()}
+        return {ch: (f, v * t.m)
+                for ch, (f, v) in recursive_com_exponents(t.base).items()}
     if isinstance(t, PrimeOmegaPower):
         raise UnsupportedPrimePower("prime-omega power")
     raise TypeError("not a term: %r" % (t,))
