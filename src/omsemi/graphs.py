@@ -3,22 +3,23 @@
 A graph is given by a function from a node to its successors, in order;
 nodes are any hashable values.  Both walks visit the nodes first in first
 out, successors in the order given, so their output order is fixed by
-the graph alone.  All but two of the package's closures go through them:
+the graph alone.  All but one of the package's closures go through them:
 
 - ``reachable``: the reachable and co-accessible states of a DFA, the
   ε-closures of the subset construction, the state pairs reachable in the
   product of two DFAs (language equality and intersection), the
-  subsemigroup spanned by the generators (Light's test), and the groups
-  of the catalogue built by permutation and matrix closures;
+  subsemigroup spanned by the generators (Light's test), the ideal of
+  the infinite syntactic classes, and the groups of the catalogue built
+  by permutation and matrix closures;
 - ``breadth_first``: the subset construction, the two numberings of
-  ``Dfa.minimize`` and the numbering of the residual keys of a class
-  language, which need each node's successor positions.
+  ``Dfa.minimize``, the syntactic closure of ``syntactic_semigroup``,
+  whose rows are kept as the right Cayley automaton, and the numbering
+  of the residual keys of a class language, which need each node's
+  successor positions.
 
-Two walks are their own loops.  The syntactic closure of
-``syntactic_semigroup`` also records each class's word and stops at
-``max_elements``.  ``reducibility.simple_path_word`` walks the right
-Cayley graph with a ``deque``, stops at its target and records each
-node's parent, to read the shortest word back.
+One walk is its own loop: ``reducibility.simple_path_word`` walks the
+right Cayley graph with a ``deque``, stops at its target and records
+each node's parent, to read the shortest word back.
 """
 
 

@@ -243,21 +243,12 @@ class FiniteSemigroup:
 
     @classmethod
     def direct_product(cls, a, b):
-        n = a.n * b.n
-
-        def idx(i, j):
-            return i * b.n + j
-
-        table = [[0] * n for _ in range(n)]
-        for i1 in range(a.n):
-            for j1 in range(b.n):
-                for i2 in range(a.n):
-                    for j2 in range(b.n):
-                        table[idx(i1, j1)][idx(i2, j2)] = \
-                            idx(a.table[i1][i2], b.table[j1][j2])
+        # (i1, j1)(i2, j2) is (i1 i2, j1 j2), the pair (i, j) at i|B| + j
+        table = [[x * b.n + y for x in ra for y in rb]
+                 for ra in a.table for rb in b.table]
         if a.identity is None or b.identity is None:
             return cls(table)
-        return cls(table, identity=idx(a.identity, b.identity))
+        return cls(table, identity=a.identity * b.n + b.identity)
 
 
 def stabilized_prime_power_residue(p, period):

@@ -4,12 +4,13 @@ The syntactic semigroup is computed as the transition semigroup of the
 minimal complete DFA: each nonempty word acts on the state set, and two
 words are syntactically congruent iff they induce the same action.  Class
 representatives are the shortest words in shortlex order, discovered by
-breadth-first closure of the letter actions.
+one breadth-first walk of the letter actions from the empty word.
 
-The closure composes each class with each letter once, which gives the
-right Cayley graph; the table is then filled from it word by word
-(Froidure & Pin, "Algorithms for computing finite semigroups", 1997), and
-the letter classes are passed to FiniteSemigroup as its generators.
+The walk composes each class with each letter once, which gives the
+right Cayley graph; its rows are kept as the right Cayley automaton, the
+table is filled from them word by word (Froidure & Pin, "Algorithms for
+computing finite semigroups", 1997), and the letter classes are passed to
+FiniteSemigroup as its generators.
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
@@ -18,15 +19,19 @@ with no solution shares the dead key, whose residual is empty; every
 other key's residual is nonempty.  So `class_expression` hands the key
 rows to `dfa_to_regex` to eliminate every key but the dead one, with no
 DFA in between.  Whether a class is finite is read off the table as
-well, so `finite_class_words` builds the DFA of a finite class only.
+well, and `finite_class_words` lists a finite class's words from its
+residual keys, so no class builds a DFA unless `class_language` asks.
 
 The syntactic order rests on the residual-inclusion preorder on states,
 found by Moore's pair marking: the pairs (accepting, rejecting) are
 marked first, and each marked pair marks its predecessor pairs under
-each letter, each pair at most once.
+each letter, each pair at most once.  The order is stable by theorem, so
+it is attached to the semigroup without a proof.
 """
 
-from .dfa import Dfa, compile_min_dfa, enumerate_accepted
+from itertools import count
+
+from .dfa import Dfa, compile_min_dfa
 from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
 from .graphs import breadth_first, reachable
 from .regex import dfa_to_regex
@@ -42,17 +47,22 @@ def _compose(f, g):
 
 
 class SyntacticPresentation:
-    """A syntactic semigroup together with its word-class bookkeeping."""
+    """A syntactic semigroup together with its word-class bookkeeping.
 
-    def __init__(self, dfa, elements, words, table, letter_map, identity):
+    `cayley` holds the rows of the right Cayley automaton: state 0 is the
+    start, state 1 + i the class i, and letter a takes the start to
+    1 + [a] and 1 + i to 1 + i[a]."""
+
+    def __init__(self, dfa, elements, words, cayley, table, identity):
         self.dfa = dfa
         self.elements = elements
         self.words = words
+        self.cayley = cayley
+        letter_map = {ch: q - 1 for ch, q in zip(dfa.alphabet, cayley[0])}
         self.semigroup = FiniteSemigroup(table, identity=identity,
                                          generators=letter_map.values())
-        self.gens = GeneratorMap(self.semigroup, dict(letter_map))
+        self.gens = GeneratorMap(self.semigroup, letter_map)
         self._order = None
-        self._cayley = None
         self._sol = None
         self._infinite = None
 
@@ -113,30 +123,18 @@ class SyntacticPresentation:
         return self._order
 
     def ordered_semigroup(self):
-        """The syntactic semigroup, with its syntactic order attached once
-        the order has been proven stable."""
+        """The syntactic semigroup with its syntactic order attached.  The
+        order is a reflexive stable partial order by theorem, so it is not
+        proven again."""
         S = self.semigroup
         if S.order is None:
-            S.order = S._check_order(self.syntactic_order())
+            S.order = self.syntactic_order()
         return S
 
     def _check_class(self, e):
         if (isinstance(e, bool) or not isinstance(e, int)
                 or not 0 <= e < len(self.elements)):
             raise ElementNotWordImage("no class with index %r" % (e,))
-
-    def _cayley_automaton(self):
-        """The right Cayley graph with a start state, as the rows of an
-        automaton: state 0 is the start, state 1 + i the class i, and
-        letter a takes the start to 1 + [a] and 1 + i to 1 + i[a].  Built
-        once per presentation."""
-        if self._cayley is None:
-            table = self.semigroup.table
-            letters = [self.gens(ch) for ch in self.alphabet]
-            rows = [[1 + g for g in letters]]
-            rows += [[1 + row[g] for g in letters] for row in table]
-            self._cayley = rows
-        return self._cayley
 
     def _solutions(self):
         """sol[e][s]: the classes t with st = e, in increasing order, for
@@ -168,7 +166,7 @@ class SyntacticPresentation:
         Automata Theory, ch. IV).  Every class with no solution t has the
         dead key (False, ()), the one key whose residual is empty."""
         self._check_class(e)
-        rows = self._cayley_automaton()
+        rows = self.cayley
         sol = self._solutions()[e]
         start = (False, (e,))
         # the first Cayley state found with each key; its row stands for
@@ -213,8 +211,9 @@ class SyntacticPresentation:
         has two prefixes of one class s, so s = s v = s v^omega, with the
         idempotent v^omega.  The ideal is walked once per presentation,
         from the idempotents along the left and right Cayley graphs.  A
-        finite class's words are read off its class language, each
-        shorter than the number of states."""
+        finite class's words are read off its residual keys level by
+        level, pruning the dead key: every other key has a nonempty
+        residual, so a finite class has no cycle through them."""
         self._check_class(e)
         if self._infinite is None:
             t = self.semigroup.table
@@ -224,8 +223,14 @@ class SyntacticPresentation:
                 lambda a: [t[a][g] for g in gens] + [t[g][a] for g in gens]))
         if e in self._infinite:
             return None
-        d = self.class_language(e)
-        return enumerate_accepted(d, d.n_states)
+        keys, trans = self._residual_keys(e)
+        words, level = [], [("", 0)]
+        while level:
+            words += [w for w, q in level if keys[q][0]]
+            level = [(w + ch, r) for w, q in level
+                     for ch, r in zip(self.alphabet, trans[q])
+                     if keys[r] != _DEAD]
+        return words
 
     def __repr__(self):
         return "<syntactic semigroup: %d classes over %s>" % (
@@ -276,55 +281,36 @@ def syntactic_semigroup(d, alphabet=None, max_elements=2000):
         d = d.minimize()
     else:
         d = compile_min_dfa(d, alphabet=alphabet)
-    nq = d.n_states
-    letters = list(d.alphabet)
-    letter_acts = [tuple(d.transitions[q][i] for q in range(nq))
-                   for i in range(len(letters))]
-    elements = []
-    words = []
-    index = {}
-    # the word of class j is the word of class prefix[j] followed by the
-    # letter last[j] (prefix -1: the letter alone)
-    prefix = []
-    last = []
-    for i, ch in enumerate(letters):
-        t = letter_acts[i]
-        if t not in index:
-            index[t] = len(elements)
-            elements.append(t)
-            words.append(ch)
-            prefix.append(-1)
-            last.append(i)
-    # right[i][j]: the class of the word of class j followed by letter i
-    right = [[] for _ in letters]
-    pos = 0
-    while pos < len(elements):
-        t = elements[pos]
-        w = words[pos]
-        for i, ch in enumerate(letters):
-            nt = _compose(t, letter_acts[i])
-            k = index.get(nt)
-            if k is None:
-                if len(elements) >= max_elements:
-                    raise SizeTooLarge(
-                        "transition semigroup exceeds %d elements"
-                        % max_elements)
-                k = index[nt] = len(elements)
-                elements.append(nt)
-                words.append(w + ch)
-                prefix.append(pos)
-                last.append(i)
-            right[i].append(k)
-        pos += 1
-    # column j of the table, x -> xw for the word w of class j, is column
-    # prefix[j] followed by one step of the right Cayley graph
-    n = len(elements)
-    columns = []
-    for j in range(n):
-        before = range(n) if prefix[j] < 0 else columns[prefix[j]]
-        columns.append(list(map(right[last[j]].__getitem__, before)))
-    table = list(zip(*columns))
-    letter_map = {ch: index[letter_acts[i]] for i, ch in enumerate(letters)}
+    acts = [tuple(row[i] for row in d.transitions)
+            for i in range(len(d.alphabet))]
+    # successors is called once per node, in order: node k > max_elements
+    # exists iff there are more than max_elements classes
+    calls = count()
+
+    def successors(t):
+        if next(calls) > max_elements:
+            raise SizeTooLarge("transition semigroup exceeds %d elements"
+                               % max_elements)
+        return acts if t is None else [_compose(t, a) for a in acts]
+
+    # node 0 is the empty word, node 1 + j the class j
+    nodes, rows = breadth_first(None, successors)
+    n = len(nodes) - 1
+    # the first edge into a node is its tree edge: its word is the parent's
+    # word and that letter, and its column of the table, x -> xw for its
+    # word w, is the parent's column followed by one step of the right
+    # Cayley graph
+    right = [[q - 1 for q in col] for col in zip(*rows[1:])]
+    words = [""] + [None] * n
+    columns = [range(n)] + [None] * n
+    for p, row in enumerate(rows):
+        for i, k in enumerate(row):
+            if words[k] is None:
+                words[k] = words[p] + d.alphabet[i]
+                columns[k] = list(map(right[i].__getitem__, columns[p]))
+    elements = nodes[1:]
     # the identity is the class of a word acting as the empty word does
-    return SyntacticPresentation(d, elements, words, table, letter_map,
-                                 index.get(tuple(range(nq))))
+    one = tuple(range(d.n_states))
+    return SyntacticPresentation(
+        d, elements, words[1:], rows, list(zip(*columns[1:])),
+        next((j for j, t in enumerate(elements) if t == one), None))

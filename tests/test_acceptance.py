@@ -239,27 +239,3 @@ def test_cli_verification_report_is_byte_deterministic():
     assert r1.stdout == r2.stdout
     docs = json.loads(r1.stdout)
     assert all(doc["pass"] for doc in docs)
-
-
-def test_benchmark_layers_name_existing_entry_points():
-    # the tracer of perfbench/spans.py wraps each of these by name, so a
-    # renamed or deleted one would stop traced benchmark runs
-    import importlib
-    import importlib.util
-    import pathlib
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    # looked up as Tracer._patch does: a method in its class's own
-    # __dict__, and either kind a Python function, whose __code__ it reads
-    for entries in spans.LAYERS.values():
-        for module, qualname in entries:
-            obj = importlib.import_module("omsemi." + module)
-            *owner, name = qualname.split(".")
-            if owner:
-                obj = getattr(obj, owner[0]).__dict__.get(name)
-                obj = getattr(obj, "__func__", obj)
-            else:
-                obj = getattr(obj, name, None)
-            assert hasattr(obj, "__code__"), (module, qualname)

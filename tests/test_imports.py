@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, so code that moves
 or goes leaves no import behind.  The package's __init__ is left out: its
 imports are the re-exported API.  Importing the package loads none of
-dataclasses, inspect or typing."""
+dataclasses, inspect or typing, and every name the benchmark's tracer
+wraps is still there to wrap."""
 
 import ast
 import os
@@ -56,3 +57,17 @@ def test_import_loads_no_heavy_standard_modules():
         capture_output=True, text=True, env=env, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["[]"]
+
+
+def test_benchmark_tracer_finds_every_name():
+    # perfbench/spans.py wraps functions and methods of the package by
+    # name, some of which no package code calls; one that goes, or stops
+    # being a function or a classmethod on its class, breaks --trace 1
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(TESTS.parent / "perfbench"), str(PACKAGE.parent)]))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import spans; spans.Tracer().install('omsemi')"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr

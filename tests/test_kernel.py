@@ -1,19 +1,20 @@
 """Properties of the Cayley-graph kernel on random complete DFAs over
-{a, b}: the table, the syntactic order and Green's classes agree with the
-brute-force oracles in util, Light's test finds a corrupted cell, and the
-order check refuses an order that is not stable."""
+{a, b}: the table, the kept Cayley automaton, the syntactic order, Green's
+classes and the words of finite classes agree with the brute-force
+oracles in util, the size guard is exact, Light's test finds a corrupted
+cell, and the order check refuses an order that is not stable."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from omsemi.dfa import Dfa
+from omsemi.dfa import Dfa, enumerate_accepted, is_finite_language
 from omsemi.errors import (MalformedTable, NotAPartialOrder, NotAssociative,
                            SizeTooLarge)
 from omsemi.semigroup import FiniteSemigroup, green_classes
 from omsemi.syntactic import syntactic_semigroup
 
-from util import (composition_table, context_order, generates,
-                  ideal_green_classes, is_associative, is_stable)
+from util import (cayley_automaton, composition_table, context_order,
+                  generates, ideal_green_classes, is_associative, is_stable)
 
 MAX_CLASSES = 60   # keeps the cubic oracles quick
 kernel_settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -50,6 +51,32 @@ def test_table_matches_composition(sp):
     assert sp.semigroup.table == composition_table(sp)
     letters = set(sp.gens.assignment.values())
     assert set(sp.semigroup.generators) == letters
+
+
+@kernel_settings
+@given(presentations())
+def test_walk_keeps_the_cayley_automaton(sp):
+    assert sp.cayley == cayley_automaton(sp)
+
+
+@kernel_settings
+@given(presentations())
+def test_size_guard_is_exact(sp):
+    n = len(sp.elements)
+    again = syntactic_semigroup(sp.dfa, max_elements=n)
+    assert again.elements == sp.elements and again.words == sp.words
+    with pytest.raises(SizeTooLarge):
+        syntactic_semigroup(sp.dfa, max_elements=n - 1)
+
+
+@kernel_settings
+@given(presentations())
+def test_finite_class_words_match_class_language(sp):
+    for e in range(len(sp.elements)):
+        d = sp.class_language(e)
+        assert sp.finite_class_words(e) == (
+            enumerate_accepted(d, d.n_states)
+            if is_finite_language(d) else None)
 
 
 @kernel_settings

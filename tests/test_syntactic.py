@@ -107,11 +107,14 @@ def test_order_against_context_oracle():
 
 
 def test_order_is_stable_partial_order():
-    # construction of the ordered semigroup re-validates stability
+    # the order is attached without a proof; the proof that a caller's
+    # order gets accepts it unchanged
     for rex in ["(a|b)*a(a|b)*", "((aab)(aab))*|((abb)(abb))*", "aaaa*bb*aa"]:
         sp = syntactic_semigroup(rex)
         S = sp.ordered_semigroup()
-        assert S.order == sp.syntactic_order()
+        order = sp.syntactic_order()
+        assert S.order == order
+        assert S._check_order(order) == order
 
 
 def test_class_languages_partition_nonempty_words():

@@ -551,15 +551,21 @@ def moore_minimize(d):
                {num[q] for q in qaccept})
 
 
+def cayley_automaton(sp):
+    """The right Cayley graph with a start state, read off the table as
+    the rows of an automaton: state 0 is the start, state 1 + i the class
+    i, and letter a takes the start to 1 + [a] and 1 + i to 1 + i[a]."""
+    letters = [sp.gens(ch) for ch in sp.alphabet]
+    rows = [[1 + g for g in letters]]
+    rows += [[1 + row[g] for g in letters] for row in sp.semigroup.table]
+    return rows
+
+
 def full_class_language(sp, e):
     """The class language of e by minimising with Moore the whole
     Cayley automaton: a start state, then one state per class."""
     from omsemi.dfa import Dfa
-    table = sp.semigroup.table
-    letters = [sp.gens(ch) for ch in sp.alphabet]
-    trans = [[1 + g for g in letters]]
-    trans += [[1 + row[g] for g in letters] for row in table]
-    return moore_minimize(Dfa(sp.alphabet, trans, 0, {1 + e}))
+    return moore_minimize(Dfa(sp.alphabet, cayley_automaton(sp), 0, {1 + e}))
 
 
 def trimmed_class_language(sp, e):
@@ -568,10 +574,7 @@ def trimmed_class_language(sp, e):
     other edge sent to one rejecting sink."""
     from omsemi.dfa import Dfa
     from omsemi.graphs import reachable
-    table = sp.semigroup.table
-    letters = [sp.gens(ch) for ch in sp.alphabet]
-    rows = [[1 + g for g in letters]]
-    rows += [[1 + row[g] for g in letters] for row in table]
+    rows = cayley_automaton(sp)
     preds = [[] for _ in rows]
     for q, row in enumerate(rows):
         for r in row:
