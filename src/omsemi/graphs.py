@@ -18,8 +18,9 @@ the graph alone.  All but one of the package's closures go through them:
   successor positions.
 
 One walk is its own loop: ``reducibility.simple_path_word`` walks the
-right Cayley graph with a ``deque``, stops at its target and records
-each node's parent, to read the shortest word back.
+right Cayley graph over a list that grows as nodes are found, as
+``reachable`` does, but records each node's word when it first finds the
+node and returns when its target comes up.
 """
 
 

@@ -11,6 +11,8 @@ in which a closure finds the elements is the order of the group's table,
 and that table is printed in ``check --variety g`` witnesses.
 """
 
+from functools import reduce
+
 from .graphs import reachable
 from .semigroup import FiniteSemigroup
 
@@ -21,19 +23,19 @@ def cyclic_group(n):
     return FiniteSemigroup.cyclic(1, n)
 
 
-def _group(table):
-    """The group on `table`: its identity is its only idempotent, which
+def _table_group(elems, op):
+    """The group on the element list `elems` under op, its table in the
+    order of the list.  Its identity is its only idempotent, which
     FiniteSemigroup then proves neutral."""
+    idx = {e: k for k, e in enumerate(elems)}
+    table = [[idx[op(a, b)] for b in elems] for a in elems]
     return FiniteSemigroup(table, identity=next(
         a for a in range(len(table)) if table[a][a] == a))
 
 
 def _pair_group(ms, ks, op):
-    """Table over the element list ms x ks under op, identity detected."""
-    elems = [(i, j) for i in ms for j in ks]
-    idx = {e: k for k, e in enumerate(elems)}
-    table = [[idx[op(a, b)] for b in elems] for a in elems]
-    return _group(table)
+    """The group on the element list ms x ks under op."""
+    return _table_group([(i, j) for i in ms for j in ks], op)
 
 
 def semidirect_cyclic(m, k, r):
@@ -74,10 +76,8 @@ def _closure_group(gens, compose):
     """Group generated by `gens` under `compose`, its elements in the
     breadth-first order of right multiplication by the generators: the
     order of the table, which is printed in witnesses."""
-    elems = reachable(gens, lambda a: [compose(a, g) for g in gens])
-    idx = {e: k for k, e in enumerate(elems)}
-    table = [[idx[compose(a, b)] for b in elems] for a in elems]
-    return _group(table)
+    return _table_group(
+        reachable(gens, lambda a: [compose(a, g) for g in gens]), compose)
 
 
 def _perm_compose(f, g):
@@ -173,10 +173,7 @@ def c3_semidirect_d4():
 
 
 def _prod(*groups):
-    out = groups[0]
-    for g in groups[1:]:
-        out = FiniteSemigroup.direct_product(out, g)
-    return out
+    return reduce(FiniteSemigroup.direct_product, groups)
 
 
 def all_groups_up_to_24():

@@ -2,7 +2,7 @@
 search for omega-term solutions, and three scripted verification suites
 covering the commutative, group, and completely regular case studies."""
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .dfa import (
     compile_min_dfa,
@@ -31,11 +31,14 @@ from .varieties import (
     cr_sample_satisfies,
     g_satisfies,
 )
-from .words import count_occurrences, is_cube_free, ptm_iterate, scattered_subword
+from .words import count_occurrences, is_cube_free, ptm_iterate
 
 
 class SolutionTriple(namedtuple("SolutionTriple", "S s t gens mode")):
-    """An instance (S, s, t) of the single equation x = y (or x <= y)."""
+    """An instance (S, s, t) of the single equation x = y (or x <= y).
+
+    The mode names the equation.  An inequality instance needs no order on
+    S: the J+ reduction reads only the table and the generator map."""
 
     __slots__ = ()
 
@@ -48,8 +51,6 @@ class SolutionTriple(namedtuple("SolutionTriple", "S s t gens mode")):
                                      % (e,))
         if gens.target is not S:
             raise ValueError("generator map must land in S")
-        if mode == "inequality" and S.order is None:
-            raise ValueError("inequality mode needs an ordered semigroup")
         return super().__new__(cls, S, s, t, gens, mode)
 
     # namedtuple's _make, which _replace calls, would skip those checks
@@ -111,27 +112,24 @@ def simple_path_word(M, gens, target):
     """Shortest word reaching `target` from the empty word (M.identity, or
     a vertex outside M if that is None) in the right Cayley graph.
 
+    The walk is breadth-first over a list that grows as nodes are found,
+    and each node's word is recorded when the node is first found, so the
+    first discovery fixes it.  The walk stops when the target comes up.
     The path is simple, so the word has length < |M^1|."""
     start = M.identity
     if target == start:
         return ""
     letters = sorted(gens.assignment)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        m = queue.popleft()
+    words = {start: ""}
+    order = [start]
+    for m in order:     # the list grows as nodes are found
         for ch in letters:
             nxt = _step(M, m, gens(ch))
-            if nxt not in parent:
-                parent[nxt] = (m, ch)
+            if nxt not in words:
+                words[nxt] = words[m] + ch
                 if nxt == target:
-                    out = []
-                    at = nxt
-                    while parent[at] is not None:
-                        at, ch2 = parent[at]
-                        out.append(ch2)
-                    return "".join(reversed(out))
-                queue.append(nxt)
+                    return words[nxt]
+                order.append(nxt)
     raise Unreachable(f"element {target} is not a product of generators")
 
 
@@ -141,18 +139,23 @@ def loop_removal(w, M, gens):
 
     Output: a scattered subword of w with the same image whose path is
     simple, hence of length < |M^1|.  Loops are removed leftmost-innermost,
-    which fixes one representative among the many valid ones."""
+    which fixes one representative among the many valid ones.  Each vertex
+    on the path keeps its position in a dict, so a step costs O(1)
+    amortized and the whole run is linear in |w|."""
     stack = [M.identity]
+    at = {M.identity: 0}
     kept = []
     for ch in w:
         nxt = _step(M, stack[-1], gens(ch))
-        if nxt in stack:
-            i = stack.index(nxt)
-            del stack[i + 1:]
-            del kept[i:]
-        else:
+        i = at.get(nxt)
+        if i is None:
+            at[nxt] = len(stack)
             stack.append(nxt)
             kept.append(ch)
+        else:
+            while len(stack) > i + 1:
+                del at[stack.pop()]
+            del kept[i:]
     return "".join(kept)
 
 
@@ -163,43 +166,42 @@ def _image_of(gens, word):
     return gens.image_of_word(word)
 
 
-def jplus_word_solution(triple, u, v):
-    """Turn a term solution of x <= y into a word solution u' <= v'.
-
-    u' comes from loop removal on an unrolling of u; v' re-embeds u' into an
-    unrolling of v and compresses every gap to a short word with the same
-    image.  Postconditions: image(u') = s, image(v') = t, and u' is a
-    scattered subword of v'."""
-    if triple.mode != "inequality":
-        raise ValueError("jplus_word_solution expects an inequality triple")
+def _check_solution(triple, u, v):
+    """Raise NotASolution unless u evaluates to s and v to t."""
     S, gens = triple.S, triple.gens
     if eval_term(S, gens, u) != triple.s:
         raise NotASolution("u does not evaluate to s")
     if eval_term(S, gens, v) != triple.t:
         raise NotASolution("v does not evaluate to t")
-    u_word = unroll(u, [(S, gens)])
-    u_simple = loop_removal(u_word, S, gens)
+
+
+def jplus_word_solution(triple, u, v):
+    """Turn a term solution of x <= y into a word solution u' <= v'.
+
+    u' comes from loop removal on an unrolling of u.  One pass over an
+    unrolling of v embeds u' greedily, leftmost first, and compresses
+    every gap to the shortest word with the same image; a letter of u'
+    not found raises SubwordObstruction.  Postconditions: image(u') = s,
+    image(v') = t, and u' is a scattered subword of v'."""
+    if triple.mode != "inequality":
+        raise ValueError("jplus_word_solution expects an inequality triple")
+    _check_solution(triple, u, v)
+    S, gens = triple.S, triple.gens
+    u_simple = loop_removal(unroll(u, [(S, gens)]), S, gens)
     v_word = unroll(v, [(S, gens)], pad=len(u_simple) + 1)
-    if not scattered_subword(u_simple, v_word):
-        raise SubwordObstruction(
-            "the short form of u does not embed into the unrolling of v; "
-            "the input pair is not a subword-order solution")
-    gaps = []
-    current = []
-    k = 0
-    for ch in v_word:
-        if k < len(u_simple) and ch == u_simple[k]:
-            gaps.append("".join(current))
-            current = []
-            k += 1
-        else:
-            current.append(ch)
-    gaps.append("".join(current))
     parts = []
-    for i, gap in enumerate(gaps):
-        parts.append(simple_path_word(S, gens, _image_of(gens, gap)))
-        if i < len(u_simple):
-            parts.append(u_simple[i])
+    start = 0
+    for ch in u_simple:
+        k = v_word.find(ch, start)
+        if k < 0:
+            raise SubwordObstruction(
+                "the short form of u does not embed into the unrolling of "
+                "v; the input pair is not a subword-order solution")
+        parts.append(simple_path_word(S, gens,
+                                      _image_of(gens, v_word[start:k])))
+        parts.append(ch)
+        start = k + 1
+    parts.append(simple_path_word(S, gens, _image_of(gens, v_word[start:])))
     v_out = "".join(parts)
     if (_image_of(gens, u_simple), _image_of(gens, v_out)) != \
             (triple.s, triple.t):
@@ -210,17 +212,13 @@ def jplus_word_solution(triple, u, v):
 def loc_fin_word_solution(triple, u, v, V_images):
     """Unroll a term solution far enough to preserve both the instance
     images and the images in every supplied quotient of the variety."""
-    S, gens = triple.S, triple.gens
-    if eval_term(S, gens, u) != triple.s:
-        raise NotASolution("u does not evaluate to s")
-    if eval_term(S, gens, v) != triple.t:
-        raise NotASolution("v does not evaluate to t")
+    _check_solution(triple, u, v)
     for T, psi in V_images:
         if eval_term(T, psi, u) != eval_term(T, psi, v):
             raise NotASolution(
                 "u and v differ in a supplied variety image, so the pair "
                 "is not a solution over that variety")
-    targets = [(S, gens)] + list(V_images)
+    targets = [(triple.S, triple.gens)] + list(V_images)
     return unroll(u, targets), unroll(v, targets)
 
 
@@ -307,9 +305,12 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
 
 def syntactic_solution_triple(regex, letter_map, u, v, mode="equality"):
     """The triple (S, eval(u), eval(v)) over the syntactic semigroup of
-    `regex`, with term letters assigned to letter classes per letter_map."""
+    `regex`, with term letters assigned to letter classes per letter_map.
+
+    S is the presentation's semigroup in both modes; no syntactic order is
+    built, since the J+ reduction does not read one."""
     sp = syntactic_semigroup(regex)
-    S = sp.ordered_semigroup() if mode == "inequality" else sp.semigroup
+    S = sp.semigroup
     assignment = {tl: sp.classof(ll) for tl, ll in letter_map.items()}
     g = GeneratorMap(S, assignment)
     if isinstance(u, str):

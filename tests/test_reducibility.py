@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from omsemi import cli
 from omsemi.dfa import Dfa
 from omsemi.errors import (MalformedTable, NotASolution, SizeTooLarge,
                            SubwordObstruction, Unreachable)
@@ -25,15 +26,17 @@ from omsemi.reducibility import (
     verify_groups_counterexample,
 )
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap
-from omsemi.syntactic import syntactic_semigroup
+from omsemi.syntactic import SyntacticPresentation, syntactic_semigroup
 from omsemi.terms import Letter, eval_term, format_term, parse_term
 from omsemi.words import scattered_subword
 
 from util import (
+    deque_simple_path_word,
     random_dfa,
     random_superterm,
     random_term,
     random_transition_monoid,
+    scan_loop_removal,
 )
 
 
@@ -116,6 +119,50 @@ def test_simple_path_word_is_shortest_and_simple():
             assert len(states) == len(set(states))
 
 
+def random_monoids_with_and_without_identity(rng, count):
+    """(S, letter map) pairs: transition monoids, whose identity is the
+    empty word, alternating with syntactic semigroups that have no
+    identity, where the empty word lies outside S."""
+    for i in range(count):
+        if i % 2:
+            sp = syntactic_semigroup(random_dfa(rng, max_states=5))
+            while sp.semigroup.identity is not None:
+                sp = syntactic_semigroup(random_dfa(rng, max_states=5))
+            yield sp.semigroup, sp.gens
+        else:
+            yield random_transition_monoid(rng, max_states=5,
+                                           max_elements=60)
+
+
+def test_simple_path_word_matches_deque_oracle():
+    rng = random.Random(20244)
+    for S, g in random_monoids_with_and_without_identity(rng, 40):
+        for target in range(S.n):
+            try:
+                expected = deque_simple_path_word(S, g, target)
+            except Unreachable:
+                with pytest.raises(Unreachable):
+                    simple_path_word(S, g, target)
+                continue
+            assert simple_path_word(S, g, target) == expected
+
+
+def test_loop_removal_matches_scan_oracle():
+    rng = random.Random(20245)
+    for S, g in random_monoids_with_and_without_identity(rng, 60):
+        letters = sorted(g.assignment)
+        for _ in range(5):
+            word = "".join(rng.choice(letters)
+                           for _ in range(rng.randrange(200)))
+            assert loop_removal(word, S, g) == scan_loop_removal(word, S, g)
+    # a long word whose loops are long: x^k over C(1, 500) for k past the
+    # period, with a second generator that cuts the path short
+    C = FiniteSemigroup.cyclic(1, 500)
+    g = GeneratorMap(C, {"x": 0, "y": 7})
+    word = "".join(rng.choice("xxxxxxxy") for _ in range(20000))
+    assert loop_removal(word, C, g) == scan_loop_removal(word, C, g)
+
+
 def test_loop_removal_cyclic():
     C3 = FiniteSemigroup.cyclic(1, 3)
     g = GeneratorMap(C3, {"x": 0})
@@ -158,7 +205,7 @@ def test_loop_removal_postconditions():
 def test_jplus_word_solution_identity_instance():
     # x <= y x y over the monoid where y acts as the identity
     sp = syntactic_semigroup("b*ab*")
-    S = sp.ordered_semigroup()
+    S = sp.semigroup
     g = GeneratorMap(S, {"x": sp.classof("a"), "y": sp.classof("b")})
     u, v = parse_term("x"), parse_term("y x y")
     triple = SolutionTriple(S, eval_term(S, g, u), eval_term(S, g, v), g,
@@ -213,6 +260,22 @@ def test_jplus_postconditions_checked_under_optimize(v, patched):
     assert r.stdout == "the images of u' and v' are not s and t\n"
 
 
+def test_jplus_path_builds_no_syntactic_order(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the J+ reduction built a syntactic order")
+
+    monkeypatch.setattr(SyntacticPresentation, "syntactic_order", refuse)
+    monkeypatch.setattr(SyntacticPresentation, "ordered_semigroup", refuse)
+    u, v = parse_term("x"), parse_term("y x y")
+    triple = syntactic_solution_triple("b*ab*", {"x": "a", "y": "b"}, u, v,
+                                       mode="inequality")
+    assert triple.S.order is None
+    assert jplus_word_solution(triple, u, v) == ("x", "x")
+    assert cli.main(["reduce", "jplus", "--regex", "b*ab*", "--u", "a",
+                     "--v", "b a b"]) == 0
+    assert capsys.readouterr().out == "u' = a\nv' = a\n"
+
+
 def test_jplus_word_solution_requires_inequality_mode():
     C2 = FiniteSemigroup.cyclic(1, 2)
     g = GeneratorMap(C2, {"x": 0})
@@ -222,7 +285,7 @@ def test_jplus_word_solution_requires_inequality_mode():
 
 
 def test_jplus_word_solution_checks_evaluation():
-    C2 = diagonal_ordered(FiniteSemigroup.cyclic(1, 2))
+    C2 = FiniteSemigroup.cyclic(1, 2)
     g = GeneratorMap(C2, {"x": 0})
     triple = SolutionTriple(C2, C2.identity, C2.identity, g,
                             mode="inequality")
@@ -241,8 +304,7 @@ def test_jplus_word_solution_random_valid_instances():
     rng = random.Random(20242)
     done = 0
     while done < 40:
-        M, gm = random_transition_monoid(rng, max_states=5, max_elements=60)
-        S = diagonal_ordered(M)
+        S, gm = random_transition_monoid(rng, max_states=5, max_elements=60)
         letters = sorted(gm.assignment)
         g = GeneratorMap(S, {tl: gm(ll)
                              for tl, ll in zip("xy", letters)})
@@ -298,8 +360,16 @@ def test_solution_triple_validation():
         SolutionTriple(C2, 0, 0, g, mode="weird")
     with pytest.raises(ValueError):
         SolutionTriple(C2, 5, 0, g)
-    with pytest.raises(ValueError):
-        SolutionTriple(C2, 0, 0, g, mode="inequality")  # no order
+    # an inequality instance needs no order: the reduction reads none, and
+    # gives the same words as on a copy with an order attached
+    u, v = Letter("x"), parse_term("x x x")
+    bare = SolutionTriple(C2, 0, 0, g, mode="inequality")
+    Co = diagonal_ordered(C2)
+    ordered = SolutionTriple(Co, 0, 0, GeneratorMap(Co, {"x": 0}),
+                             mode="inequality")
+    assert C2.order is None
+    assert jplus_word_solution(bare, u, v) == \
+        jplus_word_solution(ordered, u, v) == ("x", "x")
     other = GeneratorMap(FiniteSemigroup.cyclic(1, 2), {"x": 0})
     with pytest.raises(ValueError):
         SolutionTriple(C2, 0, 0, other)

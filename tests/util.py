@@ -246,6 +246,55 @@ def random_transition_monoid(rng, max_states=6, alphabet="ab",
             return m, GeneratorMap(m, dict(pres.gens.assignment))
 
 
+def _cayley_step(M, e, g):
+    return g if e is None else M.table[e][g]
+
+
+def deque_simple_path_word(M, gens, target):
+    """Oracle for reducibility.simple_path_word: a breadth-first walk with
+    a deque and a parent map, the word read back from the target."""
+    from collections import deque
+    from omsemi.errors import Unreachable
+    start = M.identity
+    if target == start:
+        return ""
+    letters = sorted(gens.assignment)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        m = queue.popleft()
+        for ch in letters:
+            nxt = _cayley_step(M, m, gens(ch))
+            if nxt not in parent:
+                parent[nxt] = (m, ch)
+                if nxt == target:
+                    out = []
+                    at = nxt
+                    while parent[at] is not None:
+                        at, ch2 = parent[at]
+                        out.append(ch2)
+                    return "".join(reversed(out))
+                queue.append(nxt)
+    raise Unreachable(f"element {target} is not a product of generators")
+
+
+def scan_loop_removal(w, M, gens):
+    """Oracle for reducibility.loop_removal: the path is a list, and each
+    step scans it for the new vertex, so a run costs O(|w| |M|)."""
+    stack = [M.identity]
+    kept = []
+    for ch in w:
+        nxt = _cayley_step(M, stack[-1], gens(ch))
+        if nxt in stack:
+            i = stack.index(nxt)
+            del stack[i + 1:]
+            del kept[i:]
+        else:
+            stack.append(nxt)
+            kept.append(ch)
+    return "".join(kept)
+
+
 def term_spine(t):
     """Top-level concatenation factors of a term, left to right."""
     from omsemi.terms import Concat
