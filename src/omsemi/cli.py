@@ -74,7 +74,7 @@ def _build_parser():
 
     p = sub.add_parser("enum", help="count semigroups of a given order up "
                                     "to isomorphism")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help="the order, 1..6")
     p.add_argument("--identity", default=None,
                    help="count only semigroups satisfying this identity, "
                         "e.g. 'x y = y x'")

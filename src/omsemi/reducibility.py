@@ -25,6 +25,7 @@ from .terms import (
     bounded_factors,
     parse_term,
     unroll,
+    unrolling,
 )
 from .varieties import (
     com_satisfies,
@@ -182,13 +183,22 @@ def jplus_word_solution(triple, u, v):
     unrolling of v embeds u' greedily, leftmost first, and compresses
     every gap to the shortest word with the same image; a letter of u'
     not found raises SubwordObstruction.  Postconditions: image(u') = s,
-    image(v') = t, and u' is a scattered subword of v'."""
+    image(v') = t, and u' is a scattered subword of v'.
+
+    Each term is folded once: the fold that fixes its unrolling also gives
+    its value, which is checked against s or t before any word is spelt
+    out, so a wrong triple raises NotASolution first."""
     if triple.mode != "inequality":
         raise ValueError("jplus_word_solution expects an inequality triple")
-    _check_solution(triple, u, v)
     S, gens = triple.S, triple.gens
-    u_simple = loop_removal(unroll(u, [(S, gens)]), S, gens)
-    v_word = unroll(v, [(S, gens)], pad=len(u_simple) + 1)
+    (s,), spell_u = unrolling(u, [(S, gens)])
+    if s != triple.s:
+        raise NotASolution("u does not evaluate to s")
+    (t,), spell_v = unrolling(v, [(S, gens)])
+    if t != triple.t:
+        raise NotASolution("v does not evaluate to t")
+    u_simple = loop_removal(spell_u(), S, gens)
+    v_word = spell_v(pad=len(u_simple) + 1)
     parts = []
     start = 0
     for ch in u_simple:

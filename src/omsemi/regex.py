@@ -89,8 +89,13 @@ class Empty(Node):
     __slots__ = ()
 
 
+# Sym and Concat, which parse_regex builds once per letter of a word, set
+# their fields directly rather than through Node's loop
 class Sym(Node):
     __slots__ = ("ch",)
+
+    def __init__(self, ch):
+        object.__setattr__(self, "ch", ch)
 
 
 class Union(Node):
@@ -99,6 +104,10 @@ class Union(Node):
 
 class Concat(Node):
     __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class Star(Node):

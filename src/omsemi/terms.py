@@ -496,10 +496,23 @@ def unroll(t, targets, pad=0):
     spelt out after, unless it has more than EXPANSION_CAP letters, when
     SizeTooLarge is raised.
     """
+    return unrolling(t, targets)[1](pad)
+
+
+def unrolling(t, targets):
+    """The values of t in every target, and spell(pad=0), which returns
+    unroll(t, targets, pad).
+
+    The values come from unroll's one fold, so a caller can check them
+    before any word is spelt out: the fold fixes each omega-type power's
+    least exponent and the residue and modulus its exponent must meet,
+    and spell raises the least exponent to pad."""
     if not targets:
         raise ValueError("unroll needs at least one target")
     semigroups = [S for S, _ in targets]
-    reps = {}    # id of a power node -> how often its base repeats
+    # id of a power node -> m for t^m, else (least exponent, residue,
+    # modulus) of how often its base repeats
+    reps = {}
 
     def letter(ch):
         return [g(ch) for _, g in targets]
@@ -509,7 +522,7 @@ def unroll(t, targets, pad=0):
 
     def power(node, values):
         if type(node) is FinitePower:
-            n = node.m
+            reps[id(node)] = node.m
         else:
             datas = [S.monogenic_data(s) for S, s in zip(semigroups, values)]
             if type(node) is OmegaPower:
@@ -521,16 +534,26 @@ def unroll(t, targets, pad=0):
                     r = stabilized_prime_power_residue(node.p, d.period)
                     residue, modulus = _crt_merge(residue, modulus, r,
                                                   d.period)
-            need = max([d.index for d in datas] + [1, pad])
-            n = need + (residue - need) % modulus
-        reps[id(node)] = n
-        # n is at least every index and meets every period's residue, so
-        # s^n is the node's value in each target
-        return [S.power(s, n) for S, s in zip(semigroups, values)]
+            reps[id(node)] = (max([d.index for d in datas] + [1]), residue,
+                              modulus)
+        return [_power_value(S, node, s) for S, s in zip(semigroups, values)]
 
     nodes = _postorder(t)
-    _fold(nodes, letter, concat, power)
-    return _expand(nodes, lambda node: reps[id(node)])
+    values = _fold(nodes, letter, concat, power)
+
+    def spell(pad=0):
+        counts = {}
+        for key, rep in reps.items():
+            if type(rep) is not int:
+                need, residue, modulus = rep
+                need = max(need, pad)
+                # at least every index and meeting every period's residue,
+                # so s^rep is the node's value in each target
+                rep = need + (residue - need) % modulus
+            counts[key] = rep
+        return _expand(nodes, lambda node: counts[id(node)])
+
+    return values, spell
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,16 @@ def test_enum_counts():
 
 
 def test_enum_out_of_range_exits_2():
-    assert run_cli("enum", "6").returncode == 2
+    r = run_cli("enum", "7")
+    assert r.returncode == 2
+    assert r.stderr == "error: can only enumerate orders 1..6, got 7\n"
+
+
+def test_enum_order_six(capsys):
+    # in this process, so the order-6 stream is searched once for the
+    # enumeration tests and this one
+    assert cli.main(["enum", "6"]) == 0
+    assert capsys.readouterr().out == "28634\n"
 
 
 def test_verify_paper_text_mode():

@@ -104,7 +104,7 @@ def test_size_guards():
     with pytest.raises(SizeTooLarge):
         list(enumerate_semigroups(0))
     with pytest.raises(SizeTooLarge):
-        list(enumerate_semigroups(6))
+        list(enumerate_semigroups(7))
 
 
 # sha256 of the order-5 stream of the search that tested canonicity only
@@ -120,6 +120,15 @@ def _stream_sha256(n):
 
 def test_count_order_five():
     assert _stream_sha256(5) == (1915, ORDER_FIVE_SHA256)
+
+
+# sha256 of the order-6 stream: 28,634 classes, OEIS A027851
+ORDER_SIX_SHA256 = (
+    "f749b3708852616974ae86ba1ccdfcd5c868dc86f714d57016b1ee3724652ef9")
+
+
+def test_count_order_six():
+    assert _stream_sha256(6) == (28634, ORDER_SIX_SHA256)
 
 
 def test_calls_yield_the_same_semigroups():

@@ -7,6 +7,7 @@ import copy
 import itertools
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from omsemi.errors import UnsupportedPrimePower
@@ -143,3 +144,45 @@ def test_node_methods_match_recursive_oracles(a, b):
     twin = rebuild(recursive_structure(a))
     assert twin is not a and twin == a and hash(twin) == hash(a)
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+# Sym and Concat set their fields in their own __init__; each test below
+# pins what they had through Node's
+
+
+def test_sym_and_concat_refuse_a_wrong_field_count():
+    for build in (lambda: Sym(), lambda: Sym("a", "b"),
+                  lambda: RConcat(Sym("a")),
+                  lambda: RConcat(Sym("a"), Sym("b"), Sym("c"))):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(AttributeError):
+        Sym("a").ch = "b"
+
+
+def test_sym_and_concat_equality():
+    r = RConcat(Sym("a"), Union(Sym("b"), Empty()))
+    assert r == parse_regex("a(b|)") and not r != parse_regex("a(b|)")
+    assert Sym("a") != Sym("b")
+    assert RConcat(Sym("a"), Sym("b")) != Union(Sym("a"), Sym("b"))
+    # a regex node never equals a term node of the same shape
+    assert Sym("a") != Letter("a")
+    assert RConcat(Sym("a"), Sym("b")) != Concat(Letter("a"), Letter("b"))
+
+
+def test_sym_and_concat_hash():
+    r = RConcat(Sym("a"), Star(Sym("b")))
+    assert hash(r) == hash((RConcat, Sym, "a", Star, Sym, "b"))
+    assert hash(Sym("a")) == hash((Sym, "a"))
+
+
+def test_sym_and_concat_repr():
+    assert repr(RConcat(Sym("a"), Empty())) == \
+        "Concat(left=Sym(ch='a'), right=Empty())"
+
+
+def test_sym_and_concat_pickle():
+    r = RConcat(Sym("a"), Plus(Sym("b")))
+    assert r.__reduce__() == (RConcat, (Sym("a"), Plus(Sym("b"))))
+    twin = pickle.loads(pickle.dumps(r))
+    assert twin == r and type(twin.left) is Sym and type(twin) is RConcat

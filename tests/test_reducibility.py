@@ -293,6 +293,24 @@ def test_jplus_word_solution_checks_evaluation():
         jplus_word_solution(triple, Letter("x"), parse_term("x x"))
 
 
+@pytest.mark.parametrize("u,v,s,t,message", [
+    # u's word has more than EXPANSION_CAP letters
+    ("x^1000001", "x", 1, 0, "u does not evaluate to s"),
+    ("x^2000000", "y", 1, 0, "v does not evaluate to t"),
+    # u' = x does not embed into v's word y
+    ("x", "y", 0, 0, "v does not evaluate to t"),
+])
+def test_jplus_wrong_triple_is_refused_before_spelling(u, v, s, t, message):
+    # a caller-built triple whose s or t is not the value of u or v raises
+    # NotASolution, not the SizeTooLarge or SubwordObstruction that spelling
+    # out and embedding the words would raise
+    C2 = FiniteSemigroup.cyclic(1, 2)
+    g = GeneratorMap(C2, {"x": 0, "y": C2.identity})
+    triple = SolutionTriple(C2, s, t, g, mode="inequality")
+    with pytest.raises(NotASolution, match=message):
+        jplus_word_solution(triple, parse_term(u), parse_term(v))
+
+
 def test_jplus_word_solution_subword_obstruction():
     triple = syntactic_solution_triple("a(a|b)*", {"x": "a", "y": "b"},
                                        "x", "y", mode="inequality")
