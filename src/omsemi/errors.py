@@ -45,10 +45,6 @@ class UnboundLetter(OmsemiError):
     """A term letter has no image under the generator map."""
 
 
-class NoValidExponent(OmsemiError):
-    """No unrolling exponent satisfies the congruence constraints."""
-
-
 class UnsupportedPrimePower(OmsemiError):
     """Operation undefined on terms containing a prime-omega power."""
 

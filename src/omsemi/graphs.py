@@ -17,10 +17,16 @@ the graph alone.  All but one of the package's closures go through them:
   of the residual keys of a class language, which need each node's
   successor positions.
 
-One walk is its own loop: ``reducibility.simple_path_word`` walks the
-right Cayley graph over a list that grows as nodes are found, as
-``reachable`` does, but records each node's word when it first finds the
-node and returns when its target comes up.
+Two walks are their own loops, each over a list that grows as nodes are
+found, as ``reachable`` does:
+
+- ``reducibility.simple_path_word`` walks the right Cayley graph,
+  records each node's word when it first finds the node and returns when
+  its target comes up;
+- ``FiniteSemigroup.from_right_cayley`` walks the right Cayley graph from
+  the generators and fills each element's column of the table when it
+  first finds the element, from its parent's column; an element it does
+  not find is not generated.
 """
 
 

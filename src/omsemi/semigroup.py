@@ -13,6 +13,15 @@ the generators.  A semigroup
 may optionally carry a stable partial order and a distinguished identity
 element; a monoid is just a semigroup whose ``identity`` is set.
 
+A semigroup may also be given by its right Cayley graph over the
+generators, x -> xg for each generator g, which is how syntactic
+semigroups are built (`FiniteSemigroup.from_right_cayley`).  Only the
+graph's n entries per generator are checked on entry; the table is then
+filled inside the class from them, one column per element along a
+breadth-first spanning tree from the generators, which proves on the
+way that they generate it, and Light's test and the identity check run
+over the filled table as for any other.
+
 Green's relations are the strongly connected components of the Cayley
 graphs over the generators (Froidure & Pin, "Algorithms for computing
 finite semigroups", 1997).
@@ -51,40 +60,74 @@ class FiniteSemigroup:
     """
 
     def __init__(self, table, order=None, identity=None, generators=None):
-        try:
-            self.table = [list(row) for row in table]
-        except TypeError:
-            raise MalformedTable("table is not a list of rows: %r"
-                                 % (table,)) from None
-        self.n = n = len(self.table)
-        if n == 0:
-            raise MalformedTable("a semigroup has at least one element")
-        if set(map(len, self.table)) != {n}:
-            raise MalformedTable("table is not square")
-        # an entry equal to an element but not an int, such as 0.0 or
-        # False, is rejected by its type
-        entries = list(chain.from_iterable(self.table))
-        if not set(range(n)).issuperset(entries) or not {int}.issuperset(
-                map(type, entries)):
-            raise MalformedTable("table entry out of range: %r" % (
-                next(v for v in entries
-                     if type(v) is not int or not 0 <= v < n),))
+        self.table = t = _checked_rows(table)
+        self.n = n = len(t)
         if generators is None:
             self.generators = tuple(range(n))
         else:
-            generators = listed(generators, "generators")
-            for g in generators:
-                if type(g) is not int or not 0 <= g < n:
-                    raise MalformedTable("generator out of range: %r" % (g,))
-            self.generators = tuple(sorted(set(generators)))
+            gens = _checked_generators(listed(generators, "generators"), n)
+            self.generators = tuple(sorted(set(gens)))
+            if len(self.generators) < n and len(reachable(
+                    gens, lambda a: map(t[a].__getitem__, gens))) != n:
+                raise MalformedTable("generators do not generate the table")
+        self._prove(identity, order)
+
+    @classmethod
+    def from_right_cayley(cls, rows, generators, identity=None):
+        """The semigroup whose right Cayley graph over `generators` is
+        `rows`: rows[x][i] is the product of x and generators[i].
+
+        The rows, generators and identity are checked; a generator listed
+        twice must have the same column each time.  The table is then
+        filled one column per element, x -> xw for the element w, along a
+        breadth-first spanning tree from the generators: the column of
+        w = pg_i is the column of p followed by one step of the graph, so
+        every entry is a value of a checked row, and an element the tree
+        misses is not generated.  Light's test and the identity check run
+        as in __init__ (Froidure & Pin, "Algorithms for computing finite
+        semigroups", 1997)."""
+        generators = listed(generators, "generators")
+        rows = _checked_rows(rows, len(generators))
+        n = len(rows)
+        _checked_generators(generators, n)
+        # right[i]: the column x -> x g_i of the graph
+        right = list(zip(*rows))
+        columns = [None] * n
+        for g, col in zip(generators, right):
+            if columns[g] is None:
+                columns[g] = col
+            elif columns[g] != col:
+                raise MalformedTable("generator %d has two different columns"
+                                     % g)
+        found = list(dict.fromkeys(generators))
+        for p in found:     # the list grows as elements are found
+            for i, w in enumerate(rows[p]):
+                if columns[w] is None:
+                    # n >= 2 here, since the one element of a table of
+                    # order 1 is a generator, so itemgetter gives a tuple
+                    columns[w] = itemgetter(*columns[p])(right[i])
+                    found.append(w)
+        if len(found) != n:
+            raise MalformedTable("generators do not generate the table")
+        S = cls.__new__(cls)
+        S.table = list(map(list, zip(*columns)))
+        S.n = n
+        S.generators = tuple(sorted(set(generators)))
+        S._prove(identity, None)
+        return S
+
+    def _prove(self, identity, order):
+        """Light's test, then the identity and order checks: what every
+        constructor runs once the table is filled and its generators are
+        known to generate it."""
         self._check_associative()
         self.identity = identity
         if identity is not None:
-            if type(identity) is not int or not 0 <= identity < n:
+            if type(identity) is not int or not 0 <= identity < self.n:
                 raise MalformedTable("identity out of range: %r"
                                      % (identity,))
             row = self.table[identity]
-            for j in range(n):
+            for j in range(self.n):
                 if row[j] != j or self.table[j][identity] != j:
                     raise MalformedTable("element %d is not an identity"
                                          % identity)
@@ -94,13 +137,8 @@ class FiniteSemigroup:
     def _check_associative(self):
         """Light's test: the elements a with (xa)y = x(ay) for all x, y
         form a subsemigroup, so checking them on a generating set proves
-        the whole table associative.  Checks first that the generators do
-        generate it."""
+        the whole table associative."""
         t = self.table
-        gens = self.generators
-        if len(gens) < self.n and len(reachable(
-                gens, lambda a: map(t[a].__getitem__, gens))) != self.n:
-            raise MalformedTable("generators do not generate the table")
         if self.n == 1:
             # [[0]] is associative; itemgetter of one index returns a bare
             # entry, not a tuple
@@ -249,6 +287,39 @@ class FiniteSemigroup:
         if a.identity is None or b.identity is None:
             return cls(table)
         return cls(table, identity=a.identity * b.n + b.identity)
+
+
+def _checked_rows(rows, width=None):
+    """rows as a list of lists, once proven to be n >= 1 rows of `width`
+    entries (n entries, a square table, when width is None), each an int
+    in range(n).  An entry equal to an element but not an int, such as
+    0.0 or False, is rejected by its type."""
+    try:
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise MalformedTable("table is not a list of rows: %r"
+                             % (rows,)) from None
+    n = len(rows)
+    if n == 0:
+        raise MalformedTable("a semigroup has at least one element")
+    if set(map(len, rows)) != {n if width is None else width}:
+        raise MalformedTable("table is not square" if width is None
+                             else "rows are not all %d long" % width)
+    entries = list(chain.from_iterable(rows))
+    if not set(range(n)).issuperset(entries) or not {int}.issuperset(
+            map(type, entries)):
+        raise MalformedTable("table entry out of range: %r" % (
+            next(v for v in entries
+                 if type(v) is not int or not 0 <= v < n),))
+    return rows
+
+
+def _checked_generators(generators, n):
+    """The list generators, once each is proven an int in range(n)."""
+    for g in generators:
+        if type(g) is not int or not 0 <= g < n:
+            raise MalformedTable("generator out of range: %r" % (g,))
+    return generators
 
 
 def stabilized_prime_power_residue(p, period):

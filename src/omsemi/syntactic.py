@@ -6,11 +6,13 @@ words are syntactically congruent iff they induce the same action.  Class
 representatives are the shortest words in shortlex order, discovered by
 one breadth-first walk of the letter actions from the empty word.
 
-The walk composes each class with each letter once, which gives the
-right Cayley graph; its rows are kept as the right Cayley automaton, the
-table is filled from them word by word (Froidure & Pin, "Algorithms for
-computing finite semigroups", 1997), and the letter classes are passed to
-FiniteSemigroup as its generators.
+The walk composes each class with each letter once, in one C call per
+letter, which gives the right Cayley graph; its rows are kept as the
+right Cayley automaton.  They go, with the letter classes as the
+generators, to `FiniteSemigroup.from_right_cayley`, which checks them on
+entry, fills the table from them column by column and runs Light's test
+over the letters (Froidure & Pin, "Algorithms for computing finite
+semigroups", 1997).
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
@@ -30,6 +32,7 @@ it is attached to the semigroup without a proof.
 """
 
 from itertools import count
+from operator import itemgetter
 
 from .dfa import Dfa, compile_min_dfa
 from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
@@ -41,11 +44,6 @@ from .semigroup import FiniteSemigroup, GeneratorMap
 _DEAD = (False, ())
 
 
-def _compose(f, g):
-    """Action of a word uv given the actions of u and v (u applied first)."""
-    return tuple(g[q] for q in f)
-
-
 class SyntacticPresentation:
     """A syntactic semigroup together with its word-class bookkeeping.
 
@@ -53,15 +51,16 @@ class SyntacticPresentation:
     start, state 1 + i the class i, and letter a takes the start to
     1 + [a] and 1 + i to 1 + i[a]."""
 
-    def __init__(self, dfa, elements, words, cayley, table, identity):
+    def __init__(self, dfa, elements, words, cayley, identity):
         self.dfa = dfa
         self.elements = elements
         self.words = words
         self.cayley = cayley
-        letter_map = {ch: q - 1 for ch, q in zip(dfa.alphabet, cayley[0])}
-        self.semigroup = FiniteSemigroup(table, identity=identity,
-                                         generators=letter_map.values())
-        self.gens = GeneratorMap(self.semigroup, letter_map)
+        letters = [q - 1 for q in cayley[0]]
+        self.semigroup = FiniteSemigroup.from_right_cayley(
+            [[q - 1 for q in row] for row in cayley[1:]], letters, identity)
+        self.gens = GeneratorMap(self.semigroup,
+                                 dict(zip(dfa.alphabet, letters)))
         self._order = None
         self._sol = None
         self._infinite = None
@@ -291,26 +290,25 @@ def syntactic_semigroup(d, alphabet=None, max_elements=2000):
         if next(calls) > max_elements:
             raise SizeTooLarge("transition semigroup exceeds %d elements"
                                % max_elements)
-        return acts if t is None else [_compose(t, a) for a in acts]
+        # t followed by each letter, in one C call per letter; with one
+        # state every action is (0,), and itemgetter of one index would
+        # return a bare entry
+        if t is None or len(t) == 1:
+            return acts
+        return list(map(itemgetter(*t), acts))
 
     # node 0 is the empty word, node 1 + j the class j
     nodes, rows = breadth_first(None, successors)
-    n = len(nodes) - 1
-    # the first edge into a node is its tree edge: its word is the parent's
-    # word and that letter, and its column of the table, x -> xw for its
-    # word w, is the parent's column followed by one step of the right
-    # Cayley graph
-    right = [[q - 1 for q in col] for col in zip(*rows[1:])]
-    words = [""] + [None] * n
-    columns = [range(n)] + [None] * n
+    # the first edge into a node is its tree edge: its word is the
+    # parent's word and that letter
+    words = [""] + [None] * (len(nodes) - 1)
     for p, row in enumerate(rows):
         for i, k in enumerate(row):
             if words[k] is None:
                 words[k] = words[p] + d.alphabet[i]
-                columns[k] = list(map(right[i].__getitem__, columns[p]))
     elements = nodes[1:]
     # the identity is the class of a word acting as the empty word does
     one = tuple(range(d.n_states))
     return SyntacticPresentation(
-        d, elements, words[1:], rows, list(zip(*columns[1:])),
+        d, elements, words[1:], rows,
         next((j for j, t in enumerate(elements) if t == one), None))

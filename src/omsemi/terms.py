@@ -40,7 +40,6 @@ from functools import reduce
 from .errors import (
     DepthCap,
     InequalityWithoutOrder,
-    NoValidExponent,
     ParseError,
     SizeTooLarge,
     UnsupportedPrimePower,
@@ -310,19 +309,32 @@ def eval_term(S, g, t):
     return _evaluate(S, _postorder(t), g)
 
 
+def _shape(nodes):
+    """Each node of a postorder as its type and the field that is not a
+    subterm, if it has one.  A type fixes how many subterms come before
+    its node, so two terms are the same iff their shapes are equal: the
+    comparison of Node.__eq__, read off postorders already taken."""
+    return [(Concat,) if type(node) is Concat
+            else (type(node), getattr(node, node.__slots__[-1]))
+            for node in nodes]
+
+
 def find_identity_failure(S, lhs, rhs, mode="equality"):
     """An assignment violating lhs = rhs (or lhs <= rhs), or None.
 
     Assignments run through the sorted letters' values in lexicographic
     order.  Each side's postorder is taken once, and an assignment is a
     plain dict: its values come from range(S.n), so there is nothing for
-    a GeneratorMap to check."""
+    a GeneratorMap to check.  Two sides that are the same term hold under
+    every assignment, the order being reflexive, so none is tried."""
     if mode not in ("equality", "inequality"):
         raise ValueError("mode must be equality or inequality")
     if mode == "inequality" and S.order is None:
         raise InequalityWithoutOrder("semigroup carries no order")
-    variables = sorted(term_alphabet(lhs) | term_alphabet(rhs))
     left, right = _postorder(lhs), _postorder(rhs)
+    if len(left) == len(right) and _shape(left) == _shape(right):
+        return None
+    variables = sorted(term_alphabet(lhs) | term_alphabet(rhs))
     for values in itertools.product(range(S.n), repeat=len(variables)):
         assignment = dict(zip(variables, values))
         a = _evaluate(S, left, assignment.__getitem__)
@@ -472,26 +484,15 @@ def free_group_normal_form(t):
 # unrolling
 
 
-def _crt_merge(r1, m1, r2, m2):
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise NoValidExponent("incompatible residues %d mod %d, %d mod %d"
-                              % (r1, m1, r2, m2))
-    l = m1 // g * m2
-    step = m1 // g
-    inv = pow(step % (m2 // g), -1, m2 // g) if m2 // g > 1 else 0
-    k = ((r2 - r1) // g * inv) % (m2 // g)
-    return (r1 + m1 * k) % l, l
-
-
 def unroll(t, targets, pad=0):
     """A word with the same value as t in every target.
 
     Each omega power t^(w+k) becomes a finite power t^N with N at least
     every index, congruent to k modulo every period, and at least pad
     (pad lets callers force long expansions; the image is unchanged).
-    Prime-omega powers are resolved through their stabilised residues,
-    merged across targets by the Chinese remainder theorem.  A fold over
+    A prime-omega power's exponent meets the stabilised residue of
+    p^(n!) modulo the lcm of the periods, which reduced modulo each
+    period is that period's own stabilised residue.  A fold over
     the values in every target fixes each power's exponent; the word is
     spelt out after, unless it has more than EXPANSION_CAP letters, when
     SizeTooLarge is raised.
@@ -525,15 +526,9 @@ def unrolling(t, targets):
             reps[id(node)] = node.m
         else:
             datas = [S.monogenic_data(s) for S, s in zip(semigroups, values)]
-            if type(node) is OmegaPower:
-                modulus = math.lcm(*[d.period for d in datas])
-                residue = node.k % modulus
-            else:
-                residue, modulus = 0, 1
-                for d in datas:
-                    r = stabilized_prime_power_residue(node.p, d.period)
-                    residue, modulus = _crt_merge(residue, modulus, r,
-                                                  d.period)
+            modulus = math.lcm(*[d.period for d in datas])
+            residue = (node.k % modulus if type(node) is OmegaPower else
+                       stabilized_prime_power_residue(node.p, modulus))
             reps[id(node)] = (max([d.index for d in datas] + [1]), residue,
                               modulus)
         return [_power_value(S, node, s) for S, s in zip(semigroups, values)]

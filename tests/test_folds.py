@@ -18,7 +18,7 @@ from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
                           concat_all, eval_term, expand_for_factors,
                           find_identity_failure, format_term,
                           free_group_normal_form, parse_term, term_alphabet,
-                          unroll)
+                          unroll, _postorder, _shape)
 
 from util import (random_generator_map, random_small_semigroup, rebuild,
                   recursive_ab_image, recursive_com_exponents,
@@ -116,6 +116,15 @@ def _first_failure(S, lhs, rhs):
 def test_identity_search_finds_the_first_failure(lhs, rhs, rng):
     S = random_small_semigroup(rng)
     assert find_identity_failure(S, lhs, rhs) == _first_failure(S, lhs, rhs)
+
+
+@fold_settings
+@given(any_terms, any_terms)
+def test_shape_compares_as_node_equality(t, u):
+    # a copy built anew, and another term, mostly a different one
+    for other in (rebuild(recursive_structure(t)), u):
+        assert (_shape(_postorder(t)) == _shape(_postorder(other))) == \
+            (t == other)
 
 
 @fold_settings

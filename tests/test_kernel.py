@@ -2,7 +2,8 @@
 {a, b}: the table, the kept Cayley automaton, the syntactic order, Green's
 classes and the words of finite classes agree with the brute-force
 oracles in util, the size guard is exact, Light's test finds a corrupted
-cell, and the order check refuses an order that is not stable."""
+cell of the table or of the right Cayley graph, and the order check
+refuses an order that is not stable."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +15,8 @@ from omsemi.semigroup import FiniteSemigroup, green_classes
 from omsemi.syntactic import syntactic_semigroup
 
 from util import (cayley_automaton, composition_table, context_order,
-                  generates, ideal_green_classes, is_associative, is_stable)
+                  generates, ideal_green_classes, is_associative, is_stable,
+                  right_cayley_rows, table_of_right_cayley)
 
 MAX_CLASSES = 60   # keeps the cubic oracles quick
 kernel_settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -94,14 +96,15 @@ def test_green_matches_ideals(sp):
         assert green_classes(T) == ideal_green_classes(T)
 
 
-def corruptions(table, start):
-    """Copies of table with one cell changed, from cell `start` on."""
-    n = len(table)
-    for k in range(start, start + n * n):
-        i, j = divmod(k % (n * n), n)
+def corruptions(rows, start):
+    """Copies of n rows of elements with one entry changed to another
+    element, from entry `start` on."""
+    n, k = len(rows), len(rows[0])
+    for c in range(start, start + n * k):
+        i, j = divmod(c % (n * k), k)
         for v in range(n):
-            if v != table[i][j]:
-                bad = [list(row) for row in table]
+            if v != rows[i][j]:
+                bad = [list(row) for row in rows]
                 bad[i][j] = v
                 yield bad
 
@@ -120,6 +123,25 @@ def test_light_finds_a_corrupted_cell(sp, start):
                 else MalformedTable)
     with pytest.raises(expected):
         FiniteSemigroup(table, generators=S.generators)
+    # and one corrupted entry of the right Cayley graph over the letters:
+    # the first, from `start` on, that leaves two letters of one class
+    # with one column and reaches every class, but whose filled table is
+    # not associative
+    letters = [q - 1 for q in sp.cayley[0]]
+    twins = [(i, j) for i, g in enumerate(letters)
+             for j, h in enumerate(letters) if i < j and g == h]
+
+    def fails_light(rows):
+        filled = table_of_right_cayley(rows, letters)
+        return (all(row[i] == row[j] for row in rows for i, j in twins)
+                and filled is not None and not is_associative(filled))
+
+    graph = next((bad for bad in corruptions(
+        right_cayley_rows(S.table, letters), start) if fails_light(bad)),
+        None)
+    if graph is not None:
+        with pytest.raises(NotAssociative):
+            FiniteSemigroup.from_right_cayley(graph, letters, S.identity)
 
 
 @kernel_settings

@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omsemi import cli, terms
 from omsemi.enumeration import enumerate_semigroups
 from omsemi.errors import SizeTooLarge, UnsupportedPrimePower
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap, green_classes
@@ -250,6 +251,28 @@ def test_cr_counts_and_guards():
         cr_semigroups(6)
     with pytest.raises(SizeTooLarge):
         cr_sample_satisfies(P("x"), P("x"), 0)
+
+
+def test_identical_sides_evaluate_nothing(monkeypatch, capsys):
+    # twelve letters: |S|^12 assignments per member, hours without the
+    # shortcut, so the first evaluation is counted and stops the test
+    side = " ".join("abcdefghijkl")
+    t, again = parse_term(side), parse_term(side)
+    assert t is not again
+    calls = []
+
+    def evaluate(*args):
+        calls.append(args)
+        raise AssertionError("an assignment was evaluated")
+
+    monkeypatch.setattr(terms, "_evaluate", evaluate)
+    for S in cr_core(4):
+        assert terms.find_identity_failure(S, t, again) is None
+    assert calls == []
+    assert cli.main(["check", "--variety", "cr:4", "--lhs", side,
+                     "--rhs", side]) == 0
+    assert '"verdict": true' in capsys.readouterr().out
+    assert calls == []
 
 
 def test_cr_semigroups_match_identity_filter():

@@ -103,6 +103,38 @@ def generates(table, gens):
         got |= more
 
 
+def right_cayley_rows(table, gens):
+    """rows[x][i] = x gens[i]: the right Cayley graph of a table."""
+    return [[row[g] for g in gens] for row in table]
+
+
+def table_of_right_cayley(rows, gens):
+    """The table filled entry by entry from a right Cayley graph: x times
+    an element w follows x along a word of w: a generator's word is its
+    first position, and any other element's the positions of a path to
+    it from a generator, found depth first.  None if the graph does not
+    reach every element from the generators."""
+    words = {}
+    for i, g in enumerate(gens):
+        words.setdefault(g, (i,))
+    stack = list(words)
+    while stack:
+        w = stack.pop()
+        for i, v in enumerate(rows[w]):
+            if v not in words:
+                words[v] = words[w] + (i,)
+                stack.append(v)
+    if len(words) != len(rows):
+        return None
+
+    def times(x, w):
+        for i in words[w]:
+            x = rows[x][i]
+        return x
+
+    return [[times(x, w) for w in range(len(rows))] for x in range(len(rows))]
+
+
 def is_stable(table, pairs):
     """a <= b and c <= d give ac <= bd, tried on every two pairs."""
     return all((table[a][c], table[b][d]) in pairs
@@ -507,11 +539,28 @@ def recursive_free_group_normal_form(t):
     raise TypeError("not a term: %r" % (t,))
 
 
+def crt_merge(r1, m1, r2, m2):
+    """The residue modulo lcm(m1, m2) that is r1 mod m1 and r2 mod m2, by
+    the Chinese remainder theorem, and that modulus."""
+    import math
+    g = math.gcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        raise ValueError("incompatible residues %d mod %d, %d mod %d"
+                         % (r1, m1, r2, m2))
+    l = m1 // g * m2
+    step = m1 // g
+    inv = pow(step % (m2 // g), -1, m2 // g) if m2 // g > 1 else 0
+    k = ((r2 - r1) // g * inv) % (m2 // g)
+    return (r1 + m1 * k) % l, l
+
+
 def recursive_unroll(t, targets, pad=0):
+    """unroll as a recursion, with each prime-omega residue merged across
+    the targets by crt_merge, one period at a time."""
     import math
     from omsemi.semigroup import stabilized_prime_power_residue
     from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
-                              PrimeOmegaPower, _crt_merge)
+                              PrimeOmegaPower)
     if isinstance(t, Letter):
         return t.ch
     if isinstance(t, Concat):
@@ -529,7 +578,7 @@ def recursive_unroll(t, targets, pad=0):
             residue, modulus = 0, 1
             for d in datas:
                 r = stabilized_prime_power_residue(t.p, d.period)
-                residue, modulus = _crt_merge(residue, modulus, r, d.period)
+                residue, modulus = crt_merge(residue, modulus, r, d.period)
         need = max([d.index for d in datas] + [1, pad])
         n = residue
         while n < need:
