@@ -31,6 +31,7 @@ from .terms import (
     eval_term,
     find_identity_failure,
     format_term,
+    identity_failures,
     iterated_commutator,
     parse_term,
     satisfies_identity,

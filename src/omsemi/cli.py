@@ -25,7 +25,7 @@ from .reducibility import (
 )
 from .semigroup import GeneratorMap, green_classes
 from .syntactic import syntactic_semigroup
-from .terms import eval_term, parse_term, satisfies_identity, term_alphabet
+from .terms import eval_term, identity_failures, parse_term, term_alphabet
 from .varieties import check_identity
 
 
@@ -184,14 +184,14 @@ def _cmd_reduce(args):
 
 
 def _cmd_enum(args):
-    semigroups = enumerate_semigroups(args.n)
+    found = enumerate_semigroups(args.n)
     if args.identity is not None:
         if "=" not in args.identity:
             raise ValueError("identity must have the form 'LHS = RHS'")
         lhs, rhs = map(parse_term, args.identity.split("=", 1))
-        semigroups = (S for S in semigroups
-                      if satisfies_identity(S, lhs, rhs))
-    print(sum(1 for _ in semigroups))
+        found = (bad for bad in identity_failures(found, lhs, rhs)
+                 if bad is None)
+    print(sum(1 for _ in found))
     return 0
 
 

@@ -260,8 +260,12 @@ class FiniteSemigroup:
                                generators=self.generators + (n,))
 
     def __repr__(self):
-        kind = "monoid" if self.identity is not None else "semigroup"
-        return "<%s of order %d>" % (kind, self.n)
+        # safe on an object whose construction stopped part way, such as
+        # the self of a NotAssociative traceback: it may have no identity
+        # and no n yet
+        kind = ("monoid" if getattr(self, "identity", None) is not None
+                else "semigroup")
+        return "<%s of order %s>" % (kind, getattr(self, "n", "?"))
 
     @classmethod
     def cyclic(cls, index, period):

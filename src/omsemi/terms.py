@@ -16,7 +16,10 @@ Every walk over a term (size, alphabet, concrete syntax, evaluation, the
 commutative, abelian and free-group images, unrolling, factor expansion)
 is a fold over `_postorder`, the node list with each node after its
 subterms, so no walk recurses however long or deep the term.  Evaluation
-is one fold, which `eval_term` and `find_identity_failure` share.
+is one fold with two kinds of value: `eval_term` folds a term to an
+element, and `identity_failures`, which `find_identity_failure` runs on one
+semigroup, folds both sides of an identity to columns, a node's values
+over a block of assignments, taking the postorders once per pool.
 
 The normal forms over abelian groups (ab), commutative semigroups (com)
 and groups (g) are defined once each, as a (letter, concat, power, freeze)
@@ -36,6 +39,7 @@ import itertools
 import math
 from collections import namedtuple
 from functools import reduce
+from operator import eq, getitem
 
 from .errors import (
     DepthCap,
@@ -319,30 +323,105 @@ def _shape(nodes):
             for node in nodes]
 
 
-def find_identity_failure(S, lhs, rhs, mode="equality"):
-    """An assignment violating lhs = rhs (or lhs <= rhs), or None.
+# The most assignments an identity search evaluates together.  The sorted
+# variables split in two: the trailing j whose n^j assignments fit in a
+# block are evaluated together, each node's value a column of n^j values,
+# and the leading ones are looped over.  One map call per node and block
+# replaces a Python call per node and assignment.  A larger block wastes
+# more work past a failure, which a search over a pool mostly meets within
+# a few assignments; 256 holds every assignment of three letters in a
+# semigroup of order up to 6.
+_BLOCK = 256
+
+
+def _block_layout(n, k):
+    """How k sorted variables over n elements are searched: the n^j
+    assignments of the trailing j variables in lexicographic order, the
+    column of each trailing variable over them, and the constant column
+    of each value of a leading variable."""
+    j = 0
+    while j < k and n ** (j + 1) <= _BLOCK:
+        j += 1
+    block = list(itertools.product(range(n), repeat=j))
+    trailing = [list(column) for column in zip(*block)]
+    return block, trailing, [[v] * len(block) for v in range(n)]
+
+
+def _block_failure(S, left, right, variables, mode, layout):
+    """The first assignment in lexicographic order under which the sides
+    with postorders left and right fail in S, or None.  The leading
+    variables run through their values in order; for each of their
+    assignments both sides are folded once over the block's columns.  A
+    power node's values on the n elements are taken on its first use."""
+    n = S.n
+    block, trailing, constants = layout
+    leading = variables[:len(variables) - len(trailing)]
+    columns = dict(zip(variables[len(leading):], trailing))
+    rows = S.table.__getitem__
+    powers = {}
+
+    def concat(a, b):
+        return list(map(getitem, map(rows, a), b))
+
+    def power(node, a):
+        values = powers.get(id(node))
+        if values is None:
+            values = powers[id(node)] = [_power_value(S, node, s)
+                                         for s in range(n)]
+        return list(map(values.__getitem__, a))
+
+    for values in itertools.product(range(n), repeat=len(leading)):
+        for var, v in zip(leading, values):
+            columns[var] = constants[v]
+        a = _fold(left, columns.__getitem__, concat, power)
+        b = _fold(right, columns.__getitem__, concat, power)
+        if mode == "equality":
+            if a == b:
+                continue
+            i = list(map(eq, a, b)).index(False)
+        else:
+            holds = list(map(S.order.__contains__, zip(a, b)))
+            if False not in holds:
+                continue
+            i = holds.index(False)
+        return dict(zip(variables, values + block[i]))
+    return None
+
+
+def identity_failures(semigroups, lhs, rhs, mode="equality"):
+    """Each member's first assignment violating lhs = rhs (or lhs <= rhs),
+    or None, in turn, for an iterable of semigroups.
 
     Assignments run through the sorted letters' values in lexicographic
-    order.  Each side's postorder is taken once, and an assignment is a
-    plain dict: its values come from range(S.n), so there is nothing for
-    a GeneratorMap to check.  Two sides that are the same term hold under
-    every assignment, the order being reflexive, so none is tried."""
+    order, in blocks (see _BLOCK).  The postorders, the variables and the
+    test for identical sides are taken once for the pool.  Two sides that
+    are the same term hold under every assignment, the order being
+    reflexive, and so does every identity in a semigroup of one element,
+    so neither tries any.  A bad mode raises ValueError before any member
+    is read, and a member without an order in inequality mode raises
+    InequalityWithoutOrder when it is reached."""
     if mode not in ("equality", "inequality"):
         raise ValueError("mode must be equality or inequality")
-    if mode == "inequality" and S.order is None:
-        raise InequalityWithoutOrder("semigroup carries no order")
     left, right = _postorder(lhs), _postorder(rhs)
-    if len(left) == len(right) and _shape(left) == _shape(right):
-        return None
-    variables = sorted(term_alphabet(lhs) | term_alphabet(rhs))
-    for values in itertools.product(range(S.n), repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        a = _evaluate(S, left, assignment.__getitem__)
-        b = _evaluate(S, right, assignment.__getitem__)
-        ok = a == b if mode == "equality" else (a, b) in S.order
-        if not ok:
-            return assignment
-    return None
+    same = len(left) == len(right) and _shape(left) == _shape(right)
+    variables = sorted({node.ch for node in itertools.chain(left, right)
+                        if type(node) is Letter})
+    layouts = {}
+    for S in semigroups:
+        if mode == "inequality" and S.order is None:
+            raise InequalityWithoutOrder("semigroup carries no order")
+        if same or S.n == 1:
+            yield None
+            continue
+        if S.n not in layouts:
+            layouts[S.n] = _block_layout(S.n, len(variables))
+        yield _block_failure(S, left, right, variables, mode, layouts[S.n])
+
+
+def find_identity_failure(S, lhs, rhs, mode="equality"):
+    """An assignment violating lhs = rhs (or lhs <= rhs) in S, or None:
+    the first in lexicographic order, as a plain dict."""
+    return next(identity_failures([S], lhs, rhs, mode))
 
 
 def satisfies_identity(S, lhs, rhs, mode="equality"):

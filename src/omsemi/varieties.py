@@ -23,7 +23,7 @@ from .terms import (
     _expand,
     _postorder,
     eval_term,
-    find_identity_failure,
+    identity_failures,
     normal_form,
     parse_term,
     term_alphabet,
@@ -165,10 +165,10 @@ def cr_witness(u, v, bound=4):
     holds in all of them.  The verdict is decided on cr_core(bound); only
     a failure goes on to the whole pool, so the witness does not depend
     on the core."""
-    if all(find_identity_failure(S, u, v) is None for S in cr_core(bound)):
+    if all(bad is None for bad in identity_failures(cr_core(bound), u, v)):
         return None
-    for S in cr_semigroups(bound):
-        bad = find_identity_failure(S, u, v)
+    pool = cr_semigroups(bound)
+    for S, bad in zip(pool, identity_failures(pool, u, v)):
         if bad is not None:
             return _semigroup_witness(S, bad, u, v)
 
@@ -219,8 +219,9 @@ def _single_letter_witness(S, alphabet, u, v):
 
 def g_witness(u, v):
     """A separating group from the order-<=24 catalog, smallest first."""
-    for name, G in all_groups_up_to_24():
-        bad = find_identity_failure(G, u, v)
+    catalog = all_groups_up_to_24()
+    for (name, G), bad in zip(catalog, identity_failures(
+            (G for _, G in catalog), u, v)):
         if bad is not None:
             witness = _semigroup_witness(G, bad, u, v)
             witness["group"] = name

@@ -6,10 +6,13 @@ inverts formatting for terms and for regexes.  The nodes' own ``repr``,
 import copy
 import itertools
 import pickle
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omsemi import terms as terms_module
 from omsemi.errors import UnsupportedPrimePower
 from omsemi.regex import (Concat as RConcat, Empty, Plus, Star, Sym, Union,
                           format_regex, parse_regex)
@@ -19,9 +22,10 @@ from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower,
                           find_identity_failure, format_term,
                           free_group_normal_form, parse_term, term_alphabet,
                           unroll, _postorder, _shape)
+from omsemi.syntactic import syntactic_semigroup
 
-from util import (random_generator_map, random_small_semigroup, rebuild,
-                  recursive_ab_image, recursive_com_exponents,
+from util import (random_dfa, random_generator_map, random_small_semigroup,
+                  rebuild, recursive_ab_image, recursive_com_exponents,
                   recursive_eval_term, recursive_expand_for_factors,
                   recursive_format_term, recursive_free_group_normal_form,
                   recursive_node_repr, recursive_structure, recursive_unroll)
@@ -102,20 +106,38 @@ def test_eval_and_unroll_match_recursive_walks(t, rng, n_targets, pad):
     assert unroll(t, targets, pad) == recursive_unroll(t, targets, pad)
 
 
-def _first_failure(S, lhs, rhs):
+def _first_failure(S, lhs, rhs, mode="equality"):
     letters = sorted(term_alphabet(lhs) | term_alphabet(rhs))
     for values in itertools.product(range(S.n), repeat=len(letters)):
         g = dict(zip(letters, values)).__getitem__
-        if recursive_eval_term(S, g, lhs) != recursive_eval_term(S, g, rhs):
+        a, b = recursive_eval_term(S, g, lhs), recursive_eval_term(S, g, rhs)
+        if a != b if mode == "equality" else (a, b) not in S.order:
             return dict(zip(letters, values))
     return None
 
 
+def _small_ordered_semigroup(rng):
+    """The ordered syntactic semigroup of a random language, resampled
+    until it has at most 6 elements."""
+    while True:
+        S = syntactic_semigroup(random_dfa(rng, 3)).ordered_semigroup()
+        if S.n <= 6:
+            return S
+
+
 @fold_settings
-@given(terms, terms, st.randoms(use_true_random=False))
-def test_identity_search_finds_the_first_failure(lhs, rhs, rng):
-    S = random_small_semigroup(rng)
-    assert find_identity_failure(S, lhs, rhs) == _first_failure(S, lhs, rhs)
+@given(terms, terms, st.randoms(use_true_random=False), st.integers(0, 9999))
+def test_identity_search_finds_the_first_failure(lhs, rhs, rng, seed):
+    # blocks of 1 leave every variable to the loop over leading ones, and
+    # blocks of 5 split three variables over 2 to 5 elements between it
+    # and the columns
+    ordered = _small_ordered_semigroup(random.Random(seed))
+    for S, mode in ((random_small_semigroup(rng), "equality"),
+                    (ordered, "inequality")):
+        expected = _first_failure(S, lhs, rhs, mode)
+        for block in (1, 5, terms_module._BLOCK):
+            with mock.patch.object(terms_module, "_BLOCK", block):
+                assert find_identity_failure(S, lhs, rhs, mode) == expected
 
 
 @fold_settings

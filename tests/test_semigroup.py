@@ -35,6 +35,24 @@ def test_associativity_checked():
         FiniteSemigroup([[1, 0], [0, 0]])
 
 
+def test_repr_of_a_half_built_semigroup():
+    # Light's test fails before the identity is set, so the self left in
+    # the traceback has a table but no identity
+    with pytest.raises(NotAssociative) as info:
+        FiniteSemigroup([[0, 1], [0, 0]])
+    selves, tb = [], info.tb
+    while tb is not None:
+        if "self" in tb.tb_frame.f_locals:
+            selves.append(tb.tb_frame.f_locals["self"])
+        tb = tb.tb_next
+    assert selves
+    for S in selves:
+        assert repr(S) == "<semigroup of order 2>"
+    # nothing set at all
+    assert repr(FiniteSemigroup.__new__(FiniteSemigroup)) == \
+        "<semigroup of order ?>"
+
+
 def test_identity_validation():
     S = FiniteSemigroup([[0, 1], [1, 0]], identity=0)
     assert S.identity == 0

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from omsemi import cli, terms
 from omsemi.enumeration import enumerate_semigroups
-from omsemi.errors import SizeTooLarge, UnsupportedPrimePower
+from omsemi.errors import (InequalityWithoutOrder, SizeTooLarge,
+                           UnsupportedPrimePower)
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap, green_classes
 from omsemi.groups_catalog import all_groups_up_to_24
 from omsemi.terms import (
@@ -265,6 +266,8 @@ def test_identical_sides_evaluate_nothing(monkeypatch, capsys):
         calls.append(args)
         raise AssertionError("an assignment was evaluated")
 
+    # the block search, and the single evaluation a witness would make
+    monkeypatch.setattr(terms, "_block_failure", evaluate)
     monkeypatch.setattr(terms, "_evaluate", evaluate)
     for S in cr_core(4):
         assert terms.find_identity_failure(S, t, again) is None
@@ -273,6 +276,36 @@ def test_identical_sides_evaluate_nothing(monkeypatch, capsys):
                      "--rhs", side]) == 0
     assert '"verdict": true' in capsys.readouterr().out
     assert calls == []
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ("x y", "y x"), ("x^(w+1)", "x"), ("(x y)^w", "(y x)^w"),
+    ("x y x", "x y^(w+1) x"), ("x^w y z", "x^w z y"), ("x^2 y", "x y^2")])
+def test_pool_search_agrees_with_each_member(lhs, rhs):
+    # one pass over a pool, its postorders and block layouts shared,
+    # against a search of its own per member; the pools hold members of
+    # several orders, the catalogue some too large for one block
+    u, v = P(lhs), P(rhs)
+    catalog = [G for _, G in all_groups_up_to_24()]
+    for pool in (cr_semigroups(4), catalog):
+        assert list(terms.identity_failures(pool, u, v)) == \
+            [terms.find_identity_failure(S, u, v) for S in pool]
+
+
+def test_pool_search_error_order():
+    x, xy = P("x"), P("x y")
+    plain = FiniteSemigroup.cyclic(1, 2)
+    # a bad mode is refused before a member's missing order
+    with pytest.raises(ValueError):
+        next(terms.identity_failures([plain], x, xy, mode="equal"))
+    with pytest.raises(ValueError):
+        terms.find_identity_failure(plain, x, xy, mode="equal")
+    # an unordered member is refused when it is reached, identical sides
+    # or not
+    for rhs in (xy, P("x")):
+        found = terms.identity_failures([plain], x, rhs, mode="inequality")
+        with pytest.raises(InequalityWithoutOrder):
+            next(found)
 
 
 def test_cr_semigroups_match_identity_filter():
