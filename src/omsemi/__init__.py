@@ -60,7 +60,6 @@ from .reducibility import (
     bounded_omega_solution_search,
     integer_exponent_system,
     jplus_word_solution,
-    loc_fin_word_solution,
     loop_removal,
     simple_path_word,
     syntactic_solution_triple,

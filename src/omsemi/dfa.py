@@ -18,53 +18,60 @@ Every walk over states goes through the breadth-first searches of
 ``omsemi.graphs``: the reachable and co-accessible states, the ε-closures
 and the subset construction of ``compile_min_dfa``, the two numberings of
 ``minimize``, and the reachable state pairs of the product automaton that
-``languages_equal`` and ``has_common_word`` inspect.  A ``Dfa`` built from
-a table of the wrong shape, an alphabet that repeats a letter or holds
-an unhashable one, or a transition target, initial or accepting state
-that is not a state raises ``MalformedTable``.
+``languages_equal`` and ``has_common_word`` inspect.
+
+An automaton is checked where it enters.  A ``Dfa`` built by a caller
+from a table of the wrong shape (the one ``errors._checked_rows`` test
+that semigroup tables pass too), an alphabet that repeats a letter or
+holds an unhashable one, or an initial or accepting state that is not a
+state raises ``MalformedTable``.  The automata the package builds itself,
+the subset automaton of ``compile_min_dfa``, the result of ``minimize``
+and a class language, go through the private ``Dfa._of``, which sets the
+fields and checks nothing.
 """
 
-from itertools import chain
-
-from .errors import AlphabetMismatch, EmptyAlphabet, MalformedTable, listed
+from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
+                     _checked_rows, listed)
 from .graphs import breadth_first, reachable
 from .regex import nfa_of_regex, parse_regex, regex_alphabet
 
 
 class Dfa:
     def __init__(self, alphabet, transitions, initial, accepting):
-        self.alphabet = tuple(listed(alphabet, "alphabet"))
+        alphabet = listed(alphabet, "alphabet")
+        rows = _checked_rows(transitions, len(alphabet))
         try:
-            self.transitions = [list(row) for row in transitions]
-        except TypeError:
-            raise MalformedTable("transitions are not a list of rows: %r"
-                                 % (transitions,)) from None
-        self.n_states = n = len(self.transitions)
-        self.initial = initial
-        try:
-            self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
-            self.accepting = frozenset(listed(accepting, "accepting states"))
+            d = self._of(alphabet, rows, initial,
+                         listed(accepting, "accepting states"))
         except TypeError:
             raise MalformedTable("a letter or accepting state is not "
                                  "hashable") from None
-        if len(self.letter_index) != len(self.alphabet):
+        if len(d.letter_index) != len(d.alphabet):
             raise MalformedTable("alphabet repeats a letter: %r"
-                                 % (self.alphabet,))
-        if set(map(len, self.transitions)) - {len(self.alphabet)}:
-            raise MalformedTable("transition row has wrong arity")
-        # a target equal to a state but not an int, such as 0.0 or False,
-        # is rejected by its type
-        targets = list(chain.from_iterable(self.transitions))
-        if not set(range(n)).issuperset(targets) or not {int}.issuperset(
-                map(type, targets)):
-            raise MalformedTable("transition target out of range")
-        if type(initial) is not int or not 0 <= initial < n:
+                                 % (d.alphabet,))
+        if type(initial) is not int or not 0 <= initial < d.n_states:
             raise MalformedTable("initial state out of range: %r"
                                  % (initial,))
-        for q in self.accepting:
-            if type(q) is not int or not 0 <= q < n:
+        for q in d.accepting:
+            if type(q) is not int or not 0 <= q < d.n_states:
                 raise MalformedTable("accepting state out of range: %r"
                                      % (q,))
+        vars(self).update(vars(d))
+
+    @classmethod
+    def _of(cls, alphabet, transitions, initial, accepting):
+        """The automaton with these fields, `transitions` a list of lists,
+        and nothing checked: the one place the fields are set.  The
+        package builds its own automata through it; __init__ checks a
+        caller's input and sets it here."""
+        d = cls.__new__(cls)
+        d.alphabet = tuple(alphabet)
+        d.transitions = transitions
+        d.n_states = len(transitions)
+        d.initial = initial
+        d.letter_index = {a: i for i, a in enumerate(d.alphabet)}
+        d.accepting = frozenset(accepting)
+        return d
 
     def run(self, word):
         q = self.initial
@@ -148,7 +155,7 @@ class Dfa:
         border, qtrans = breadth_first(
             block_of[0], lambda b: [block_of[r] for r in trans[blocks[b][0]]])
         qaccept = {i for i, b in enumerate(border) if final[blocks[b][0]]}
-        return Dfa(self.alphabet, qtrans, 0, qaccept)
+        return Dfa._of(self.alphabet, qtrans, 0, qaccept)
 
 
 def compile_min_dfa(r, alphabet=None):
@@ -185,7 +192,7 @@ def compile_min_dfa(r, alphabet=None):
     # closure of the start state
     order, dtrans = breadth_first(closure([start]), successors)
     daccept = {i for i, subset in enumerate(order) if accept in subset}
-    return Dfa(alpha, dtrans, 0, daccept).minimize()
+    return Dfa._of(alpha, dtrans, 0, daccept).minimize()
 
 
 def _reachable_pairs(d1, d2):

@@ -53,7 +53,9 @@ def enumerate_semigroups(n):
     if not 1 <= n <= 6:
         raise SizeTooLarge(f"can only enumerate orders 1..6, got {n}")
     if n not in _CACHE:
-        _CACHE[n] = [FiniteSemigroup(table) for table in _canonical_tables(n)]
+        # the search checked every triple, so the tables go in unproven
+        _CACHE[n] = [FiniteSemigroup._of(list(map(list, table)))
+                     for table in _canonical_tables(n)]
     yield from _CACHE[n]
 
 

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and `listed`, which turns
-an argument that is not a collection into one of them."""
+"""Exception types shared across the package, `listed`, which turns an
+argument that is not a collection into one of them, and `_checked_rows`,
+the one test of what a well-formed table is, for semigroups and automata
+alike."""
+
+from itertools import chain
 
 
 class OmsemiError(Exception):
@@ -75,3 +79,28 @@ def listed(items, what, error=MalformedTable):
         return list(items)
     except TypeError:
         raise error("%s is not a collection: %r" % (what, items)) from None
+
+
+def _checked_rows(rows, width=None):
+    """rows as a list of lists, once proven to be n >= 1 rows of `width`
+    entries (n entries, a square table, when width is None), each an int
+    in range(n).  An entry equal to an element but not an int, such as
+    0.0 or False, is rejected by its type."""
+    try:
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise MalformedTable("table is not a list of rows: %r"
+                             % (rows,)) from None
+    n = len(rows)
+    if n == 0:
+        raise MalformedTable("a table has at least one row")
+    if set(map(len, rows)) != {n if width is None else width}:
+        raise MalformedTable("table is not square" if width is None
+                             else "rows are not all %d long" % width)
+    entries = list(chain.from_iterable(rows))
+    if not set(range(n)).issuperset(entries) or not {int}.issuperset(
+            map(type, entries)):
+        raise MalformedTable("table entry out of range: %r" % (
+            next(v for v in entries
+                 if type(v) is not int or not 0 <= v < n),))
+    return rows

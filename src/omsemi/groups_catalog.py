@@ -25,11 +25,13 @@ def cyclic_group(n):
 
 def _table_group(elems, op):
     """The group on the element list `elems` under op, its table in the
-    order of the list.  Its identity is its only idempotent, which
-    FiniteSemigroup then proves neutral."""
+    order of the list.  Its identity is its only idempotent.  Every op
+    here is a group operation, so the table is associative and that
+    idempotent neutral by construction, and nothing is proven on the way
+    in; tests/test_groups_catalog.py checks both on every entry."""
     idx = {e: k for k, e in enumerate(elems)}
     table = [[idx[op(a, b)] for b in elems] for a in elems]
-    return FiniteSemigroup(table, identity=next(
+    return FiniteSemigroup._of(table, identity=next(
         a for a in range(len(table)) if table[a][a] == a))
 
 

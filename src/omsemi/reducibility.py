@@ -24,7 +24,6 @@ from .terms import (
     iterated_commutator,
     bounded_factors,
     parse_term,
-    unroll,
     unrolling,
 )
 from .varieties import (
@@ -167,15 +166,6 @@ def _image_of(gens, word):
     return gens.image_of_word(word)
 
 
-def _check_solution(triple, u, v):
-    """Raise NotASolution unless u evaluates to s and v to t."""
-    S, gens = triple.S, triple.gens
-    if eval_term(S, gens, u) != triple.s:
-        raise NotASolution("u does not evaluate to s")
-    if eval_term(S, gens, v) != triple.t:
-        raise NotASolution("v does not evaluate to t")
-
-
 def jplus_word_solution(triple, u, v):
     """Turn a term solution of x <= y into a word solution u' <= v'.
 
@@ -217,19 +207,6 @@ def jplus_word_solution(triple, u, v):
             (triple.s, triple.t):
         raise AssertionError("the images of u' and v' are not s and t")
     return u_simple, v_out
-
-
-def loc_fin_word_solution(triple, u, v, V_images):
-    """Unroll a term solution far enough to preserve both the instance
-    images and the images in every supplied quotient of the variety."""
-    _check_solution(triple, u, v)
-    for T, psi in V_images:
-        if eval_term(T, psi, u) != eval_term(T, psi, v):
-            raise NotASolution(
-                "u and v differ in a supplied variety image, so the pair "
-                "is not a solution over that variety")
-    targets = [(triple.S, triple.gens)] + list(V_images)
-    return unroll(u, targets), unroll(v, targets)
 
 
 def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):

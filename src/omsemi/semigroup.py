@@ -1,17 +1,23 @@
 """Finite semigroups as explicit multiplication tables.
 
 Elements are integers 0..n-1.  A table is a list of n rows of n entries,
-``table[a][b]`` being the product ab.  Every table is proven associative
-on construction, by Light's test over a generating set: when the
-generating set is known (syntactic semigroups, cyclic semigroups, identity
-adjunction) this costs n^2 per generator, and otherwise the generators are
-all n elements and it is the full n^3 proof, which is what enumeration,
-the group catalogue and caller-built tables get.  A smaller
+``table[a][b]`` being the product ab.  A table is proven associative where
+it enters: the public constructor and `FiniteSemigroup.from_right_cayley`
+check what they are given and prove it by Light's test over a generating
+set.  When the generating set is known (syntactic semigroups, or a
+caller's ``generators``) this costs n^2 per generator; otherwise the
+generators are all n elements and it is the full n^3 proof.  A smaller
 generating set is first checked to generate the table, by the
 breadth-first closure of ``omsemi.graphs`` under right multiplication by
-the generators.  A semigroup
-may optionally carry a stable partial order and a distinguished identity
-element; a monoid is just a semigroup whose ``identity`` is set.
+the generators.  A semigroup may optionally carry a stable partial order
+and a distinguished identity element; a monoid is just a semigroup whose
+``identity`` is set.
+
+The tables the package derives itself are associative, generated and
+neutral at their identity by construction, so they are built through the
+private `FiniteSemigroup._of`, which sets the fields and proves nothing:
+cyclic semigroups, adjoined identities, direct products, the groups of
+``omsemi.groups_catalog`` and the tables of ``omsemi.enumeration``.
 
 A semigroup may also be given by its right Cayley graph over the
 generators, x -> xg for each generator g, which is how syntactic
@@ -34,12 +40,11 @@ Universal Algebra", 1994).
 """
 
 from collections import namedtuple
-from itertools import chain
 from math import gcd
 from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
-                     UnboundLetter, listed)
+                     UnboundLetter, _checked_rows, listed)
 from .graphs import reachable
 
 
@@ -51,26 +56,50 @@ MonogenicData = namedtuple("MonogenicData", "index period powers")
 
 
 class FiniteSemigroup:
-    """A multiplication table proven associative on construction.
+    """A multiplication table, proven associative where it enters.
 
-    `generators` is a set of elements that generates the semigroup; it
-    defaults to every element.  Associativity and the stability of
-    `order` are proven over it, and Green's classes walk the Cayley
-    graphs over it, so a small generating set makes all three cheaper.
+    The public constructor and `from_right_cayley` check what they are
+    given and prove it; `_of` sets the fields of a table the package
+    derived itself and proves nothing.  `generators` is a set of elements
+    that generates the semigroup; it defaults to every element.
+    Associativity and the stability of `order` are proven over it, and
+    Green's classes walk the Cayley graphs over it, so a small generating
+    set makes all three cheaper.
     """
 
     def __init__(self, table, order=None, identity=None, generators=None):
-        self.table = t = _checked_rows(table)
-        self.n = n = len(t)
-        if generators is None:
-            self.generators = tuple(range(n))
-        else:
+        t = _checked_rows(table)
+        n = len(t)
+        if generators is not None:
             gens = _checked_generators(listed(generators, "generators"), n)
-            self.generators = tuple(sorted(set(gens)))
-            if len(self.generators) < n and len(reachable(
+            generators = tuple(sorted(set(gens)))
+            if len(generators) < n and len(reachable(
                     gens, lambda a: map(t[a].__getitem__, gens))) != n:
                 raise MalformedTable("generators do not generate the table")
-        self._prove(identity, order)
+        # the fields are set as _of sets them, then proven in place
+        vars(self).update(vars(self._of(t, generators, identity)))
+        self._prove()
+        if order is not None:
+            self.order = self._check_order(order)
+
+    @classmethod
+    def _of(cls, table, generators=None, identity=None, order=None):
+        """The semigroup of `table`, a list of n lists, with the sorted
+        tuple `generators` (every element when None), `identity` and the
+        frozenset `order` as given, and nothing checked or proven.  The
+        package builds its own tables here, associative, generated,
+        neutral at `identity` and ordered stably by construction.  The
+        public constructors set their fields here too and prove them
+        after; __init__ then attaches a caller's order once it is proven,
+        as `ordered_semigroup` attaches the syntactic order."""
+        S = cls.__new__(cls)
+        S.table = table
+        S.n = n = len(table)
+        S.generators = tuple(range(n)) if generators is None else generators
+        S.identity = identity
+        S.order = order
+        S._mono = {}
+        return S
 
     @classmethod
     def from_right_cayley(cls, rows, generators, identity=None):
@@ -109,19 +138,17 @@ class FiniteSemigroup:
                     found.append(w)
         if len(found) != n:
             raise MalformedTable("generators do not generate the table")
-        S = cls.__new__(cls)
-        S.table = list(map(list, zip(*columns)))
-        S.n = n
-        S.generators = tuple(sorted(set(generators)))
-        S._prove(identity, None)
+        S = cls._of(list(map(list, zip(*columns))),
+                    tuple(sorted(set(generators))), identity)
+        S._prove()
         return S
 
-    def _prove(self, identity, order):
-        """Light's test, then the identity and order checks: what every
-        constructor runs once the table is filled and its generators are
-        known to generate it."""
+    def _prove(self):
+        """Light's test, then the identity check: what both public
+        constructors run once the fields are set from a checked table
+        whose generators are known to generate it."""
         self._check_associative()
-        self.identity = identity
+        identity = self.identity
         if identity is not None:
             if type(identity) is not int or not 0 <= identity < self.n:
                 raise MalformedTable("identity out of range: %r"
@@ -131,8 +158,6 @@ class FiniteSemigroup:
                 if row[j] != j or self.table[j][identity] != j:
                     raise MalformedTable("element %d is not an identity"
                                          % identity)
-        self.order = self._check_order(order) if order is not None else None
-        self._mono = {}
 
     def _check_associative(self):
         """Light's test: the elements a with (xa)y = x(ay) for all x, y
@@ -253,16 +278,14 @@ class FiniteSemigroup:
         n = self.n
         table = [row + [i] for i, row in enumerate(self.table)] + \
                 [list(range(n)) + [n]]
-        order = None
-        if self.order is not None:
-            order = set(self.order) | {(n, n)}
-        return FiniteSemigroup(table, order=order, identity=n,
-                               generators=self.generators + (n,))
+        # the new element is neutral, so the order stays stable
+        order = None if self.order is None else self.order | {(n, n)}
+        return self._of(table, self.generators + (n,), n, order)
 
     def __repr__(self):
         # safe on an object whose construction stopped part way, such as
-        # the self of a NotAssociative traceback: it may have no identity
-        # and no n yet
+        # the self of a MalformedTable traceback: __init__ sets no field
+        # before the table's shape is checked
         kind = ("monoid" if getattr(self, "identity", None) is not None
                 else "semigroup")
         return "<%s of order %s>" % (kind, getattr(self, "n", "?"))
@@ -280,8 +303,7 @@ class FiniteSemigroup:
         table = [[reduce(a + b) - 1 for b in range(1, n + 1)]
                  for a in range(1, n + 1)]
         # s^period is the identity of the cyclic group
-        return cls(table, identity=period - 1 if index == 1 else None,
-                   generators=[0])
+        return cls._of(table, (0,), period - 1 if index == 1 else None)
 
     @classmethod
     def direct_product(cls, a, b):
@@ -289,33 +311,8 @@ class FiniteSemigroup:
         table = [[x * b.n + y for x in ra for y in rb]
                  for ra in a.table for rb in b.table]
         if a.identity is None or b.identity is None:
-            return cls(table)
-        return cls(table, identity=a.identity * b.n + b.identity)
-
-
-def _checked_rows(rows, width=None):
-    """rows as a list of lists, once proven to be n >= 1 rows of `width`
-    entries (n entries, a square table, when width is None), each an int
-    in range(n).  An entry equal to an element but not an int, such as
-    0.0 or False, is rejected by its type."""
-    try:
-        rows = [list(row) for row in rows]
-    except TypeError:
-        raise MalformedTable("table is not a list of rows: %r"
-                             % (rows,)) from None
-    n = len(rows)
-    if n == 0:
-        raise MalformedTable("a semigroup has at least one element")
-    if set(map(len, rows)) != {n if width is None else width}:
-        raise MalformedTable("table is not square" if width is None
-                             else "rows are not all %d long" % width)
-    entries = list(chain.from_iterable(rows))
-    if not set(range(n)).issuperset(entries) or not {int}.issuperset(
-            map(type, entries)):
-        raise MalformedTable("table entry out of range: %r" % (
-            next(v for v in entries
-                 if type(v) is not int or not 0 <= v < n),))
-    return rows
+            return cls._of(table)
+        return cls._of(table, identity=a.identity * b.n + b.identity)
 
 
 def _checked_generators(generators, n):

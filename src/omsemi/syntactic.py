@@ -187,8 +187,8 @@ class SyntacticPresentation:
         residual keys are its states, numbered as Dfa.minimize numbers
         them."""
         keys, trans = self._residual_keys(e)
-        return Dfa(self.alphabet, trans, 0,
-                   {i for i, k in enumerate(keys) if k[0]})
+        return Dfa._of(self.alphabet, trans, 0,
+                       {i for i, k in enumerate(keys) if k[0]})
 
     def class_expression(self, e):
         """A regular expression for the words in class e, in concrete

@@ -12,7 +12,7 @@ factors: ``^`` wraps the last factor, whose exponent `_power` reads.
 Parentheses may nest to any depth.  The nodes derive from `regex.Node`,
 whose ``==``, ``hash`` and ``repr`` do not recurse either.
 
-Every walk over a term (size, alphabet, concrete syntax, evaluation, the
+Every walk over a term (alphabet, concrete syntax, evaluation, the
 commutative, abelian and free-group images, unrolling, factor expansion)
 is a fold over `_postorder`, the node list with each node after its
 subterms, so no walk recurses however long or deep the term.  Evaluation
@@ -143,11 +143,6 @@ def _expand(nodes, repeats):
                         lambda node, n: n * repeats(node)))
     return _fold(nodes, str, str.__add__,
                  lambda node, word: word * repeats(node))
-
-
-def term_size(t):
-    """Number of syntax tree nodes."""
-    return len(_postorder(t))
 
 
 def term_alphabet(t):

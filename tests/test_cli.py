@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
-from omsemi import cli
+from omsemi import cli, enumeration, groups_catalog, varieties
+from omsemi.dfa import Dfa
+from omsemi.semigroup import FiniteSemigroup
 
 
 def run_cli(*argv):
@@ -373,3 +375,32 @@ def test_closed_stdout_pipe_exits_1_quietly():
             os.close(write_end)
         assert r.returncode == 1
         assert r.stderr == ""
+
+
+def test_package_built_tables_are_not_proven_again(monkeypatch, capsys):
+    # every table and automaton these commands use is built by the
+    # package, so none may pass through the public constructors, which
+    # check and prove a caller's input; empty caches make the commands
+    # build their pools here, and leave the shared ones as they were
+    def tripwire(self, *args, **kwargs):
+        raise AssertionError("%s.__init__ called" % type(self).__name__)
+
+    monkeypatch.setattr(FiniteSemigroup, "__init__", tripwire)
+    monkeypatch.setattr(Dfa, "__init__", tripwire)
+    monkeypatch.setattr(enumeration, "_CACHE", {})
+    monkeypatch.setattr(groups_catalog, "_CATALOG", None)
+    monkeypatch.setattr(varieties, "_CR_CACHE", {})
+    monkeypatch.setattr(varieties, "_CORE_CACHE", {})
+    for argv, code in (
+            (["verify-paper"], 0),
+            (["syn", "b*ab*", "--classes"], 0),
+            # no witness among the monogenic monoids C(i, p)^1 it builds
+            (["check", "--variety", "com", "--lhs", "x^8", "--rhs", "x^428"],
+             1),
+            (["check", "--variety", "ab", "--lhs", "x^2", "--rhs", "x^3"], 1),
+            (["check", "--variety", "g", "--lhs", "x y", "--rhs", "y x"], 1),
+            (["check", "--variety", "cr:3", "--lhs", "x y", "--rhs", "y x"],
+             1),
+            (["enum", "4"], 0)):
+        assert cli.main(argv) == code, argv
+    assert capsys.readouterr().out.endswith("188\n")

@@ -7,7 +7,7 @@ from omsemi.enumeration import _canonical_tables, enumerate_semigroups
 from omsemi.errors import SizeTooLarge
 from omsemi.terms import parse_term, satisfies_identity
 
-from util import find_identity, leaf_canonical_tables
+from util import find_identity, is_associative, leaf_canonical_tables
 
 
 def brute_canonical_tables(n):
@@ -56,6 +56,18 @@ def test_pruned_search_matches_leaf_search():
     # at complete tables keeps, in the same order
     for n in (1, 2, 3, 4):
         assert _canonical_tables(n) == leaf_canonical_tables(n)
+
+
+def test_enumerated_tables_are_associative():
+    # the enumeration builds its semigroups unproven: plain tables of
+    # lists, every element a generator, no identity or order declared
+    for n in (1, 2, 3, 4):
+        for S in enumerate_semigroups(n):
+            assert is_associative(S.table)
+            assert type(S.table) is list
+            assert all(type(row) is list for row in S.table)
+            assert (S.n, S.generators, S.identity, S.order) == (
+                n, tuple(range(n)), None, None)
 
 
 def test_stream_is_sorted_and_duplicate_free():

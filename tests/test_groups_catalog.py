@@ -18,8 +18,10 @@ from omsemi.terms import parse_term, satisfies_identity
 
 from util import (
     element_orders,
+    find_identity,
     groups_are_isomorphic,
     groups_of_order,
+    is_associative,
     is_group,
     rectangular_band,
 )
@@ -116,6 +118,16 @@ def test_element_order_examples():
     s4 = set(element_orders(symmetric_group(4)))
     assert s4 == {1, 2, 3, 4}
     assert set(element_orders(special_linear_2_3())) == {1, 2, 3, 4, 6}
+
+
+def test_catalog_entries_are_groups_with_their_identity():
+    # the catalogue builds its tables unproven; is_group takes
+    # associativity for granted, so it is checked on its own
+    for name, S in all_groups_up_to_24():
+        assert is_associative(S.table), name
+        assert S.identity is not None and S.identity == find_identity(S), \
+            name
+        assert is_group(S), name
 
 
 def test_abelian_groups_up_to_12():

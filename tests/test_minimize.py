@@ -7,7 +7,7 @@ the former elimination over trees (oracles in util)."""
 
 from hypothesis import assume, given, settings
 
-from omsemi.dfa import Dfa
+from omsemi.dfa import Dfa, compile_min_dfa
 from omsemi.errors import SizeTooLarge
 from omsemi.syntactic import _state_preorder, syntactic_semigroup
 
@@ -61,6 +61,25 @@ def test_class_language_matches_oracles_on_any_dfa(d):
     except SizeTooLarge:
         assume(False)
     assert_class_languages_match_oracles(sp)
+
+
+@minimize_settings
+@given(any_dfas())
+def test_package_built_automata_pass_the_public_checks(d):
+    # compile_min_dfa, minimize and class_language build their automata
+    # unchecked; rebuilt through Dfa(...), each comes back unchanged
+    built = [d.minimize()]
+    text = regex_text(d)
+    if text is not None:        # None for the empty language
+        built.append(compile_min_dfa(text, d.alphabet))
+    try:
+        sp = syntactic_semigroup(d, max_elements=MAX_CLASSES)
+    except SizeTooLarge:
+        assume(False)
+    built += [sp.class_language(e) for e in range(len(sp.elements))]
+    for m in built:
+        again = Dfa(m.alphabet, m.transitions, m.initial, m.accepting)
+        assert same_dfa(again, m) and vars(again) == vars(m)
 
 
 @minimize_settings

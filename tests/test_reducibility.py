@@ -17,7 +17,6 @@ from omsemi.reducibility import (
     bounded_omega_solution_search,
     integer_exponent_system,
     jplus_word_solution,
-    loc_fin_word_solution,
     loop_removal,
     simple_path_word,
     syntactic_solution_triple,
@@ -338,37 +337,6 @@ def test_jplus_word_solution_random_valid_instances():
         states = path_states(S, g, wu)
         assert len(states) == len(set(states))
         done += 1
-
-
-def test_loc_fin_word_solution_roundtrip():
-    C2 = FiniteSemigroup.cyclic(1, 2)
-    g = GeneratorMap(C2, {"x": 0, "y": C2.identity})
-    u, v = parse_term("x y x"), parse_term("y")
-    triple = SolutionTriple(C2, eval_term(C2, g, u), eval_term(C2, g, v), g)
-    C4 = FiniteSemigroup.cyclic(1, 4)
-    psi = GeneratorMap(C4, {"x": 1, "y": C4.identity})
-    wu, wv = loc_fin_word_solution(triple, u, v, [(C4, psi)])
-    for word, target in ((wu, triple.s), (wv, triple.t)):
-        assert word_image(C2, g, word) == target
-    assert word_image(C4, psi, wu) == word_image(C4, psi, wv)
-
-
-def test_loc_fin_word_solution_rejects_non_solutions():
-    C1 = FiniteSemigroup.cyclic(1, 1)
-    g = GeneratorMap(C1, {"x": 0, "y": 0})
-    triple = SolutionTriple(C1, 0, 0, g)
-    C2 = FiniteSemigroup.cyclic(1, 2)
-    psi = GeneratorMap(C2, {"x": 0, "y": C2.identity})
-    with pytest.raises(NotASolution):
-        loc_fin_word_solution(triple, Letter("x"), Letter("y"), [(C2, psi)])
-
-
-def test_loc_fin_word_solution_checks_evaluation():
-    C2 = FiniteSemigroup.cyclic(1, 2)
-    g = GeneratorMap(C2, {"x": 0, "y": C2.identity})
-    triple = SolutionTriple(C2, C2.identity, C2.identity, g)
-    with pytest.raises(NotASolution):
-        loc_fin_word_solution(triple, Letter("x"), Letter("x"), [])
 
 
 def test_solution_triple_validation():

@@ -15,8 +15,11 @@ from omsemi.semigroup import (
 
 from util import (
     crt_merge,
+    find_identity,
     full_transformation_monoid,
+    generates,
     is_associative,
+    is_stable,
     naive_power,
     random_small_semigroup,
     rectangular_band,
@@ -36,8 +39,8 @@ def test_associativity_checked():
 
 
 def test_repr_of_a_half_built_semigroup():
-    # Light's test fails before the identity is set, so the self left in
-    # the traceback has a table but no identity
+    # Light's test fails in __init__ once the fields are set: the self left
+    # in the traceback prints as the semigroup it was to be
     with pytest.raises(NotAssociative) as info:
         FiniteSemigroup([[0, 1], [0, 0]])
     selves, tb = [], info.tb
@@ -345,6 +348,58 @@ def test_with_identity_adjoined():
     H = FiniteSemigroup([[0, 1], [1, 0]])
     M2 = H.with_identity_adjoined()
     assert M2.n == 3 and M2.identity == 2
+
+
+# cyclic, with_identity_adjoined and direct_product build their tables
+# unproven; these tests prove what the constructors no longer do
+
+
+@pytest.mark.parametrize("index", range(1, 8))
+def test_cyclic_tables_are_built_right(index):
+    for period in range(1, 8):
+        C = FiniteSemigroup.cyclic(index, period)
+        for S in (C, C.with_identity_adjoined()):
+            assert is_associative(S.table)
+            assert generates(S.table, S.generators)
+            # element k - 1 is s^k, and s^(index+period) = s^index first
+            assert [naive_power(S, 0, k) for k in range(1, index + period)] \
+                == list(range(index + period - 1))
+            assert naive_power(S, 0, index + period) == \
+                naive_power(S, 0, index)
+            assert S.identity == find_identity(S)
+        assert (C.identity is None) == (index > 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(presentations())
+def test_adjoined_identity_keeps_the_order(sp):
+    M = sp.ordered_semigroup().with_identity_adjoined()
+    assert is_associative(M.table) and generates(M.table, M.generators)
+    assert M.identity == find_identity(M)
+    pairs = M.order
+    assert all((a, a) in pairs for a in range(M.n))
+    assert all(a == b or (b, a) not in pairs for a, b in pairs)
+    assert all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c)
+    assert is_stable(M.table, pairs)
+
+
+def test_direct_products_are_built_right():
+    small = [FiniteSemigroup.cyclic(i, p) for i in (1, 2, 3)
+             for p in (1, 2, 3)] + [rectangular_band(1, 2),
+                                    rectangular_band(2, 2)]
+    for A in small:
+        for B in small:
+            P = FiniteSemigroup.direct_product(A, B)
+            assert is_associative(P.table)
+            # (a, b) is the element a |B| + b, multiplied coordinatewise
+            assert P.table == [[A.table[a][c] * B.n + B.table[b][d]
+                                for c in range(A.n) for d in range(B.n)]
+                               for a in range(A.n) for b in range(B.n)]
+            if A.identity is None or B.identity is None:
+                assert P.identity is None
+            else:
+                assert P.identity == A.identity * B.n + B.identity
+                assert P.identity == find_identity(P)
 
 
 def test_direct_product():

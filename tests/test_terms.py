@@ -36,9 +36,9 @@ from omsemi.terms import (
     parse_term,
     satisfies_identity,
     term_alphabet,
-    term_size,
     unroll,
     _is_prime,
+    _postorder,
 )
 from omsemi.syntactic import syntactic_semigroup
 from omsemi.varieties import _jplus_word
@@ -69,9 +69,9 @@ def test_parse_composite_term():
     base = Concat(FinitePower(Letter("x"), 2), Letter("y"))
     assert isinstance(t, Concat)
     assert term_alphabet(t) == {"x", "y"}
-    assert term_size(parse_term("x")) == 1
-    assert term_size(parse_term("x y")) == 3
-    assert term_size(parse_term("x^w")) == 2
+    assert len(_postorder(parse_term("x"))) == 1
+    assert len(_postorder(parse_term("x y"))) == 3
+    assert len(_postorder(parse_term("x^w"))) == 2
     # stacked powers bind to the atom on their left
     assert parse_term("x^2^w") == OmegaPower(FinitePower(Letter("x"), 2), 0)
     assert OmegaPower(base, -1) == t.left.left
