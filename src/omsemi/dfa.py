@@ -31,9 +31,9 @@ fields and checks nothing.
 """
 
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
-                     _checked_rows, listed)
+                     ParseError, _checked_rows, listed)
 from .graphs import breadth_first, reachable
-from .regex import nfa_of_regex, parse_regex, regex_alphabet
+from .regex import Node, nfa_of_regex, parse_regex, regex_alphabet
 
 
 class Dfa:
@@ -159,9 +159,13 @@ class Dfa:
 
 
 def compile_min_dfa(r, alphabet=None):
-    """Minimal complete DFA of a regex over the given (or inferred) alphabet."""
+    """Minimal complete DFA of a regex, a str or a syntax tree, over the
+    given (or inferred) alphabet."""
     if isinstance(r, str):
         r = parse_regex(r)
+    elif not isinstance(r, Node):
+        raise ParseError("a regex is a str or a regex.Node tree, not %s"
+                         % type(r).__name__)
     letters = regex_alphabet(r)
     if alphabet is not None:
         extra = letters - set(alphabet)

@@ -9,8 +9,9 @@ the graph alone.  All but one of the package's closures go through them:
   ε-closures of the subset construction, the state pairs reachable in the
   product of two DFAs (language equality and intersection), the
   subsemigroup spanned by the generators (Light's test), the ideal of
-  the infinite syntactic classes, and the groups of the catalogue built
-  by permutation and matrix closures;
+  the infinite syntactic classes, the elements a caller's right Cayley
+  graph generates, and the groups of the catalogue built by permutation
+  and matrix closures;
 - ``breadth_first``: the subset construction, the two numberings of
   ``Dfa.minimize``, the syntactic closure of ``syntactic_semigroup``,
   whose rows are kept as the right Cayley automaton, and the numbering
@@ -23,10 +24,9 @@ found, as ``reachable`` does:
 - ``reducibility.simple_path_word`` walks the right Cayley graph,
   records each node's word when it first finds the node and returns when
   its target comes up;
-- ``FiniteSemigroup.from_right_cayley`` walks the right Cayley graph from
+- ``FiniteSemigroup._of_right_cayley`` walks the right Cayley graph from
   the generators and fills each element's column of the table when it
-  first finds the element, from its parent's column; an element it does
-  not find is not generated.
+  first finds the element, from its parent's column.
 """
 
 

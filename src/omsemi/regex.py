@@ -150,6 +150,8 @@ def _group(branches):
 def parse_regex(text):
     """The regex tree of text: one pass over its characters, whitespace
     skipped, with a stack of the open groups' branches."""
+    if not isinstance(text, str):
+        raise ParseError("a regex is a str, not %s" % type(text).__name__)
     stack = [[[]]]
     for pos, ch in enumerate(text):
         if ch.isspace():

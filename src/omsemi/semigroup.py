@@ -4,8 +4,8 @@ Elements are integers 0..n-1.  A table is a list of n rows of n entries,
 ``table[a][b]`` being the product ab.  A table is proven associative where
 it enters: the public constructor and `FiniteSemigroup.from_right_cayley`
 check what they are given and prove it by Light's test over a generating
-set.  When the generating set is known (syntactic semigroups, or a
-caller's ``generators``) this costs n^2 per generator; otherwise the
+set.  When the generating set is known (a caller's right Cayley graph
+or ``generators``) this costs n^2 per generator; otherwise the
 generators are all n elements and it is the full n^3 proof.  A smaller
 generating set is first checked to generate the table, by the
 breadth-first closure of ``omsemi.graphs`` under right multiplication by
@@ -20,13 +20,16 @@ cyclic semigroups, adjoined identities, direct products, the groups of
 ``omsemi.groups_catalog`` and the tables of ``omsemi.enumeration``.
 
 A semigroup may also be given by its right Cayley graph over the
-generators, x -> xg for each generator g, which is how syntactic
-semigroups are built (`FiniteSemigroup.from_right_cayley`).  Only the
-graph's n entries per generator are checked on entry; the table is then
-filled inside the class from them, one column per element along a
-breadth-first spanning tree from the generators, which proves on the
-way that they generate it, and Light's test and the identity check run
-over the filled table as for any other.
+generators, x -> xg for each generator g.  The table is filled inside
+the class from the graph, one column per element along a breadth-first
+spanning tree from the generators, by the private
+`FiniteSemigroup._of_right_cayley`, which proves nothing either: that is
+how syntactic semigroups are built, from the letter actions of a minimal
+DFA, a transition semigroup and so associative by construction.  A
+caller's graph goes through `FiniteSemigroup.from_right_cayley`, which
+checks the graph's n entries per generator and that the generators
+reach every element, then runs the same fill, Light's test and the
+identity check.
 
 Green's relations are the strongly connected components of the Cayley
 graphs over the generators (Froidure & Pin, "Algorithms for computing
@@ -60,8 +63,10 @@ class FiniteSemigroup:
 
     The public constructor and `from_right_cayley` check what they are
     given and prove it; `_of` sets the fields of a table the package
-    derived itself and proves nothing.  `generators` is a set of elements
-    that generates the semigroup; it defaults to every element.
+    derived itself, and `_of_right_cayley` fills one from the package's
+    own right Cayley graph; neither proves anything.  `generators` is a
+    set of elements that generates the semigroup; it defaults to every
+    element.
     Associativity and the stability of `order` are proven over it, and
     Green's classes walk the Cayley graphs over it, so a small generating
     set makes all three cheaper.
@@ -106,28 +111,45 @@ class FiniteSemigroup:
         """The semigroup whose right Cayley graph over `generators` is
         `rows`: rows[x][i] is the product of x and generators[i].
 
-        The rows, generators and identity are checked; a generator listed
-        twice must have the same column each time.  The table is then
-        filled one column per element, x -> xw for the element w, along a
-        breadth-first spanning tree from the generators: the column of
-        w = pg_i is the column of p followed by one step of the graph, so
-        every entry is a value of a checked row, and an element the tree
-        misses is not generated.  Light's test and the identity check run
-        as in __init__ (Froidure & Pin, "Algorithms for computing finite
-        semigroups", 1997)."""
+        The rows, generators and identity are checked: a generator listed
+        twice must have the same column each time, and the generators
+        must reach every element along the graph.  The table is then
+        filled by `_of_right_cayley`, so every entry is a value of a
+        checked row, and Light's test and the identity check run as in
+        __init__."""
         generators = listed(generators, "generators")
         rows = _checked_rows(rows, len(generators))
-        n = len(rows)
-        _checked_generators(generators, n)
-        # right[i]: the column x -> x g_i of the graph
-        right = list(zip(*rows))
-        columns = [None] * n
-        for g, col in zip(generators, right):
-            if columns[g] is None:
-                columns[g] = col
-            elif columns[g] != col:
+        _checked_generators(generators, len(rows))
+        columns = {}
+        for g, col in zip(generators, zip(*rows)):
+            if columns.setdefault(g, col) != col:
                 raise MalformedTable("generator %d has two different columns"
                                      % g)
+        if len(reachable(generators, rows.__getitem__)) != len(rows):
+            raise MalformedTable("generators do not generate the table")
+        S = cls._of_right_cayley(rows, generators, identity)
+        S._prove()
+        return S
+
+    @classmethod
+    def _of_right_cayley(cls, rows, generators, identity=None):
+        """The semigroup of the right Cayley graph `rows` over the list
+        `generators`, with nothing checked or proven.  The table is filled
+        one column per element, x -> xw for the element w, along a
+        breadth-first spanning tree from the generators: the column of
+        w = pg_i is the column of p followed by one step of the graph
+        (Froidure & Pin, "Algorithms for computing finite semigroups",
+        1997).  Syntactic semigroups are built here, from the letter
+        actions of a minimal DFA: a transition semigroup is associative,
+        generated by its letters and neutral at the class acting as the
+        empty word by construction.  The graph must be generated, and a
+        generator listed twice must have one column; `from_right_cayley`
+        proves both before it calls this."""
+        # right[i]: the column x -> x g_i of the graph
+        right = list(zip(*rows))
+        columns = [None] * len(rows)
+        for g, col in zip(generators, right):
+            columns[g] = col
         found = list(dict.fromkeys(generators))
         for p in found:     # the list grows as elements are found
             for i, w in enumerate(rows[p]):
@@ -136,12 +158,8 @@ class FiniteSemigroup:
                     # order 1 is a generator, so itemgetter gives a tuple
                     columns[w] = itemgetter(*columns[p])(right[i])
                     found.append(w)
-        if len(found) != n:
-            raise MalformedTable("generators do not generate the table")
-        S = cls._of(list(map(list, zip(*columns))),
-                    tuple(sorted(set(generators))), identity)
-        S._prove()
-        return S
+        return cls._of(list(map(list, zip(*columns))),
+                       tuple(sorted(set(generators))), identity)
 
     def _prove(self):
         """Light's test, then the identity check: what both public

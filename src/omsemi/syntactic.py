@@ -9,10 +9,12 @@ one breadth-first walk of the letter actions from the empty word.
 The walk composes each class with each letter once, in one C call per
 letter, which gives the right Cayley graph; its rows are kept as the
 right Cayley automaton.  They go, with the letter classes as the
-generators, to `FiniteSemigroup.from_right_cayley`, which checks them on
-entry, fills the table from them column by column and runs Light's test
-over the letters (Froidure & Pin, "Algorithms for computing finite
-semigroups", 1997).
+generators, to `FiniteSemigroup._of_right_cayley`, which fills the table
+from them column by column (Froidure & Pin, "Algorithms for computing
+finite semigroups", 1997) and proves nothing: a transition semigroup is
+associative and generated by its letters by construction, and the class
+that acts as the empty word is neutral, so neither the entry checks of
+`FiniteSemigroup.from_right_cayley` nor Light's test runs on it.
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
@@ -57,7 +59,7 @@ class SyntacticPresentation:
         self.words = words
         self.cayley = cayley
         letters = [q - 1 for q in cayley[0]]
-        self.semigroup = FiniteSemigroup.from_right_cayley(
+        self.semigroup = FiniteSemigroup._of_right_cayley(
             [[q - 1 for q in row] for row in cayley[1:]], letters, identity)
         self.gens = GeneratorMap(self.semigroup,
                                  dict(zip(dfa.alphabet, letters)))

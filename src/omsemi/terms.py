@@ -240,6 +240,8 @@ def _power(base, chars, i):
 def parse_term(text):
     """The term tree of text: one pass over its characters, whitespace
     skipped, with a stack of the open groups' factors."""
+    if not isinstance(text, str):
+        raise ParseError("a term is a str, not %s" % type(text).__name__)
     chars = [(pos, ch) for pos, ch in enumerate(text) if not ch.isspace()]
     chars.append((len(text), None))
     stack = [[]]

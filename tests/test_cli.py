@@ -380,20 +380,29 @@ def test_closed_stdout_pipe_exits_1_quietly():
 def test_package_built_tables_are_not_proven_again(monkeypatch, capsys):
     # every table and automaton these commands use is built by the
     # package, so none may pass through the public constructors, which
-    # check and prove a caller's input; empty caches make the commands
-    # build their pools here, and leave the shared ones as they were
-    def tripwire(self, *args, **kwargs):
-        raise AssertionError("%s.__init__ called" % type(self).__name__)
+    # check and prove a caller's input, nor through the proof they share;
+    # empty caches make the commands build their pools here, and leave
+    # the shared ones as they were
+    def tripwire(name):
+        def trip(*args, **kwargs):
+            raise AssertionError("%s called" % name)
+        return trip
 
-    monkeypatch.setattr(FiniteSemigroup, "__init__", tripwire)
-    monkeypatch.setattr(Dfa, "__init__", tripwire)
+    for cls, name in ((FiniteSemigroup, "__init__"),
+                      (FiniteSemigroup, "from_right_cayley"),
+                      (FiniteSemigroup, "_prove"), (Dfa, "__init__")):
+        monkeypatch.setattr(cls, name,
+                            tripwire("%s.%s" % (cls.__name__, name)))
     monkeypatch.setattr(enumeration, "_CACHE", {})
     monkeypatch.setattr(groups_catalog, "_CATALOG", None)
     monkeypatch.setattr(varieties, "_CR_CACHE", {})
     monkeypatch.setattr(varieties, "_CORE_CACHE", {})
     for argv, code in (
             (["verify-paper"], 0),
-            (["syn", "b*ab*", "--classes"], 0),
+            (["syn", "b*ab*", "--order", "--green", "--classes"], 0),
+            (["eval", "--regex", "b*ab*", "--term", "a b"], 0),
+            (["reduce", "jplus", "--regex", "b*ab*", "--u", "a",
+              "--v", "b a b"], 0),
             # no witness among the monogenic monoids C(i, p)^1 it builds
             (["check", "--variety", "com", "--lhs", "x^8", "--rhs", "x^428"],
              1),
@@ -403,4 +412,6 @@ def test_package_built_tables_are_not_proven_again(monkeypatch, capsys):
              1),
             (["enum", "4"], 0)):
         assert cli.main(argv) == code, argv
-    assert capsys.readouterr().out.endswith("188\n")
+    out = capsys.readouterr().out
+    assert "class 0 [a]\nu' = a\nv' = a\n" in out
+    assert out.endswith("188\n")

@@ -1,9 +1,13 @@
 """Properties of the Cayley-graph kernel on random complete DFAs over
-{a, b}: the table, the kept Cayley automaton, the syntactic order, Green's
+{a, b}: the table, which the kernel fills unproven and which is checked
+against the composed actions, the public constructor, associativity and
+its identity, the kept Cayley automaton, the syntactic order, Green's
 classes and the words of finite classes agree with the brute-force
 oracles in util, the size guard is exact, Light's test finds a corrupted
 cell of the table or of the right Cayley graph, and the order check
 refuses an order that is not stable."""
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +20,7 @@ from omsemi.syntactic import syntactic_semigroup
 
 from util import (cayley_automaton, composition_table, context_order,
                   generates, ideal_green_classes, is_associative, is_stable,
-                  right_cayley_rows, table_of_right_cayley)
+                  random_dfa, right_cayley_rows, table_of_right_cayley)
 
 MAX_CLASSES = 60   # keeps the cubic oracles quick
 kernel_settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -47,12 +51,40 @@ def presentations(draw, min_states=1):
     return sp
 
 
+@st.composite
+def random_presentations(draw):
+    """The presentation of a `util.random_dfa`, which has an accepting
+    and a rejecting state and up to 6 states, drawn from a seed."""
+    try:
+        return syntactic_semigroup(
+            random_dfa(random.Random(draw(st.integers(0, 2 ** 32)))),
+            max_elements=MAX_CLASSES)
+    except SizeTooLarge:
+        assume(False)
+
+
 @kernel_settings
-@given(presentations())
+@given(st.one_of(presentations(), random_presentations()))
 def test_table_matches_composition(sp):
-    assert sp.semigroup.table == composition_table(sp)
-    letters = set(sp.gens.assignment.values())
-    assert set(sp.semigroup.generators) == letters
+    # the table is filled from the right Cayley graph with nothing proven,
+    # so it is checked here against the composed actions, against what
+    # the public, proven constructor builds from the same graph, and
+    # against associativity and the neutrality of its identity
+    S = sp.semigroup
+    assert S.table == composition_table(sp)
+    letters = [q - 1 for q in sp.cayley[0]]
+    assert set(S.generators) == set(sp.gens.assignment.values())
+    T =FiniteSemigroup.from_right_cayley(
+        [[q - 1 for q in row] for row in sp.cayley[1:]], letters, S.identity)
+    assert (T.table, T.generators, T.identity) == (
+        S.table, S.generators, S.identity)
+    assert is_associative(S.table)
+    one = tuple(range(sp.dfa.n_states))
+    assert S.identity == next(
+        (e for e, t in enumerate(sp.elements) if t == one), None)
+    if S.identity is not None:
+        assert all(S.table[S.identity][x] == x == S.table[x][S.identity]
+                   for x in range(S.n))
 
 
 @kernel_settings

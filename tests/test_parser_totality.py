@@ -1,13 +1,15 @@
 """The term and regex parsers are total: on any text they return a syntax
 tree or raise a typed error, and they do so quickly.  Malformed text gets
-the exact ParseError message pinned here, and parentheses nest to any
-depth."""
+the exact ParseError message pinned here, input that is not text gets a
+ParseError naming its type, and parentheses nest to any depth."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omsemi.dfa import compile_min_dfa
 from omsemi.errors import ParseError, SizeTooLarge
 from omsemi.regex import Sym, format_regex, parse_regex
+from omsemi.syntactic import syntactic_semigroup
 from omsemi.terms import Letter, format_term, parse_term
 
 # the characters of both grammars, letters, ASCII and non-ASCII digits
@@ -93,6 +95,24 @@ def test_parse_errors_are_pinned(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert type(info.value) is ParseError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: compile_min_dfa(None, alphabet="ab"),
+     "a regex is a str or a regex.Node tree, not NoneType"),
+    (lambda: syntactic_semigroup(5, alphabet="ab"),
+     "a regex is a str or a regex.Node tree, not int"),
+    (lambda: compile_min_dfa(5), "a regex is a str or a regex.Node tree, "
+     "not int"),
+    (lambda: parse_regex(b"ab"), "a regex is a str, not bytes"),
+    (lambda: parse_term(None), "a term is a str, not NoneType"),
+    (lambda: parse_term(b"x"), "a term is a str, not bytes")],
+    ids=["compile-none", "syntactic-int", "compile-int", "regex-bytes",
+         "term-none", "term-bytes"])
+def test_input_that_is_not_text_is_a_parse_error(call, message):
+    with pytest.raises(ParseError) as info:
+        call()
     assert str(info.value) == message
 
 
