@@ -27,6 +27,7 @@ from .terms import (
     Letter,
     OmegaPower,
     PrimeOmegaPower,
+    Word,
     bounded_factors,
     eval_term,
     find_identity_failure,

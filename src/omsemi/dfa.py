@@ -33,7 +33,8 @@ fields and checks nothing.
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
                      ParseError, _checked_rows, listed)
 from .graphs import breadth_first, reachable
-from .regex import Node, nfa_of_regex, parse_regex, regex_alphabet
+from .regex import (Node, _check_tree, nfa_of_regex, parse_regex,
+                    regex_alphabet)
 
 
 class Dfa:
@@ -160,10 +161,13 @@ class Dfa:
 
 def compile_min_dfa(r, alphabet=None):
     """Minimal complete DFA of a regex, a str or a syntax tree, over the
-    given (or inferred) alphabet."""
+    given (or inferred) alphabet.  A tree is checked to be a regex's; text
+    gets a tree from parse_regex, which is one."""
     if isinstance(r, str):
         r = parse_regex(r)
-    elif not isinstance(r, Node):
+    elif isinstance(r, Node):
+        _check_tree(r)
+    else:
         raise ParseError("a regex is a str or a regex.Node tree, not %s"
                          % type(r).__name__)
     letters = regex_alphabet(r)

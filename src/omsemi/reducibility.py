@@ -244,7 +244,7 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
         raise ValueError("term node bound and offsets must be integers")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
-    letter, concat, power, freeze = VARIETY_STEPS[variety]
+    letter, concat, power, _, freeze = VARIETY_STEPS[variety]
     S, gens = triple.S, triple.gens
     table = S.table
     seen = set()

@@ -32,7 +32,9 @@ class Node:
     type followed by its field values in preorder; a type fixes how many
     fields follow it, so the tuple determines the tree.  ``repr`` prints
     ``Concat(left=Sym(ch='a'), right=Empty())``.  All three walk the tree
-    with an explicit stack."""
+    with an explicit stack, and each reads a node as its `_tree()`: the
+    node itself, or for a leaf that stands for a subtree (`terms.Word`)
+    that subtree."""
 
     __slots__ = ()
 
@@ -49,11 +51,15 @@ class Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
+    def _tree(self):
+        return self
+
     def _key(self):
         out, stack = [], [self]
         while stack:
             node = stack.pop()
             if isinstance(node, Node):
+                node = node._tree()
                 out.append(type(node))
                 stack += [getattr(node, f) for f in reversed(node.__slots__)]
             else:
@@ -75,6 +81,7 @@ class Node:
             if not isinstance(item, Node):
                 out.append(item)
                 continue
+            item = item._tree()
             parts = [type(item).__qualname__ + "("]
             for i, name in enumerate(item.__slots__):
                 value = getattr(item, name)
@@ -133,6 +140,22 @@ def _postorder(r):
             stack.append(node.body)
     out.reverse()
     return out
+
+
+_KINDS = (Empty, Sym, Union, Concat, Star, Plus)
+
+
+def _check_tree(r):
+    """Raise ParseError, naming the first offending type, unless every
+    node of r is a regex node: a term tree, or a field that is not a node
+    at all, is no regex."""
+    for node in _postorder(r):
+        kind = type(node)
+        if kind not in _KINDS:
+            module = kind.__module__.rpartition(".")[2]
+            raise ParseError("a regex tree is made of regex nodes, not %s" % (
+                kind.__qualname__ if module == "builtins"
+                else module + "." + kind.__qualname__))
 
 
 def regex_alphabet(r):

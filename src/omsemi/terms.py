@@ -9,21 +9,27 @@ Concrete syntax: juxtaposition concatenates, ``^w``, ``^(w+2)``, ``^(w-1)``,
 ``^(2^w)`` and ``^3`` are powers, parentheses group.  Whitespace is ignored.
 `parse_term` reads the text in one pass with a stack of the open groups'
 factors: ``^`` wraps the last factor, whose exponent `_power` reads.
-Parentheses may nest to any depth.  The nodes derive from `regex.Node`,
-whose ``==``, ``hash`` and ``repr`` do not recurse either.
+Parentheses may nest to any depth.  A run of letters is one step of the
+pass, and a group's leading run of two or more letters is one leaf, a
+`Word`, which stands for the left-nested Concat chain of its Letters.
+The nodes derive from `regex.Node`, whose ``==``, ``hash`` and ``repr``
+do not recurse either, and read a Word as its chain.
 
 Every walk over a term (alphabet, concrete syntax, evaluation, the
 commutative, abelian and free-group images, unrolling, factor expansion)
 is a fold over `_postorder`, the node list with each node after its
-subterms, so no walk recurses however long or deep the term.  Evaluation
-is one fold with two kinds of value: `eval_term` folds a term to an
-element, and `identity_failures`, which `find_identity_failure` runs on one
-semigroup, folds both sides of an identity to columns, a node's values
-over a block of assignments, taking the postorders once per pool.
+subterms, so no walk recurses however long or deep the term.  A fold
+reads a Word as its chain, letter by letter, unless it has a step that
+takes the whole run at once: the normal forms, spelling out and printing
+do.  Evaluation is one fold with two kinds of value: `eval_term` folds a
+term to an element, and `identity_failures`, which `find_identity_failure`
+runs on one semigroup, folds both sides of an identity to columns, a
+node's values over a block of assignments, taking the postorders once per
+pool.
 
 The normal forms over abelian groups (ab), commutative semigroups (com)
-and groups (g) are defined once each, as a (letter, concat, power, freeze)
-entry of `VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
+and groups (g) are defined once each, as a (letter, concat, power, run,
+freeze) entry of `VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
 `com_exponents`, `ab_image` and `free_group_normal_form` read its result;
 the bounded search of `reducibility` combines its candidates' forms with
 the same steps.  com's form maps each letter to a plain (infinite, value)
@@ -53,8 +59,9 @@ from .semigroup import stabilized_prime_power_residue
 from .words import factors_up_to
 
 
-# Letter and Concat, which parse_term builds once per letter of a word,
-# set their fields directly rather than through Node's loop
+# Letter and Concat, which parse_term builds once per letter outside a
+# group's leading run (that run is one Word leaf), set their fields
+# directly rather than through Node's loop
 class Letter(Node):
     __slots__ = ("ch",)
 
@@ -68,6 +75,31 @@ class Concat(Node):
     def __init__(self, left, right):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+
+
+class Word(Concat):
+    """A run of two or more letters as one leaf, standing for the
+    left-nested Concat chain of their Letters.  It is the chain's root
+    Concat: it compares, hashes and prints as the chain, and its left and
+    right are the chain's, built when asked for."""
+    __slots__ = ("run",)
+
+    def __init__(self, run):
+        if len(run) < 2:
+            raise ValueError("a Word is a run of at least two letters")
+        object.__setattr__(self, "run", run)
+
+    @property
+    def left(self):
+        rest = self.run[:-1]
+        return Word(rest) if len(rest) > 1 else Letter(rest)
+
+    @property
+    def right(self):
+        return Letter(self.run[-1])
+
+    def _tree(self):
+        return reduce(Concat, map(Letter, self.run))
 
 
 class OmegaPower(Node):
@@ -100,16 +132,22 @@ def _postorder(t):
         if kind is Concat:
             stack.append(node.left)
             stack.append(node.right)
-        elif kind is not Letter:
+        elif kind is not Letter and kind is not Word:
             stack.append(node.base)
     out.reverse()
     return out
 
 
-def _fold(nodes, letter, concat, power):
+def _fold(nodes, letter, concat, power, word=None):
     """Fold a postorder with a value stack: a letter's value is letter(ch),
     a concatenation's concat(left value, right value), and a power node's
-    power(node, value of its base)."""
+    power(node, value of its base).  A Word's value is word(run), by
+    default the fold of its Concat chain: letter on its first letter, then
+    concat with each next one; a caller passes word only to get the same
+    value in fewer steps."""
+    if word is None:
+        def word(run):
+            return reduce(concat, map(letter, run))
     out = []
     for node in nodes:
         kind = type(node)
@@ -118,6 +156,8 @@ def _fold(nodes, letter, concat, power):
         elif kind is Concat:
             right = out.pop()
             out[-1] = concat(out[-1], right)
+        elif kind is Word:
+            out.append(word(node.run))
         else:
             out[-1] = power(node, out[-1])
     return out[0]
@@ -140,13 +180,20 @@ def _expand(nodes, repeats):
     which cannot overflow, and a word of more than EXPANSION_CAP letters
     raises SizeTooLarge before it is built; no subterm's word is longer."""
     _check_length(_fold(nodes, lambda ch: 1, int.__add__,
-                        lambda node, n: n * repeats(node)))
+                        lambda node, n: n * repeats(node), len))
     return _fold(nodes, str, str.__add__,
-                 lambda node, word: word * repeats(node))
+                 lambda node, word: word * repeats(node), str)
+
+
+def _letters(nodes):
+    """The set of letters of a postorder."""
+    found = {node.ch for node in nodes if type(node) is Letter}
+    found.update(*[node.run for node in nodes if type(node) is Word])
+    return found
 
 
 def term_alphabet(t):
-    return {node.ch for node in _postorder(t) if type(node) is Letter}
+    return _letters(_postorder(t))
 
 
 def concat_all(parts):
@@ -190,47 +237,59 @@ def _is_prime(p):
     return True
 
 
-def _number(chars, i):
-    """The decimal number whose digits start at chars[i], and the index
-    of the first character after them."""
-    pos, ch = chars[i]
-    if ch is None or not ch.isdigit():
-        raise ParseError("expected a number at position %d" % pos)
+def _position(text, i):
+    """The index in text of the i-th character that is not whitespace, or
+    len(text) if there are no more: where a parse error is reported."""
+    for pos, ch in enumerate(text):
+        if not ch.isspace():
+            if i == 0:
+                return pos
+            i -= 1
+    return len(text)
+
+
+def _number(text, s, i):
+    """The decimal number whose digits start at s[i], and the index of the
+    first character after them; s is text without its whitespace."""
     j = i
-    while chars[j][1] is not None and chars[j][1].isdigit():
+    while s[j:j + 1].isdigit():
         j += 1
+    if j == i:
+        raise ParseError("expected a number at position %d"
+                         % _position(text, i))
     try:
-        return int("".join(c for _, c in chars[i:j])), j
+        return int(s[i:j]), j
     except ValueError:  # past int()'s digit limit, or not decimal
         raise ParseError("number at position %d has too many digits or "
-                         "is not decimal" % pos) from None
+                         "is not decimal" % _position(text, i)) from None
 
 
-def _power(base, chars, i):
-    """base raised to the exponent that starts at chars[i], one of w, m,
-    (w+k), (w-k) and (p^w), and the index of the character after it."""
-    pos, ch = chars[i]
+def _power(base, text, s, i):
+    """base raised to the exponent that starts at s[i], one of w, m,
+    (w+k), (w-k) and (p^w), and the index of the character after it.
+    s is text without its whitespace, and a slice past its end is empty."""
+    ch = s[i:i + 1]
     if ch == "w":
         return OmegaPower(base, 0), i + 1
-    if ch is not None and ch.isdigit():
-        m, i = _number(chars, i)
+    if ch.isdigit():
+        m, i = _number(text, s, i)
         if m < 1:
             raise ParseError("finite power must be >= 1")
         return FinitePower(base, m), i
     if ch != "(":
-        raise ParseError("bad exponent at position %d" % pos)
-    if chars[i + 1][1] == "w":
-        sign = chars[i + 2][1]
+        raise ParseError("bad exponent at position %d" % _position(text, i))
+    if s[i + 1:i + 2] == "w":
+        sign = s[i + 2:i + 3]
         if sign != "+" and sign != "-":
             raise ParseError("expected + or - after w")
-        k, i = _number(chars, i + 3)
-        if chars[i][1] != ")":
+        k, i = _number(text, s, i + 3)
+        if s[i:i + 1] != ")":
             raise ParseError("missing ) in exponent")
         return OmegaPower(base, k if sign == "+" else -k), i + 1
-    p, i = _number(chars, i + 1)
-    if chars[i][1] != "^" or chars[i + 1][1] != "w":
+    p, i = _number(text, s, i + 1)
+    if s[i:i + 2] != "^w":
         raise ParseError("expected p^w in exponent")
-    if chars[i + 2][1] != ")":
+    if s[i + 2:i + 3] != ")":
         raise ParseError("missing ) in exponent")
     if not _is_prime(p):
         raise ParseError("%d is not prime" % p)
@@ -238,35 +297,59 @@ def _power(base, chars, i):
 
 
 def parse_term(text):
-    """The term tree of text: one pass over its characters, whitespace
-    skipped, with a stack of the open groups' factors."""
+    """The term tree of text: one pass over it with its whitespace
+    dropped, keeping a stack of the open groups' factors.  A run of
+    letters is sliced out whole and checked with str.isalpha, so Python
+    steps happen only at parentheses, powers and runs.  A group's leading
+    run of two or more letters is one Word; a power takes the letter just
+    before it, and every other letter is a Letter."""
     if not isinstance(text, str):
         raise ParseError("a term is a str, not %s" % type(text).__name__)
-    chars = [(pos, ch) for pos, ch in enumerate(text) if not ch.isspace()]
-    chars.append((len(text), None))
+    s = "".join(text.split())
+    # the index of each '(', ')' and '^', then len(s): a run of letters
+    # ends at the first of them after its start, if not before
+    stops, at = [], -1
+    for piece in s.replace("(", "^").replace(")", "^").split("^"):
+        at += len(piece) + 1
+        stops.append(at)
     stack = [[]]
-    i = 0
+    i = k = 0
     while True:
-        pos, ch = chars[i]
-        i += 1
+        ch = s[i:i + 1]
         factors = stack[-1]
+        if ch.isalpha():
+            while stops[k] < i:
+                k += 1
+            run, i = s[i:stops[k]], stops[k]
+            if not run.isalpha():
+                raise ParseError("expected a letter, got %r" % next(
+                    c for c in run if not c.isalpha()))
+            powered = s[i:i + 1] == "^"
+            lead = run[:-1] if powered else run
+            if not factors and len(lead) > 1:
+                factors.append(Word(lead))
+            else:
+                factors += map(Letter, lead)
+            if powered:
+                factors.append(Letter(run[-1]))
+            continue
+        i += 1
         if ch == "(":
             stack.append([])
-        elif ch is None or ch == ")":
+        elif ch == "" or ch == ")":
             if not factors:
                 raise ParseError("empty term")
             stack.pop()
-            if ch is None:
+            if ch == "":
                 if stack:
                     raise ParseError("missing closing parenthesis")
                 return concat_all(factors)
             if not stack:
-                raise ParseError("unexpected ')' at position %d" % pos)
+                raise ParseError("unexpected ')' at position %d"
+                                 % _position(text, i - 1))
             stack[-1].append(concat_all(factors))
         elif ch == "^" and factors:
-            factors[-1], i = _power(factors[-1], chars, i)
-        elif ch.isalpha():
-            factors.append(Letter(ch))
+            factors[-1], i = _power(factors[-1], text, s, i)
         else:
             raise ParseError("expected a letter, got %r" % ch)
 
@@ -285,7 +368,7 @@ def format_term(t):
             base = "(%s)" % base
         return base + _exponent(node)
 
-    return _fold(_postorder(t), str, "{} {}".format, power)
+    return _fold(_postorder(t), str, "{} {}".format, power, " ".join)
 
 
 def _power_value(S, node, s):
@@ -312,12 +395,22 @@ def eval_term(S, g, t):
 
 def _shape(nodes):
     """Each node of a postorder as its type and the field that is not a
-    subterm, if it has one.  A type fixes how many subterms come before
-    its node, so two terms are the same iff their shapes are equal: the
-    comparison of Node.__eq__, read off postorders already taken."""
-    return [(Concat,) if type(node) is Concat
-            else (type(node), getattr(node, node.__slots__[-1]))
-            for node in nodes]
+    subterm, if it has one, a Word as the postorder of its Concat chain.
+    A type fixes how many subterms come before its node, so two terms are
+    the same iff their shapes are equal: the comparison of Node.__eq__,
+    read off postorders already taken."""
+    out = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Concat:
+            out.append((Concat,))
+        elif kind is Word:
+            out.append((Letter, node.run[0]))
+            for ch in node.run[1:]:
+                out += (Letter, ch), (Concat,)
+        else:
+            out.append((kind, getattr(node, node.__slots__[-1])))
+    return out
 
 
 # The most assignments an identity search evaluates together.  The sorted
@@ -400,9 +493,8 @@ def identity_failures(semigroups, lhs, rhs, mode="equality"):
     if mode not in ("equality", "inequality"):
         raise ValueError("mode must be equality or inequality")
     left, right = _postorder(lhs), _postorder(rhs)
-    same = len(left) == len(right) and _shape(left) == _shape(right)
-    variables = sorted({node.ch for node in itertools.chain(left, right)
-                        if type(node) is Letter})
+    same = _shape(left) == _shape(right)
+    variables = sorted(_letters(left) | _letters(right))
     layouts = {}
     for S in semigroups:
         if mode == "inequality" and S.order is None:
@@ -492,30 +584,40 @@ def reduced_power(word, k):
     return word[:i] + word[i:n - i] * k + word[n - i:]
 
 
-# variety -> (letter, concat, power, freeze): the one definition of its
-# normal form.  A working form is built from letter(ch), concat(l, r) for
-# l r (it may extend l in place, so a fold stays linear in the word), and
-# power(l, e, is_omega) for l^(w+e) or, when is_omega is false, l^e.
+# variety -> (letter, concat, power, run, freeze): the one definition of
+# its normal form.  A working form is built from letter(ch), concat(l, r)
+# for l r (it may extend l in place, so a fold stays linear in the word),
+# and power(l, e, is_omega) for l^(w+e) or, when is_omega is false, l^e.
+# run(word) is the form of a run of letters, the one concat of their
+# letter forms would build, in C-level steps where it can be.
 # freeze(f) is the canonical hashable form: two terms are equal over the
 # variety iff their frozen forms are.  com keeps the letter multiplicities
 # in N u (omega+Z) as plain (infinite, value) pairs, each equal to its
 # ExponentValue, and freezes them sorted; an omega power makes every
 # letter of its base infinite.  The dict holds only letters present, each
 # with a nonzero count: a multiplicity starts at 1, finite powers are
-# >= 1 (FinitePower.__init__) and sums only grow.  ab shares com's letter,
-# concat and power steps, since x^w = 1 in a finite abelian group: it
-# freezes the values alone, omega+k read as k, sorted and without zeros.
-# g keeps the reduced signed word, whose omega part vanishes in any group,
-# and freezes it as a tuple.
+# >= 1 (FinitePower.__init__) and sums only grow; a run counts each of its
+# letters with str.count.  ab shares com's letter, concat, power and run
+# steps, since x^w = 1 in a finite abelian group: it freezes the values
+# alone, omega+k read as k, sorted and without zeros.  g keeps the reduced
+# signed word, whose omega part vanishes in any group, and freezes it as a
+# tuple; a run is already reduced, and past EXPANSION_CAP letters raises
+# SizeTooLarge as its concats would.
+def _free_run(word):
+    _check_length(len(word))
+    return [(ch, 1) for ch in word]
+
+
 _COM_STEPS = (lambda ch: {ch: (False, 1)}, _add_com_exponents,
               lambda exps, e, is_omega: {ch: (is_omega or f, v * e)
-                                         for ch, (f, v) in exps.items()})
+                                         for ch, (f, v) in exps.items()},
+              lambda word: {ch: (False, word.count(ch)) for ch in set(word)})
 VARIETY_STEPS = {
     "ab": _COM_STEPS + (lambda exps: tuple(sorted(
         (ch, v) for ch, (_, v) in exps.items() if v)),),
     "com": _COM_STEPS + (lambda exps: tuple(sorted(exps.items())),),
     "g": (lambda ch: [(ch, 1)], reduced_concat,
-          lambda word, k, is_omega: reduced_power(word, k), tuple),
+          lambda word, k, is_omega: reduced_power(word, k), _free_run, tuple),
 }
 
 
@@ -525,7 +627,7 @@ def normal_form(variety, t):
     UnsupportedPrimePower; in g a reduced word of more than EXPANSION_CAP
     letters on the way raises SizeTooLarge, a power's before it is
     built."""
-    letter, concat, power, freeze = VARIETY_STEPS[variety]
+    letter, concat, power, run, freeze = VARIETY_STEPS[variety]
 
     def power_node(node, value):
         if type(node) is PrimeOmegaPower:
@@ -535,7 +637,7 @@ def normal_form(variety, t):
             return power(value, node.k, True)
         return power(value, node.m, False)
 
-    return freeze(_fold(_postorder(t), letter, concat, power_node))
+    return freeze(_fold(_postorder(t), letter, concat, power_node, run))
 
 
 def com_exponents(t):

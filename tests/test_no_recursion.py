@@ -98,7 +98,8 @@ def test_guard_sees_call_graph_cycles():
 
 NODE_CLASSES = (regex.Empty, regex.Sym, regex.Union, regex.Concat,
                 regex.Star, regex.Plus, terms.Letter, terms.Concat,
-                terms.OmegaPower, terms.PrimeOmegaPower, terms.FinitePower)
+                terms.Word, terms.OmegaPower, terms.PrimeOmegaPower,
+                terms.FinitePower)
 
 # (argv, exit code): every command, on the paper's languages and on each
 # variety; check exits 1 on a false verdict

@@ -22,6 +22,7 @@ from omsemi.terms import (
     Letter,
     OmegaPower,
     PrimeOmegaPower,
+    Word,
     ab_image,
     bounded_factors,
     com_exponents,
@@ -70,7 +71,12 @@ def test_parse_composite_term():
     assert isinstance(t, Concat)
     assert term_alphabet(t) == {"x", "y"}
     assert len(_postorder(parse_term("x"))) == 1
-    assert len(_postorder(parse_term("x y"))) == 3
+    # a group's leading run of two or more letters is one Word leaf; a
+    # power takes the letter before it, and later letters stay Letters
+    assert [type(node) for node in _postorder(parse_term("x y"))] == [Word]
+    assert _postorder(parse_term("x y z^2 x"))[0].run == "xy"
+    assert [type(node) for node in _postorder(parse_term("x y z^2 x"))] == [
+        Word, Letter, FinitePower, Concat, Letter, Concat]
     assert len(_postorder(parse_term("x^w"))) == 2
     # stacked powers bind to the atom on their left
     assert parse_term("x^2^w") == OmegaPower(FinitePower(Letter("x"), 2), 0)

@@ -278,6 +278,34 @@ def test_identical_sides_evaluate_nothing(monkeypatch, capsys):
     assert calls == []
 
 
+# the same tree written with its letter runs cut differently: a run of
+# letters is one Word leaf only at the start of a group
+RUN_CHAIN = Concat(Concat(Concat(Letter("x"), Letter("y")), Letter("z")),
+                   Letter("u"))
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (P("x y z u"), P("x y z u")), (P("x y z u"), P("(x y) z u")),
+    (P("(x y z) u"), P("x y z u")), (P("x y z u"), RUN_CHAIN),
+    (P("(x y z u)^w y x"), P("((x y) z u)^w y x"))])
+def test_identical_sides_with_runs_try_no_assignment(monkeypatch, lhs, rhs):
+    assert lhs == rhs
+    tried = []
+    search = terms._block_failure
+
+    def block_failure(*args):
+        tried.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(terms, "_block_failure", block_failure)
+    S = next(S for S in cr_semigroups(4) if S.n == 4)
+    assert terms.find_identity_failure(S, lhs, rhs) is None
+    assert tried == []
+    # sides that differ are searched
+    terms.find_identity_failure(S, lhs, P("x y u z"))
+    assert len(tried) == 1
+
+
 @pytest.mark.parametrize("lhs, rhs", [
     ("x y", "y x"), ("x^(w+1)", "x"), ("(x y)^w", "(y x)^w"),
     ("x y x", "x y^(w+1) x"), ("x^w y z", "x^w z y"), ("x^2 y", "x y^2")])
