@@ -73,6 +73,11 @@ class ParseError(OmsemiError):
     """Malformed regular expression or term string."""
 
 
+class InternalError(OmsemiError):
+    """A bound that holds on every structure the package builds is
+    broken: a fault in the package, not in its input."""
+
+
 def listed(items, what, error=MalformedTable):
     """list(items), or error if items is not iterable."""
     try:

@@ -235,7 +235,7 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     its class is new.  A non-integer bound or offset raises ValueError.
     Every candidate gets its normal form, so in g an offset large enough
     that some candidate's free group image passes terms.EXPANSION_CAP
-    letters raises SizeTooLarge, whatever that candidate's value."""
+    runs raises SizeTooLarge, whatever that candidate's value."""
     if variety not in VARIETY_STEPS:
         raise ValueError("variety must be one of ab, com, g")
     offsets = tuple(offsets)

@@ -37,7 +37,8 @@ from itertools import count
 from operator import itemgetter
 
 from .dfa import Dfa, compile_min_dfa
-from .errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
+from .errors import (AlphabetMismatch, ElementNotWordImage, InternalError,
+                     SizeTooLarge)
 from .graphs import breadth_first, reachable
 from .regex import dfa_to_regex
 from .semigroup import FiniteSemigroup, GeneratorMap
@@ -214,7 +215,9 @@ class SyntacticPresentation:
         from the idempotents along the left and right Cayley graphs.  A
         finite class's words are read off its residual keys level by
         level, pruning the dead key: every other key has a nonempty
-        residual, so a finite class has no cycle through them."""
+        residual, so a finite class has no cycle through them.  Its words
+        have at most |S| letters, so a level past that raises
+        InternalError: the table and the Cayley rows disagree."""
         self._check_class(e)
         if self._infinite is None:
             t = self.semigroup.table
@@ -226,12 +229,15 @@ class SyntacticPresentation:
             return None
         keys, trans = self._residual_keys(e)
         words, level = [], [("", 0)]
-        while level:
+        for _ in range(len(self.elements) + 1):
             words += [w for w, q in level if keys[q][0]]
             level = [(w + ch, r) for w, q in level
                      for ch, r in zip(self.alphabet, trans[q])
                      if keys[r] != _DEAD]
-        return words
+            if not level:
+                return words
+        raise InternalError("class %d is finite by its table but has a "
+                            "word of %d letters" % (e, len(level[0][0])))
 
     def __repr__(self):
         return "<syntactic semigroup: %d classes over %s>" % (

@@ -35,10 +35,17 @@ the bounded search of `reducibility` combines its candidates' forms with
 the same steps.  com's form maps each letter to a plain (infinite, value)
 pair for its multiplicity in N u (omega+Z); `ExponentValue` is a named
 tuple of the same two fields, so the pairs equal their ExponentValues,
-which `com_exponents` returns.  ab works with the same form, since the
-omega power of an element of a finite abelian group is 1, and freezes
-only its values: an ab multiplicity is the com one with omega+k read as k
-(Almeida, "Finite Semigroups and Universal Algebra", 1994).
+which `com_exponents` returns.  ab keeps plain int multiplicities, since
+the omega power of an element of a finite abelian group is 1: an ab
+multiplicity is the com one with omega+k read as k (Almeida, "Finite
+Semigroups and Universal Algebra", 1994).  g keeps the reduced free group
+word as runs (letter, nonzero exponent), so a power's cost follows its
+exponent's digits, not its value; `free_group_normal_form` spells the
+runs out.
+
+Spelling out a term (`unroll`, `expand_for_factors`, the jplus decider and
+`free_group_normal_form`) stops at EXPANSION_CAP letters with
+SizeTooLarge; g's normal form counts runs against the same cap instead.
 """
 
 import itertools
@@ -165,13 +172,14 @@ def _fold(nodes, letter, concat, power, word=None):
 
 # The longest word a term may expand to: stacked finite powers grow
 # exponentially, and x^2^2...^2 with twenty squares already has 2^20 letters.
+# g's normal form counts its runs against it, not its letters.
 EXPANSION_CAP = 10 ** 6
 
 
-def _check_length(n):
+def _check_length(n, unit="letters"):
     if n > EXPANSION_CAP:
-        raise SizeTooLarge("term expands to more than %d letters"
-                           % EXPANSION_CAP)
+        raise SizeTooLarge("term expands to more than %d %s"
+                           % (EXPANSION_CAP, unit))
 
 
 def _expand(nodes, repeats):
@@ -556,32 +564,49 @@ def _add_com_exponents(left, right):
 
 
 def reduced_concat(left, right):
-    """left right as a reduced word, for reduced left and right: right is
-    reduced onto the end of left, in place.  A result of more than
-    EXPANSION_CAP letters raises SizeTooLarge."""
-    for ch, s in right:
-        if left and left[-1] == (ch, -s):
-            left.pop()
-        else:
-            left.append((ch, s))
-    _check_length(len(left))
+    """left right as a reduced word of runs (letter, nonzero exponent),
+    adjacent runs on different letters, for reduced left and right: the
+    runs that meet at the seam merge or cancel, in place in left.  A
+    result of more than EXPANSION_CAP runs raises SizeTooLarge."""
+    i = 0
+    while left and i < len(right) and left[-1][0] == right[i][0]:
+        ch, e = right[i]
+        e += left[-1][1]
+        i += 1
+        if e:
+            left[-1] = (ch, e)
+            break
+        left.pop()
+    left += right[i:]
+    _check_length(len(left), "runs")
     return left
 
 
 def reduced_power(word, k):
-    """word^k for a reduced word, by cyclic reduction: word = a c a^-1 with
-    c cyclically reduced gives a c^k a^-1, itself reduced (Lyndon &
-    Schupp, "Combinatorial Group Theory", 1977).  The cap is checked
-    before the word is built."""
-    _check_length(len(word) * abs(k))
+    """word^k for a reduced word of runs, by cyclic reduction: word =
+    a c a^-1 with c cyclically reduced gives a c^k a^-1, itself reduced
+    (Lyndon & Schupp, "Combinatorial Group Theory", 1977).  A one-run c
+    gives one run; otherwise c's runs repeat, the last and the first
+    merged where they share a letter.  The cap is checked before the word
+    is built."""
     if k == 0:
         return []
     if k < 0:
-        word, k = [(ch, -s) for ch, s in reversed(word)], -k
+        word, k = [(ch, -e) for ch, e in reversed(word)], -k
     n, i = len(word), 0
     while i < n - 1 - i and word[i] == (word[-1 - i][0], -word[-1 - i][1]):
         i += 1
-    return word[:i] + word[i:n - i] * k + word[n - i:]
+    head, core, tail = word[:i], word[i:n - i], word[n - i:]
+    if len(core) < 2:
+        return head + [(ch, e * k) for ch, e in core] + tail
+    (ch, first), (last_ch, last) = core[0], core[-1]
+    merged = ch == last_ch
+    _check_length(n + (k - 1) * (len(core) - merged), "runs")
+    if not merged:
+        return head + core * k + tail
+    mid = core[1:-1]
+    return (head + core[:1] + (mid + [(ch, first + last)]) * (k - 1) + mid +
+            core[-1:] + tail)
 
 
 # variety -> (letter, concat, power, run, freeze): the one definition of
@@ -597,25 +622,47 @@ def reduced_power(word, k):
 # letter of its base infinite.  The dict holds only letters present, each
 # with a nonzero count: a multiplicity starts at 1, finite powers are
 # >= 1 (FinitePower.__init__) and sums only grow; a run counts each of its
-# letters with str.count.  ab shares com's letter, concat, power and run
-# steps, since x^w = 1 in a finite abelian group: it freezes the values
-# alone, omega+k read as k, sorted and without zeros.  g keeps the reduced
-# signed word, whose omega part vanishes in any group, and freezes it as a
-# tuple; a run is already reduced, and past EXPANSION_CAP letters raises
-# SizeTooLarge as its concats would.
+# letters with str.count.  ab keeps plain int multiplicities, since x^w = 1
+# in a finite abelian group (omega+k read as k), and drops a letter whose
+# count reaches 0, so it freezes as com does, sorted.  g keeps the reduced
+# word as runs (letter, nonzero exponent), whose omega part vanishes in
+# any group, and freezes it as a tuple; a run of letters groups its equal
+# neighbours, and past EXPANSION_CAP runs raises SizeTooLarge as its
+# concats would.
+def _add_ab_exponents(left, right):
+    """The ab multiplicities of l r from the int dicts of l and r, summed
+    into `left` in place; a letter whose sum is 0 is dropped."""
+    get = left.get
+    for ch, v in right.items():
+        v += get(ch, 0)
+        if v:
+            left[ch] = v
+        else:
+            del left[ch]
+    return left
+
+
 def _free_run(word):
-    _check_length(len(word))
-    return [(ch, 1) for ch in word]
+    runs = [(ch, len(list(same))) for ch, same in itertools.groupby(word)]
+    _check_length(len(runs), "runs")
+    return runs
 
 
-_COM_STEPS = (lambda ch: {ch: (False, 1)}, _add_com_exponents,
-              lambda exps, e, is_omega: {ch: (is_omega or f, v * e)
-                                         for ch, (f, v) in exps.items()},
-              lambda word: {ch: (False, word.count(ch)) for ch in set(word)})
+def _sorted_items(exps):
+    return tuple(sorted(exps.items()))
+
+
 VARIETY_STEPS = {
-    "ab": _COM_STEPS + (lambda exps: tuple(sorted(
-        (ch, v) for ch, (_, v) in exps.items() if v)),),
-    "com": _COM_STEPS + (lambda exps: tuple(sorted(exps.items())),),
+    "ab": (lambda ch: {ch: 1}, _add_ab_exponents,
+           lambda exps, e, is_omega: {ch: v * e for ch, v in exps.items()}
+           if e else {},
+           lambda word: {ch: word.count(ch) for ch in set(word)},
+           _sorted_items),
+    "com": (lambda ch: {ch: (False, 1)}, _add_com_exponents,
+            lambda exps, e, is_omega: {ch: (is_omega or f, v * e)
+                                       for ch, (f, v) in exps.items()},
+            lambda word: {ch: (False, word.count(ch)) for ch in set(word)},
+            _sorted_items),
     "g": (lambda ch: [(ch, 1)], reduced_concat,
           lambda word, k, is_omega: reduced_power(word, k), _free_run, tuple),
 }
@@ -625,8 +672,7 @@ def normal_form(variety, t):
     """The frozen normal form of t over ab, com or g, folded by the
     variety's VARIETY_STEPS.  A prime-omega power raises
     UnsupportedPrimePower; in g a reduced word of more than EXPANSION_CAP
-    letters on the way raises SizeTooLarge, a power's before it is
-    built."""
+    runs on the way raises SizeTooLarge, a power's before it is built."""
     letter, concat, power, run, freeze = VARIETY_STEPS[variety]
 
     def power_node(node, value):
@@ -654,8 +700,12 @@ def ab_image(t):
 
 def free_group_normal_form(t):
     """Image of the term in the free group, as a reduced tuple of
-    (letter, +-1)."""
-    return normal_form("g", t)
+    (letter, +-1): its runs spelt out, and past EXPANSION_CAP letters
+    SizeTooLarge."""
+    runs = normal_form("g", t)
+    _check_length(sum(abs(e) for _, e in runs))
+    return tuple(itertools.chain.from_iterable(
+        [(ch, 1 if e > 0 else -1)] * abs(e) for ch, e in runs))
 
 
 # ---------------------------------------------------------------------------

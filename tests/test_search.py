@@ -2,8 +2,9 @@
 terms (kept in util as its oracle), the class congruence that lets it keep
 one term per (value, normal form) class, the one normal-form definition
 per variety that the search and terms.normal_form share, checked against
-the recursive oracles, its pins on the commutative instance at bounds the
-full enumeration cannot reach, and its argument and size errors."""
+the recursive oracles (g's runs spelt out, with exponents up to 50 and up
+to 10^9), its pins on the commutative instance at bounds the full
+enumeration cannot reach, and its argument and size errors."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from omsemi import reducibility, terms, varieties
 from omsemi.errors import SizeTooLarge
 from omsemi.reducibility import SolutionTriple, bounded_omega_solution_search
 from omsemi.semigroup import FiniteSemigroup, GeneratorMap
-from omsemi.terms import Concat, OmegaPower, format_term, normal_form
+from omsemi.terms import (Concat, FinitePower, Letter, OmegaPower, format_term,
+                          normal_form, parse_term)
 
 from test_folds import _outcome
 from test_reducibility import com_instance
@@ -80,6 +82,19 @@ ORACLES = {
 }
 
 
+def _spelt(runs):
+    """A g normal form, runs (letter, nonzero exponent), spelt out as the
+    reduced word of (letter, +-1) it stands for."""
+    return tuple((ch, 1 if e > 0 else -1) for ch, e in runs
+                 for _ in range(abs(e)))
+
+
+def _form(variety, t):
+    """The normal form of t as its oracle gives it: g's runs spelt out."""
+    nf = normal_form(variety, t)
+    return _spelt(nf) if variety == "g" else nf
+
+
 @search_settings
 @given(st.randoms(use_true_random=False), st.sampled_from(VARIETIES))
 def test_normal_forms_match_the_recursive_oracles(rng, variety):
@@ -87,8 +102,45 @@ def test_normal_forms_match_the_recursive_oracles(rng, variety):
     # is what checks them
     t = random_term(rng, depth=rng.randrange(1, 6), offsets=(-2, -1, 0, 1, 2),
                     primes=(2, 3) if rng.random() < 0.2 else ())
-    assert _outcome(lambda t: normal_form(variety, t), t) == \
+    assert _outcome(lambda t: _form(variety, t), t) == \
         _outcome(ORACLES[variety], t)
+
+
+def _power_term(rng, depth):
+    """A random term over x, y and z whose finite powers and omega offsets
+    go up to 50: runs of many letters, and cores whose ends share a
+    letter."""
+    if depth == 0 or rng.random() < 0.3:
+        return Letter(rng.choice("xyz"))
+    sub = lambda: _power_term(rng, depth - 1)
+    k = rng.randrange(4)
+    if k <= 1:
+        return Concat(sub(), sub())
+    if k == 2:
+        return FinitePower(sub(), rng.randint(1, 50))
+    return OmegaPower(sub(), rng.randint(-50, 50))
+
+
+@search_settings
+@given(st.randoms(use_true_random=False))
+def test_free_group_runs_spell_the_letter_word(rng):
+    t = _power_term(rng, rng.randrange(1, 4))
+    runs = normal_form("g", t)
+    assert all(e != 0 for _, e in runs)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    assert _spelt(runs) == recursive_free_group_normal_form(t)
+
+
+@search_settings
+@given(st.integers(1, 10 ** 9), st.integers(-10 ** 9, 10 ** 9).filter(bool),
+       st.integers(1, 10 ** 9))
+def test_conjugate_powers_stay_three_runs(a, b, k):
+    # x^a y^b x^-a and its k-th power, at the cost of the exponents' digits
+    conjugate = "x^%d y^(w%+d) x^(w-%d)" % (a, b, a)
+    assert normal_form("g", parse_term(conjugate)) == \
+        (("x", a), ("y", b), ("x", -a))
+    assert normal_form("g", parse_term("(%s)^%d" % (conjugate, k))) == \
+        (("x", a), ("y", b * k), ("x", -a))
 
 
 def test_search_never_folds_a_whole_term(monkeypatch):
@@ -123,14 +175,17 @@ def test_com_hot_path_builds_no_exponent_value(monkeypatch):
 
 
 def test_search_in_g_raises_size_too_large_for_a_large_offset():
+    # a power of one letter is one run, however large; (x y)^(w+10^6) is
+    # 2 * 10^6 runs, past the cap, and is built at size 4
     C = FiniteSemigroup.cyclic(2, 2)
-    gens = GeneratorMap(C, {"x": 0})
+    gens = GeneratorMap(C, {"x": 0, "y": 1})
     assert C.n == 3
     for s in range(C.n):
         for t in range(C.n):
+            triple = SolutionTriple(C, s, t, gens)
+            bounded_omega_solution_search(triple, "g", 3, (10 ** 6,))
             with pytest.raises(SizeTooLarge):
-                bounded_omega_solution_search(SolutionTriple(C, s, t, gens),
-                                              "g", 3, (10 ** 6,))
+                bounded_omega_solution_search(triple, "g", 4, (10 ** 6,))
 
 
 def test_search_pins_on_com_instance_at_bound_twelve():

@@ -5,7 +5,8 @@ import pytest
 
 from omsemi.dfa import (Dfa, compile_min_dfa, enumerate_accepted,
                         is_finite_language, languages_equal)
-from omsemi.errors import AlphabetMismatch, ElementNotWordImage, SizeTooLarge
+from omsemi.errors import (AlphabetMismatch, ElementNotWordImage, InternalError,
+                           SizeTooLarge)
 from omsemi.semigroup import GeneratorMap
 from omsemi.syntactic import syntactic_semigroup
 
@@ -147,6 +148,18 @@ def test_class_language_rejects_empty_word():
         sp.classof("")
     with pytest.raises(AlphabetMismatch):
         sp.classof("abc")
+
+
+def test_finite_class_words_stop_where_rows_disagree_with_the_table():
+    # the table says [ab] is finite; Cayley rows changed so that ab a is in
+    # [ab] give it a word of every length, and the walk stops past |S| = 4
+    # letters with an internal error rather than listing them forever
+    sp = syntactic_semigroup("ab")
+    e = sp.words.index("ab")
+    assert len(sp.elements) == 4 and sp.finite_class_words(e) == ["ab"]
+    sp.cayley[1 + e][sp.alphabet.index("a")] = 1 + e
+    with pytest.raises(InternalError, match="word of 5 letters"):
+        sp.finite_class_words(e)
 
 
 @pytest.mark.parametrize("index", [-1, 1.0, "1", None, True, False])

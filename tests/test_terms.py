@@ -42,7 +42,7 @@ from omsemi.terms import (
     _postorder,
 )
 from omsemi.syntactic import syntactic_semigroup
-from omsemi.varieties import _jplus_word
+from omsemi.varieties import _jplus_word, check_identity
 
 from util import (
     full_transformation_monoid,
@@ -368,6 +368,22 @@ def test_free_group_powers_of_long_exponents():
         (("x", 1),) + (("y", 1),) * 1000 + (("x", -1),)
     assert free_group_normal_form(parse_term("(x y x^(w-1))^(w-3000)")) == \
         (("x", 1),) + (("y", -1),) * 3000 + (("x", -1),)
+
+
+def test_free_group_runs_answer_past_the_letter_cap():
+    # the cap counts runs in g: a power of one run is one run, and a core
+    # whose ends share a letter repeats with the seam merged
+    answer = check_identity("g", "x^1000001", "x")
+    assert answer["verdict"] is False and answer["witness"]["group"] == "C3"
+    assert check_identity("g", "(x y x^(w-1))^1000001",
+                          "x y^1000001 x^(w-1)")["verdict"] is True
+    for text, runs in (("(x y)^500000", EXPANSION_CAP),
+                       ("(x y x)^499999", EXPANSION_CAP - 1)):
+        assert len(normal_form("g", parse_term(text))) == runs
+    for text in ("(x y)^(w+2000000)", "(x y)^500001", "(x y x)^500000",
+                 "(x y x)^(w-500000)"):
+        with pytest.raises(SizeTooLarge, match="1000000 runs"):
+            normal_form("g", parse_term(text))
 
 
 def test_bounded_factors_simple():
