@@ -14,11 +14,14 @@ independent of the refinement order.  Two callers minimise:
 ``compile_min_dfa`` and ``syntactic_semigroup`` given a ``Dfa``; class
 languages are read off the multiplication table instead.
 
-Every walk over states goes through the breadth-first searches of
-``omsemi.graphs``: the reachable and co-accessible states, the ε-closures
-and the subset construction of ``compile_min_dfa``, the two numberings of
-``minimize``, and the reachable state pairs of the product automaton that
-``languages_equal`` and ``has_common_word`` inspect.
+Every walk over states goes through the walks of ``omsemi.graphs``: the
+reachable and co-accessible states, the ε-closures and the subset
+construction of ``compile_min_dfa``, the two numberings of ``minimize``
+and the reachable state pairs of the product automaton that
+``languages_equal`` and ``has_common_word`` inspect are breadth-first,
+and ``is_finite_language`` reads the strongly connected components.
+``minimize`` and the syntactic order's pair marking share one table of
+each state's predecessors under each letter, ``_predecessors``.
 
 An automaton is checked where it enters.  A ``Dfa`` built by a caller
 from a table of the wrong shape (the one ``errors._checked_rows`` test
@@ -30,9 +33,11 @@ and a class language, go through the private ``Dfa._of``, which sets the
 fields and checks nothing.
 """
 
+from collections import Counter
+
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
                      ParseError, _checked_rows, listed)
-from .graphs import breadth_first, reachable
+from .graphs import _scc_labels, breadth_first, reachable
 from .regex import (Node, _check_tree, nfa_of_regex, parse_regex,
                     regex_alphabet)
 
@@ -86,10 +91,6 @@ class Dfa:
     def accepts(self, word):
         return self.run(word) in self.accepting
 
-    def reachable_states(self):
-        """The states reachable from the initial one, breadth-first."""
-        return reachable([self.initial], self.transitions.__getitem__)
-
     def coaccessible_states(self):
         """The states from which an accepting state is reachable,
         breadth-first backwards from the accepting states."""
@@ -115,11 +116,7 @@ class Dfa:
                                      self.transitions.__getitem__)
         n = len(order)
         final = [q in self.accepting for q in order]
-        # preds[a][r]: the states whose a-successor is r
-        preds = [[[] for _ in range(n)] for _ in range(k)]
-        for q, row in enumerate(trans):
-            for a, r in enumerate(row):
-                preds[a][r].append(q)
+        preds = _predecessors(trans, k)
         blocks = [b for b in ([q for q in range(n) if final[q]],
                               [q for q in range(n) if not final[q]]) if b]
         blocks.sort(key=len)
@@ -157,6 +154,16 @@ class Dfa:
             block_of[0], lambda b: [block_of[r] for r in trans[blocks[b][0]]])
         qaccept = {i for i, b in enumerate(border) if final[blocks[b][0]]}
         return Dfa._of(self.alphabet, qtrans, 0, qaccept)
+
+
+def _predecessors(transitions, k):
+    """preds[a][r]: the states whose a-successor is r, in increasing
+    order, for a table of k letters."""
+    preds = [[[] for _ in transitions] for _ in range(k)]
+    for q, row in enumerate(transitions):
+        for a, r in enumerate(row):
+            preds[a][r].append(q)
+    return preds
 
 
 def compile_min_dfa(r, alphabet=None):
@@ -226,28 +233,21 @@ def has_common_word(d1, d2):
 
 
 def is_empty(d):
-    return not any(q in d.accepting for q in d.reachable_states())
+    return d.accepting.isdisjoint(
+        reachable([d.initial], d.transitions.__getitem__))
 
 
 def is_finite_language(d):
-    """True iff the accepted language is finite (no useful cycle).
-
-    Kahn's peel of the useful subgraph: a state is peeled once all its
-    useful predecessors are, and a state on or after a cycle never is."""
-    useful = set(d.reachable_states()) & set(d.coaccessible_states())
-    indegree = dict.fromkeys(useful, 0)
-    for q in useful:
-        for r in d.transitions[q]:
-            if r in useful:
-                indegree[r] += 1
-    peeled = [q for q in useful if indegree[q] == 0]
-    for q in peeled:    # the list grows as states are peeled
-        for r in d.transitions[q]:
-            if r in useful:
-                indegree[r] -= 1
-                if indegree[r] == 0:
-                    peeled.append(r)
-    return len(peeled) == len(useful)
+    """True iff the accepted language is finite: no useful state, one
+    that is reachable and co-accessible, lies on a cycle, that is, in a
+    strongly connected component of two or more states or on a loop.  A
+    component holding a useful state holds only useful states."""
+    useful = (set(reachable([d.initial], d.transitions.__getitem__))
+              & set(d.coaccessible_states()))
+    comp = _scc_labels(d.transitions)
+    size = Counter(comp)
+    return all(size[comp[q]] == 1 and q not in d.transitions[q]
+               for q in useful)
 
 
 def enumerate_accepted(d, max_len):

@@ -1,9 +1,10 @@
-"""Breadth-first search, the closure walk of the package.
+"""The closure walks of the package: two breadth-first searches and one
+depth-first search for strongly connected components.
 
 A graph is given by a function from a node to its successors, in order;
-nodes are any hashable values.  Both walks visit the nodes first in first
-out, successors in the order given, so their output order is fixed by
-the graph alone.  All but one of the package's closures go through them:
+nodes are any hashable values.  Both breadth-first walks visit the nodes
+first in first out, successors in the order given, so their output order
+is fixed by the graph alone:
 
 - ``reachable``: the reachable and co-accessible states of a DFA, the
   ε-closures of the subset construction, the state pairs reachable in the
@@ -17,6 +18,11 @@ the graph alone.  All but one of the package's closures go through them:
   whose rows are kept as the right Cayley automaton, and the numbering
   of the residual keys of a class language, which need each node's
   successor positions.
+
+The component walk, ``_scc_labels``, is Tarjan's depth-first search over
+a graph on 0..n-1 given by its successor lists.  Green's R-, L- and
+J-classes (``semigroup.green_classes``) and the finiteness test of
+``dfa.is_finite_language`` read their components off it.
 
 Two walks are their own loops, each over a list that grows as nodes are
 found, as ``reachable`` does:
@@ -62,3 +68,46 @@ def breadth_first(start, successors):
             row.append(num[y])
         rows.append(row)
     return order, rows
+
+
+def _scc_labels(succ):
+    """Strongly connected component of each vertex of the graph with
+    successor lists succ (Tarjan 1972, iterative)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]   # w is still on the stack
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+    return comp

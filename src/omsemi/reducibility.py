@@ -10,8 +10,8 @@ from .dfa import (
     has_common_word,
     languages_equal,
 )
-from .errors import (MalformedTable, NotASolution, SizeTooLarge,
-                     SubwordObstruction, Unreachable)
+from .errors import (InternalError, MalformedTable, NotASolution,
+                     SizeTooLarge, SubwordObstruction, Unreachable)
 from .semigroup import GeneratorMap
 from .syntactic import syntactic_semigroup
 from .terms import (
@@ -173,7 +173,8 @@ def jplus_word_solution(triple, u, v):
     unrolling of v embeds u' greedily, leftmost first, and compresses
     every gap to the shortest word with the same image; a letter of u'
     not found raises SubwordObstruction.  Postconditions: image(u') = s,
-    image(v') = t, and u' is a scattered subword of v'.
+    image(v') = t, and u' is a scattered subword of v'; the images are
+    checked, and a broken one raises InternalError.
 
     Each term is folded once: the fold that fixes its unrolling also gives
     its value, which is checked against s or t before any word is spelt
@@ -205,7 +206,7 @@ def jplus_word_solution(triple, u, v):
     v_out = "".join(parts)
     if (_image_of(gens, u_simple), _image_of(gens, v_out)) != \
             (triple.s, triple.t):
-        raise AssertionError("the images of u' and v' are not s and t")
+        raise InternalError("the images of u' and v' are not s and t")
     return u_simple, v_out
 
 

@@ -33,7 +33,8 @@ identity check.
 
 Green's relations are the strongly connected components of the Cayley
 graphs over the generators (Froidure & Pin, "Algorithms for computing
-finite semigroups", 1997).
+finite semigroups", 1997), found by the component walk of
+``omsemi.graphs``.
 
 Every power of an element, finite or omega, is read off one sequence: the
 powers s, s^2, ... up to the first repeat, walked once per element.  From
@@ -48,7 +49,7 @@ from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
                      UnboundLetter, _checked_rows, listed)
-from .graphs import reachable
+from .graphs import _scc_labels, reachable
 
 
 # The power sequence of one element, with its index and period.  The
@@ -402,49 +403,6 @@ def _partition_by(keys):
         groups.setdefault(key, []).append(a)
     classes = sorted(groups.values(), key=lambda c: c[0])
     return tuple(tuple(c) for c in classes)
-
-
-def _scc_labels(succ):
-    """Strongly connected component of each vertex of the graph with
-    successor lists succ (Tarjan 1972, iterative)."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    stack = []
-    counter = ncomp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]   # w is still on the stack
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-    return comp
 
 
 def green_classes(S):

@@ -36,7 +36,7 @@ it is attached to the semigroup without a proof.
 from itertools import count
 from operator import itemgetter
 
-from .dfa import Dfa, compile_min_dfa
+from .dfa import Dfa, _predecessors, compile_min_dfa
 from .errors import (AlphabetMismatch, ElementNotWordImage, InternalError,
                      SizeTooLarge)
 from .graphs import breadth_first, reachable
@@ -254,13 +254,7 @@ def _state_preorder(d):
     letter, so each pair is marked at most once."""
     nq = d.n_states
     acc = d.accepting
-    # preds[i][r]: the states that letter i takes to r
-    preds = []
-    for i in range(len(d.alphabet)):
-        into = [[] for _ in range(nq)]
-        for p, row in enumerate(d.transitions):
-            into[row[i]].append(p)
-        preds.append(into)
+    preds = _predecessors(d.transitions, len(d.alphabet))
     below = [[True] * nq for _ in range(nq)]
     marked = [(p, q) for p in acc for q in range(nq) if q not in acc]
     for p, q in marked:

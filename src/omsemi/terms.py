@@ -32,13 +32,13 @@ and groups (g) are defined once each, as a (letter, concat, power, run,
 freeze) entry of `VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
 `com_exponents`, `ab_image` and `free_group_normal_form` read its result;
 the bounded search of `reducibility` combines its candidates' forms with
-the same steps.  com's form maps each letter to a plain (infinite, value)
-pair for its multiplicity in N u (omega+Z); `ExponentValue` is a named
-tuple of the same two fields, so the pairs equal their ExponentValues,
-which `com_exponents` returns.  ab keeps plain int multiplicities, since
-the omega power of an element of a finite abelian group is 1: an ab
-multiplicity is the com one with omega+k read as k (Almeida, "Finite
-Semigroups and Universal Algebra", 1994).  g keeps the reduced free group
+the same steps.  com's form maps each letter to an (infinite, value)
+pair for its multiplicity in N u (omega+Z), (False, n) for n and
+(True, k) for omega+k, and `com_exponents` returns those pairs as a
+dict.  ab keeps plain int multiplicities, since the omega power of an
+element of a finite abelian group is 1: an ab multiplicity is the com
+one with omega+k read as k (Almeida, "Finite Semigroups and Universal
+Algebra", 1994).  g keeps the reduced free group
 word as runs (letter, nonzero exponent), so a power's cost follows its
 exponent's digits, not its value; `free_group_normal_form` spells the
 runs out.
@@ -530,29 +530,6 @@ def satisfies_identity(S, lhs, rhs, mode="equality"):
 # normal forms over ab, com and g
 
 
-class ExponentValue(namedtuple("ExponentValue", "infinite value")):
-    """An exponent in N or omega+Z: Fin(n) or Inf(k) standing for omega+k.
-
-    A plain (infinite, value) pair compares and hashes equal to it, so the
-    com normal form is computed over bare pairs and only `com_exponents`
-    builds ExponentValues."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        if self.infinite:
-            return "w%+d" % self.value if self.value else "w"
-        return str(self.value)
-
-
-def Fin(n):
-    return ExponentValue(False, n)
-
-
-def Inf(k):
-    return ExponentValue(True, k)
-
-
 def _add_com_exponents(left, right):
     """The com multiplicities of l r from the (infinite, value) dicts of l
     and r, summed into `left` in place: omega+i plus n is omega+(i+n)."""
@@ -617,9 +594,8 @@ def reduced_power(word, k):
 # letter forms would build, in C-level steps where it can be.
 # freeze(f) is the canonical hashable form: two terms are equal over the
 # variety iff their frozen forms are.  com keeps the letter multiplicities
-# in N u (omega+Z) as plain (infinite, value) pairs, each equal to its
-# ExponentValue, and freezes them sorted; an omega power makes every
-# letter of its base infinite.  The dict holds only letters present, each
+# in N u (omega+Z) as (infinite, value) pairs and freezes them sorted; an
+# omega power makes every letter of its base infinite.  The dict holds only letters present, each
 # with a nonzero count: a multiplicity starts at 1, finite powers are
 # >= 1 (FinitePower.__init__) and sums only grow; a run counts each of its
 # letters with str.count.  ab keeps plain int multiplicities, since x^w = 1
@@ -688,8 +664,8 @@ def normal_form(variety, t):
 
 def com_exponents(t):
     """Letter multiplicities of t in N u (omega+Z), as a dict of
-    ExponentValues."""
-    return {ch: ExponentValue._make(e) for ch, e in normal_form("com", t)}
+    (infinite, value) pairs: (False, n) for n and (True, k) for omega+k."""
+    return dict(normal_form("com", t))
 
 
 def ab_image(t):

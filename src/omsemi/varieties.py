@@ -183,37 +183,32 @@ def ab_witness(u, v):
     alphabet = sorted(term_alphabet(u) | term_alphabet(v))
     lhs, rhs = dict(normal_form("ab", u)), dict(normal_form("ab", v))
     gap = max(abs(lhs.get(ch, 0) - rhs.get(ch, 0)) for ch in alphabet)
-    for m in range(2, gap + 2):
-        G = FiniteSemigroup.cyclic(1, m)
-        witness = _single_letter_witness(G, alphabet, u, v)
-        if witness is not None:
-            return witness
-    return None
+    return _single_letter_witness(
+        (FiniteSemigroup.cyclic(1, m) for m in range(2, gap + 2)),
+        alphabet, u, v)
 
 
 def com_witness(u, v):
     """A separating commutative monoid among monogenic-with-identity
     C(i,p)^1 for i, p <= 7, one letter at the generator."""
-    alphabet = sorted(term_alphabet(u) | term_alphabet(v))
-    for i in range(1, 8):
-        for p in range(1, 8):
-            S = FiniteSemigroup.cyclic(i, p).with_identity_adjoined()
-            witness = _single_letter_witness(S, alphabet, u, v)
-            if witness is not None:
-                return witness
-    return None
+    return _single_letter_witness(
+        (FiniteSemigroup.cyclic(i, p).with_identity_adjoined()
+         for i in range(1, 8) for p in range(1, 8)),
+        sorted(term_alphabet(u) | term_alphabet(v)), u, v)
 
 
-def _single_letter_witness(S, alphabet, u, v):
-    """Try assignments sending one letter to the generator and the rest to
-    the identity; S must be monogenic-with-identity (generator element 0)."""
-    for ch in alphabet:
-        assignment = {b: S.identity for b in alphabet}
-        assignment[ch] = 0
-        g = GeneratorMap(S, assignment)
-        lhs, rhs = eval_term(S, g, u), eval_term(S, g, v)
-        if lhs != rhs:
-            return _semigroup_witness(S, assignment, u, v)
+def _single_letter_witness(pool, alphabet, u, v):
+    """The first monoid of the pool, with its first assignment, that
+    separates u and v when one letter goes to the generator and the rest
+    to the identity, or None; each monoid is monogenic with an identity,
+    and its generator is element 0."""
+    for S in pool:
+        for ch in alphabet:
+            assignment = {b: S.identity for b in alphabet}
+            assignment[ch] = 0
+            g = GeneratorMap(S, assignment)
+            if eval_term(S, g, u) != eval_term(S, g, v):
+                return _semigroup_witness(S, assignment, u, v)
     return None
 
 

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, so code that moves
 or goes leaves no import behind.  The package's __init__ is left out: its
-imports are the re-exported API.  Importing the package loads none of
-dataclasses, inspect or typing, and every name the benchmark's tracer
-wraps is still there to wrap."""
+imports are the re-exported API.  No package module has an assert
+statement, so no check depends on running without -O.  Importing the
+package loads none of dataclasses, inspect or typing, and every name the
+benchmark's tracer wraps is still there to wrap."""
 
 import ast
 import os
@@ -36,6 +37,16 @@ def test_no_unused_imports():
                                              line, name)
              for path in paths
              for name, line in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a postcondition written as
+    # one would not run there
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
     assert found == []
 
 

@@ -232,16 +232,20 @@ def test_jplus_word_solution_identity_not_the_empty_word():
 
 
 _POSTCONDITION_SCRIPT = """
+import omsemi.cli
 import omsemi.reducibility as r
 assert not __debug__
-u, v = r.parse_term("x"), r.parse_term(%r)
+u, v = r.parse_term("x"), r.parse_term(%(v)r)
 triple = r.syntactic_solution_triple("b*ab*", {"x": "a", "y": "b"}, u, v,
                                      mode="inequality")
-r.%s = lambda *args: "xx"
+r.%(patched)s = lambda *args: "xx"
 try:
     r.jplus_word_solution(triple, u, v)
-except AssertionError as exc:
+except r.InternalError as exc:
     print(exc)
+r.%(patched)s = lambda *args: "aa"
+print(omsemi.cli.main(["reduce", "jplus", "--regex", "b*ab*", "--u", "a",
+                       "--v", %(word)r]))
 """
 
 
@@ -251,12 +255,15 @@ except AssertionError as exc:
 ])
 def test_jplus_postconditions_checked_under_optimize(v, patched):
     # "xx" embeds in the unrolling of v, but its image [aa] is not s = [a],
-    # and not t = [a] for v = y x y; the checks must survive python -O
-    r = subprocess.run([sys.executable, "-O", "-c",
-                        _POSTCONDITION_SCRIPT % (v, patched)],
+    # and not t = [a] for v = y x y; the checks must survive python -O,
+    # and `omsemi reduce` reports the broken invariant with exit 2
+    word = v.replace("x", "a").replace("y", "b")
+    r = subprocess.run([sys.executable, "-O", "-c", _POSTCONDITION_SCRIPT
+                        % {"v": v, "patched": patched, "word": word}],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "the images of u' and v' are not s and t\n"
+    assert r.stdout == "the images of u' and v' are not s and t\n2\n"
+    assert r.stderr == "error: the images of u' and v' are not s and t\n"
 
 
 def test_jplus_path_builds_no_syntactic_order(monkeypatch, capsys):

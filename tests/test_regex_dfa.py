@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from omsemi.errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
                            ParseError)
@@ -15,6 +15,7 @@ from omsemi.dfa import (
     is_finite_language,
     languages_equal,
 )
+from omsemi.graphs import reachable
 from omsemi.regex import (
     Concat,
     Empty,
@@ -170,7 +171,8 @@ def test_compiled_dfa_is_minimal():
         if not regex_alphabet(r):
             continue
         d = compile_min_dfa(r, alphabet="ab")
-        assert sorted(d.reachable_states()) == list(range(d.n_states))
+        assert sorted(reachable([d.initial], d.transitions.__getitem__)) == \
+            list(range(d.n_states))
         for p in range(d.n_states):
             for q in range(p + 1, d.n_states):
                 assert distinguishable(d, p, q), (r, p, q)
@@ -214,6 +216,28 @@ def test_finiteness_of_long_chains():
     back = chain[:n // 2] + [[n // 3]] + chain[n // 2 + 1:]
     assert not is_finite_language(Dfa("a", back, 0, {n // 2}))
     assert is_finite_language(Dfa("a", back, 0, {n // 4}))
+
+
+@st.composite
+def small_dfas(draw):
+    """A complete DFA of 1-5 states over {a, b}, any initial state and
+    any accepting set."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.lists(state, min_size=2, max_size=2),
+                                min_size=n, max_size=n))
+    return Dfa("ab", transitions, draw(state), draw(st.sets(state)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_dfas())
+def test_finite_iff_no_word_between_n_and_2n(d):
+    # an n-state automaton with an accepted word of n or more letters
+    # pumps its shortest one down to fewer than 2n letters
+    n = d.n_states
+    long_word = any(d.accepts(w) for k in range(n, 2 * n)
+                    for w in itertools.product("ab", repeat=k))
+    assert is_finite_language(d) == (not long_word)
 
 
 def test_enumerate_accepted():

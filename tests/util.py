@@ -614,7 +614,7 @@ def moore_minimize(d):
     """The minimal DFA of d by Moore partition refinement, renumbered by
     breadth-first search from the initial state."""
     from omsemi.dfa import Dfa
-    reach = d.reachable_states()
+    reach = reachable([d.initial], d.transitions.__getitem__)
     pos = {q: i for i, q in enumerate(reach)}
     trans = [[pos[d.transitions[q][a]] for a in range(len(d.alphabet))]
              for q in reach]
