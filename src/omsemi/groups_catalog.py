@@ -1,17 +1,25 @@
 """Every group of order at most 24, built by explicit construction.
 
-The catalog is the fixed witness pool for free-group identity checks: 74
-pairwise non-isomorphic groups assembled from cyclic pieces, direct and
-semidirect products, dicyclic presentations, permutation closures, and two
-matrix groups.
+The catalog is the fixed witness pool for free-group identity checks: the
+74 pairwise non-isomorphic groups of order at most 24, stated once each
+as a name in ``_NAMES``.  A name in ``_BUILDERS`` has its own
+constructor; any other name with ``x`` in it is the direct product of the
+groups it names, left to right; ``C<n>`` is the cyclic group of order n
+and ``D<n>`` the dihedral group of order 2n.  A catalogue build makes
+each name once, so a product reuses the factors built before it.
 
-The permutation and matrix groups are breadth-first closures under right
-multiplication by the generators (``omsemi.graphs.reachable``).  The order
-in which a closure finds the elements is the order of the group's table,
-and that table is printed in ``check --variety g`` witnesses.
+Every group built as a split extension (``semidirect_cyclic``, and so
+the dihedral groups, V:C4, DihC3xC3 and C3:D4) is built by one semidirect
+product, ``_semidirect``, whose elements are the pairs (n, k) listed
+n-major.  The dicyclic groups are not split and keep their own
+operation.  The permutation and matrix groups are breadth-first closures
+under right multiplication by the generators (``omsemi.graphs.reachable``).
+The order in which a construction lists the elements is the order of the
+group's table, and that table is printed in ``check --variety g``
+witnesses.
 """
 
-from functools import reduce
+from functools import cache, reduce
 
 from .graphs import reachable
 from .semigroup import FiniteSemigroup
@@ -35,21 +43,36 @@ def _table_group(elems, op):
         a for a in range(len(table)) if table[a][a] == a))
 
 
-def _pair_group(ms, ks, op):
-    """The group on the element list ms x ks under op."""
-    return _table_group([(i, j) for i in ms for j in ks], op)
+def _semidirect(ns, n_op, ks, k_op, act):
+    """N x| K on the pairs (n, k), listed n-major, where k acts on N as
+    act(k, -): (n, k)(n2, k2) = (n act(k, n2), k k2)."""
+    def op(a, b):
+        (n, k), (n2, k2) = a, b
+        return (n_op(n, act(k, n2)), k_op(k, k2))
+
+    return _table_group([(n, k) for n in ns for k in ks], op)
+
+
+def _add_mod(m):
+    return lambda a, b: (a + b) % m
+
+
+def _table_op(G):
+    return lambda a, b: G.table[a][b]
+
+
+def _square(p):
+    """C_p x C_p: its pairs (u, v), listed u-major, and its operation."""
+    return ([(u, v) for u in range(p) for v in range(p)],
+            lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p))
 
 
 def semidirect_cyclic(m, k, r):
     """C_m x| C_k where the C_k generator acts on C_m as multiplication by r."""
     if pow(r, k, m) != 1 % m:
         raise ValueError(f"{r}^{k} is not 1 mod {m}")
-
-    def op(a, b):
-        (i, j), (i2, j2) = a, b
-        return ((i + i2 * pow(r, j, m)) % m, (j + j2) % k)
-
-    return _pair_group(range(m), range(k), op)
+    return _semidirect(range(m), _add_mod(m), range(k), _add_mod(k),
+                       lambda j, i: i * pow(r, j, m))
 
 
 def dihedral_group(n):
@@ -71,7 +94,7 @@ def dicyclic_group(q):
             return ((i - i2) % m, 1)
         return ((i - i2 + q) % m, 0)
 
-    return _pair_group(range(m), range(2), op)
+    return _table_group([(i, j) for i in range(m) for j in range(2)], op)
 
 
 def _closure_group(gens, compose):
@@ -99,17 +122,14 @@ def alternating_group():
     return _closure_group([(1, 2, 0, 3), (1, 0, 3, 2)], _perm_compose)
 
 
-def _mat_compose_mod(p):
-    def mul(a, b):
-        (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
-        return ((a11 * b11 + a12 * b21) % p, (a11 * b12 + a12 * b22) % p,
-                (a21 * b11 + a22 * b21) % p, (a21 * b12 + a22 * b22) % p)
-    return mul
-
-
 def special_linear_2_3():
     """SL(2,3): determinant-one 2x2 matrices over the field with 3 elements."""
-    return _closure_group([(1, 1, 0, 1), (0, 2, 1, 0)], _mat_compose_mod(3))
+    def mul(a, b):
+        (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
+        return ((a11 * b11 + a12 * b21) % 3, (a11 * b12 + a12 * b22) % 3,
+                (a21 * b11 + a22 * b21) % 3, (a21 * b12 + a22 * b22) % 3)
+
+    return _closure_group([(1, 1, 0, 1), (0, 2, 1, 0)], mul)
 
 
 def pauli_group():
@@ -132,123 +152,74 @@ def pauli_group():
     return _closure_group([x, z, ii], mul)
 
 
-def klein_semidirect_c4():
-    """(C2 x C2) x| C4 with the C4 generator swapping the two coordinates."""
-    def op(a, b):
-        ((u, v), j), ((u2, v2), j2) = a, b
-        if j % 2:
-            u2, v2 = v2, u2
-        return (((u + u2) % 2, (v + v2) % 2), (j + j2) % 4)
-
-    pairs = [(u, v) for u in range(2) for v in range(2)]
-    return _pair_group(pairs, range(4), op)
-
-
-def generalized_dihedral_c3c3():
-    """(C3 x C3) x| C2 with the involution inverting both coordinates."""
-    def op(a, b):
-        ((u, v), j), ((u2, v2), j2) = a, b
-        if j:
-            u2, v2 = -u2, -v2
-        return (((u + u2) % 3, (v + v2) % 3), (j + j2) % 2)
-
-    pairs = [(u, v) for u in range(3) for v in range(3)]
-    return _pair_group(pairs, range(2), op)
-
-
-def c3_semidirect_d4():
-    """C3 x| D4 where a rotation inverts C3 and reflections fix it."""
-    def d4(d, d2):
-        (i, j), (i2, j2) = d, d2
-        if j % 2:
-            i2 = -i2
-        return ((i + i2) % 4, (j + j2) % 2)
-
-    def op(a, b):
-        (c, d), (c2, d2) = a, b
-        if d[0] % 2:
-            c2 = -c2
-        return ((c + c2) % 3, d4(d, d2))
-
-    flags = [(i, j) for i in range(4) for j in range(2)]
-    return _pair_group(range(3), flags, op)
-
-
 def _prod(*groups):
     return reduce(FiniteSemigroup.direct_product, groups)
+
+
+# the catalogue, by order and the cyclic group first at each order
+_NAMES = """
+    C1 C2 C3 C4 C2xC2 C5 C6 S3 C7
+    C8 C4xC2 C2xC2xC2 D4 Q8
+    C9 C3xC3 C10 D5 C11
+    C12 C6xC2 D6 A4 Dic3
+    C13 C14 D7 C15
+    C16 C8xC2 C4xC4 C4xC2xC2 C2^4 D8 SD16 M16 Q16 D4xC2 Q8xC2 C4:C4
+    V:C4 Pauli16
+    C17 C18 C6xC3 D9 S3xC3 DihC3xC3
+    C19 C20 C10xC2 D10 Dic5 F20
+    C21 C7:C3 C22 D11 C23
+    C24 C12xC2 C6xC2xC2 S4 SL23 A4xC2 D12 Dic6 C3:C8 S3xC4 S3xC2xC2 D4xC3
+    Q8xC3 Dic3xC2 C3:D4
+""".split()
+
+_BUILDERS = {
+    "S3": lambda: symmetric_group(3),
+    "S4": lambda: symmetric_group(4),
+    "A4": alternating_group,
+    "SL23": special_linear_2_3,
+    "Pauli16": pauli_group,
+    "Q8": lambda: dicyclic_group(2),
+    "Q16": lambda: dicyclic_group(4),
+    "Dic3": lambda: dicyclic_group(3),
+    "Dic5": lambda: dicyclic_group(5),
+    "Dic6": lambda: dicyclic_group(6),
+    "SD16": lambda: semidirect_cyclic(8, 2, 3),
+    "M16": lambda: semidirect_cyclic(8, 2, 5),
+    "C4:C4": lambda: semidirect_cyclic(4, 4, 3),
+    "F20": lambda: semidirect_cyclic(5, 4, 2),
+    "C7:C3": lambda: semidirect_cyclic(7, 3, 2),
+    "C3:C8": lambda: semidirect_cyclic(3, 8, 2),
+    # C4's generator swaps the two coordinates of C2 x C2
+    "V:C4": lambda: _semidirect(
+        *_square(2), range(4), _add_mod(4),
+        lambda j, v: v[::-1] if j % 2 else v),
+    # the involution inverts both coordinates of C3 x C3
+    "DihC3xC3": lambda: _semidirect(
+        *_square(3), range(2), _add_mod(2),
+        lambda j, v: (-v[0], -v[1]) if j else v),
+    # D4's element 2i + j is r^i s^j; its odd rotations invert C3
+    "C3:D4": lambda: _semidirect(
+        range(3), _add_mod(3), range(8), _table_op(dihedral_group(4)),
+        lambda d, c: -c if d // 2 % 2 else c),
+    "C2^4": lambda: _prod(*[cyclic_group(2)] * 4),
+}
 
 
 def all_groups_up_to_24():
     """The 74 isomorphism classes of groups of order <= 24, as (name, group)."""
     global _CATALOG
-    if _CATALOG is not None:
-        return _CATALOG
-    C = cyclic_group
-    entries = []
-    for n in range(1, 25):
-        entries.append((f"C{n}", C(n)))
-        if n == 4:
-            entries.append(("C2xC2", _prod(C(2), C(2))))
-        elif n == 6:
-            entries.append(("S3", symmetric_group(3)))
-        elif n == 8:
-            entries.append(("C4xC2", _prod(C(4), C(2))))
-            entries.append(("C2xC2xC2", _prod(C(2), C(2), C(2))))
-            entries.append(("D4", dihedral_group(4)))
-            entries.append(("Q8", dicyclic_group(2)))
-        elif n == 9:
-            entries.append(("C3xC3", _prod(C(3), C(3))))
-        elif n == 10:
-            entries.append(("D5", dihedral_group(5)))
-        elif n == 12:
-            entries.append(("C6xC2", _prod(C(6), C(2))))
-            entries.append(("D6", dihedral_group(6)))
-            entries.append(("A4", alternating_group()))
-            entries.append(("Dic3", dicyclic_group(3)))
-        elif n == 14:
-            entries.append(("D7", dihedral_group(7)))
-        elif n == 16:
-            entries.append(("C8xC2", _prod(C(8), C(2))))
-            entries.append(("C4xC4", _prod(C(4), C(4))))
-            entries.append(("C4xC2xC2", _prod(C(4), C(2), C(2))))
-            entries.append(("C2^4", _prod(C(2), C(2), C(2), C(2))))
-            entries.append(("D8", dihedral_group(8)))
-            entries.append(("SD16", semidirect_cyclic(8, 2, 3)))
-            entries.append(("M16", semidirect_cyclic(8, 2, 5)))
-            entries.append(("Q16", dicyclic_group(4)))
-            entries.append(("D4xC2", _prod(dihedral_group(4), C(2))))
-            entries.append(("Q8xC2", _prod(dicyclic_group(2), C(2))))
-            entries.append(("C4:C4", semidirect_cyclic(4, 4, 3)))
-            entries.append(("V:C4", klein_semidirect_c4()))
-            entries.append(("Pauli16", pauli_group()))
-        elif n == 18:
-            entries.append(("C6xC3", _prod(C(6), C(3))))
-            entries.append(("D9", dihedral_group(9)))
-            entries.append(("S3xC3", _prod(symmetric_group(3), C(3))))
-            entries.append(("DihC3xC3", generalized_dihedral_c3c3()))
-        elif n == 20:
-            entries.append(("C10xC2", _prod(C(10), C(2))))
-            entries.append(("D10", dihedral_group(10)))
-            entries.append(("Dic5", dicyclic_group(5)))
-            entries.append(("F20", semidirect_cyclic(5, 4, 2)))
-        elif n == 21:
-            entries.append(("C7:C3", semidirect_cyclic(7, 3, 2)))
-        elif n == 22:
-            entries.append(("D11", dihedral_group(11)))
-        elif n == 24:
-            entries.append(("C12xC2", _prod(C(12), C(2))))
-            entries.append(("C6xC2xC2", _prod(C(6), C(2), C(2))))
-            entries.append(("S4", symmetric_group(4)))
-            entries.append(("SL23", special_linear_2_3()))
-            entries.append(("A4xC2", _prod(alternating_group(), C(2))))
-            entries.append(("D12", dihedral_group(12)))
-            entries.append(("Dic6", dicyclic_group(6)))
-            entries.append(("C3:C8", semidirect_cyclic(3, 8, 2)))
-            entries.append(("S3xC4", _prod(symmetric_group(3), C(4))))
-            entries.append(("S3xC2xC2", _prod(symmetric_group(3), C(2), C(2))))
-            entries.append(("D4xC3", _prod(dihedral_group(4), C(3))))
-            entries.append(("Q8xC3", _prod(dicyclic_group(2), C(3))))
-            entries.append(("Dic3xC2", _prod(dicyclic_group(3), C(2))))
-            entries.append(("C3:D4", c3_semidirect_d4()))
-    _CATALOG = entries
-    return entries
+    if _CATALOG is None:
+        @cache
+        def group(name):
+            """The group of a name in _BUILDERS or without an x."""
+            if name in _BUILDERS:
+                return _BUILDERS[name]()
+            make = cyclic_group if name[0] == "C" else dihedral_group
+            return make(int(name[1:]))
+
+        entries = []
+        for name in _NAMES:
+            factors = [name] if name in _BUILDERS else name.split("x")
+            entries.append((name, _prod(*map(group, factors))))
+        _CATALOG = entries
+    return _CATALOG

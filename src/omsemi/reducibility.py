@@ -348,7 +348,7 @@ def verify_com_counterexample():
     """Reproduce the commutative-interval counterexample facts."""
     report = VerificationReport(section="4")
     sp = syntactic_semigroup(COM_LANGUAGE)
-    S, g = sp.semigroup, sp.gens
+    S = sp.semigroup
     report.add("syntactic semigroup order", 41, S.n)
 
     s, t = sp.classof("babb"), sp.classof("aaba")

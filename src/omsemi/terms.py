@@ -371,6 +371,11 @@ def _exponent(node):
 
 
 def format_term(t):
+    """t as text, up to the grouping of its concatenations: a product is
+    written as its factors side by side, so `w (w w)` prints as `w w w`.
+    parse_term reads that text back as a term with t's value in every
+    semigroup (by associativity), not always as t itself.  Printing the
+    grouping would change the terms the bounded search prints."""
     def power(node, base):
         if type(node.base) is not Letter:
             base = "(%s)" % base
