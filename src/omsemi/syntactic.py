@@ -18,13 +18,16 @@ that acts as the empty word is neutral, so neither the entry checks of
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
-one pass over the table lists for every e and s at once.  Every class
-with no solution shares the dead key, whose residual is empty; every
-other key's residual is nonempty.  So `class_expression` hands the key
-rows to `dfa_to_regex` to eliminate every key but the dead one, with no
-DFA in between.  Whether a class is finite is read off the table as
-well, and `finite_class_words` lists a finite class's words from its
-residual keys, so no class builds a DFA unless `class_language` asks.
+one pass over the table lists for every e and s at once.  Each distinct
+set of solutions is numbered with an even number, and a key is that
+number plus one iff the residual holds the empty word, so a key is
+accepting iff it is odd.  Every class with no solution shares the dead
+key 0, whose residual is empty; every other key's residual is nonempty.
+So `class_expression` hands the key rows to `dfa_to_regex` to eliminate
+every key but the dead one, with no DFA in between.  Whether a class is
+finite is read off the table as well, and `finite_class_words` lists a
+finite class's words from its residual keys, so no class builds a DFA
+unless `class_language` asks.
 
 The syntactic order rests on the residual-inclusion preorder on states,
 found by Moore's pair marking: the pairs (accepting, rejecting) are
@@ -44,7 +47,7 @@ from .regex import dfa_to_regex
 from .semigroup import FiniteSemigroup, GeneratorMap
 
 # the residual key of every class with no solution t: the empty residual
-_DEAD = (False, ())
+_DEAD = 0
 
 
 class SyntacticPresentation:
@@ -139,19 +142,21 @@ class SyntacticPresentation:
             raise ElementNotWordImage("no class with index %r" % (e,))
 
     def _solutions(self):
-        """sol[e][s]: the classes t with st = e, in increasing order, for
-        each class s that has one.  One pass over the table, built once
-        per presentation; equal solution sets share one tuple."""
+        """sol[e][s]: the number of the fiber of e over s, the classes t
+        with st = e, for each class s that has one.  One pass over the
+        table, built once per presentation.  Each distinct fiber, as an
+        increasing tuple, gets one even number 2, 4, 6, ..., kept in
+        `_fibers`, so equal fibers share their number."""
         if self._sol is None:
             self._sol = sol = [{} for _ in self.elements]
-            shared = {}
+            self._fibers = fibers = {}
             for s, row in enumerate(self.semigroup.table):
                 by_e = {}
                 for t, e in enumerate(row):
                     by_e.setdefault(e, []).append(t)
                 for e, ts in by_e.items():
-                    ts = tuple(ts)
-                    sol[e][s] = shared.setdefault(ts, ts)
+                    sol[e][s] = fibers.setdefault(tuple(ts),
+                                                  2 * len(fibers) + 2)
         return self._sol
 
     def _residual_keys(self, e):
@@ -161,29 +166,37 @@ class SyntacticPresentation:
         The residual of the class by a word of class s is the set of
         words of the classes t with st = e, together with the empty word
         iff s = e; the residual of the class by the empty word is the
-        class itself.  So each state of the Cayley automaton accepting at
-        1 + e has the key (s == e, the classes t with st = e), the start
-        has the key (False, (e,)), and two states have the same residual
-        iff they have the same key (Pin, Mathematical Foundations of
-        Automata Theory, ch. IV).  Every class with no solution t has the
-        dead key (False, ()), the one key whose residual is empty."""
+        class itself.  So each state 1 + s of the Cayley automaton
+        accepting at 1 + e has the key sol[e][s] + (s == e), the number
+        of its fiber plus one iff it accepts, the start has the number of
+        the fiber (e,), and two states have the same residual iff they
+        have the same key (Pin, Mathematical Foundations of Automata
+        Theory, ch. IV).  A key is accepting iff it is odd.  Every class
+        with no solution t has the dead key 0, the one key whose residual
+        is empty; a class e with no solution of et = e has the key 1."""
         self._check_class(e)
         rows = self.cayley
         sol = self._solutions()[e]
-        start = (False, (e,))
-        # the first Cayley state found with each key; its row stands for
-        # the row of every state with that key
-        rep = {start: 0}
-
-        def successors(key):
-            out = []
-            for q in rows[rep[key]]:
-                k = (q == 1 + e, sol.get(q - 1, ()))
-                rep.setdefault(k, q)
-                out.append(k)
-            return out
-
-        return breadth_first(start, successors)
+        fibers = self._fibers
+        accept = 1 + e
+        start = fibers.setdefault((e,), 2 * len(fibers) + 2)
+        # reps[i]: the first Cayley state found with the i-th key, whose
+        # row stands for the row of every state with that key.  Written
+        # out rather than run through graphs.breadth_first, with no
+        # successor closure, because it measured faster.
+        keys, reps, num, trans = [start], [0], {start: 0}, []
+        for q in reps:      # the list grows as keys are found
+            row = []
+            for r in rows[q]:
+                k = sol.get(r - 1, 0) + (r == accept)
+                i = num.get(k)
+                if i is None:
+                    i = num[k] = len(keys)
+                    keys.append(k)
+                    reps.append(r)
+                row.append(i)
+            trans.append(row)
+        return keys, trans
 
     def class_language(self, e):
         """Minimal DFA for the set of nonempty words in class e: the
@@ -191,7 +204,7 @@ class SyntacticPresentation:
         them."""
         keys, trans = self._residual_keys(e)
         return Dfa._of(self.alphabet, trans, 0,
-                       {i for i, k in enumerate(keys) if k[0]})
+                       {i for i, k in enumerate(keys) if k & 1})
 
     def class_expression(self, e):
         """A regular expression for the words in class e, in concrete
@@ -200,7 +213,7 @@ class SyntacticPresentation:
         built."""
         keys, trans = self._residual_keys(e)
         return dfa_to_regex(self.alphabet, trans, 0,
-                            [i for i, k in enumerate(keys) if k[0]],
+                            [i for i, k in enumerate(keys) if k & 1],
                             [i for i, k in enumerate(keys) if k != _DEAD])
 
     def finite_class_words(self, e):
@@ -230,7 +243,7 @@ class SyntacticPresentation:
         keys, trans = self._residual_keys(e)
         words, level = [], [("", 0)]
         for _ in range(len(self.elements) + 1):
-            words += [w for w, q in level if keys[q][0]]
+            words += [w for w, q in level if keys[q] & 1]
             level = [(w + ch, r) for w, q in level
                      for ch, r in zip(self.alphabet, trans[q])
                      if keys[r] != _DEAD]

@@ -61,21 +61,25 @@ def is_cube_free(w):
     Over k-byte letter codes (k = 1 for ASCII words, else 4), the XOR of
     w with w shifted by l letters is zero exactly at the letters where
     w[i] == w[i+l]; a cube of period l exists iff 2l consecutive letters
-    match, i.e. 2l*k zero bytes start on a letter boundary.
+    match, i.e. 2l*k zero bytes start on a letter boundary within the
+    (n - l)*k bytes where the two copies overlap.  w is converted to an
+    integer once; each period XORs it with its own shift, and the search
+    stops at the overlap's end, past which the bytes are w's own, and a
+    run of "\\x00" letters there would read as a cube.
     """
     n = len(w)
     if w.isascii():
         b, k = w.encode("ascii"), 1
     else:
         b, k = w.encode("utf-32-le"), 4
+    whole = int.from_bytes(b, "little")
     for l in range(1, n // 3 + 1):
         size = (n - l) * k
-        x = (int.from_bytes(b[:size], "little")
-             ^ int.from_bytes(b[l * k:], "little")).to_bytes(size, "little")
+        x = (whole ^ (whole >> 8 * l * k)).to_bytes(n * k, "little")
         run = bytes(2 * l * k)
-        pos = x.find(run)
+        pos = x.find(run, 0, size)
         while pos > 0 and pos % k:
-            pos = x.find(run, pos - pos % k + k)
+            pos = x.find(run, pos - pos % k + k, size)
         if pos >= 0:
             return False
     return True

@@ -3,14 +3,15 @@
 against the composed actions, the public constructor, associativity and
 its identity, the kept Cayley automaton, the syntactic order, Green's
 classes and the words of finite classes agree with the brute-force
-oracles in util, the size guard is exact, Light's test finds a corrupted
-cell of the table or of the right Cayley graph, and the order check
-refuses an order that is not stable."""
+oracles in util, each class language accepts its class's own word, the
+size guard is exact, Light's test finds a corrupted cell of the table or
+of the right Cayley graph, and the order check refuses an order that is
+not stable."""
 
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from omsemi.dfa import Dfa, enumerate_accepted, is_finite_language
 from omsemi.errors import (MalformedTable, NotAPartialOrder, NotAssociative,
@@ -111,6 +112,18 @@ def test_finite_class_words_match_class_language(sp):
         assert sp.finite_class_words(e) == (
             enumerate_accepted(d, d.n_states)
             if is_finite_language(d) else None)
+
+
+@kernel_settings
+@given(presentations())
+@example(syntactic_semigroup("ab"))
+def test_every_class_accepts_its_own_word(sp):
+    # in ab no t has (ab)t = ab, so the state after ab has the key that
+    # its accepting flag alone keeps apart from the dead key
+    for e, w in enumerate(sp.words):
+        assert sp.class_language(e).accepts(w)
+        words = sp.finite_class_words(e)
+        assert words is None or w in words
 
 
 @kernel_settings

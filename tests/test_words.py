@@ -96,8 +96,10 @@ def naive_cube_free(w):
 
 def test_is_cube_free_against_naive():
     rng = random.Random(9)
+    # "\x00" letters are zero bytes, which a scan past the overlap of w
+    # and its shift would read as part of a cube
     for alphabet in ("ab", "abc", "a\u0161b", "\u0100\u0101a",
-                     "a\U0001f600b"):
+                     "a\U0001f600b", "a\x00", "\x00a\u0161"):
         for _ in range(300):
             w = "".join(rng.choice(alphabet)
                         for _ in range(rng.randrange(0, 25)))
@@ -108,6 +110,8 @@ def test_is_cube_free_against_naive():
     assert not is_cube_free("xabcabcabcz")
     assert is_cube_free("")
     assert is_cube_free("xy")
+    assert is_cube_free("ab\x00\x00") and is_cube_free("\u0161\x00\x00")
+    assert not is_cube_free("a\x00\x00\x00")
 
 
 def test_import_leaves_numpy_out():
