@@ -15,11 +15,13 @@ independent of the refinement order.  Two callers minimise:
 languages are read off the multiplication table instead.
 
 Every walk over states goes through the walks of ``omsemi.graphs``: the
-reachable and co-accessible states, the ε-closures and the subset
-construction of ``compile_min_dfa``, the two numberings of ``minimize``
-and the reachable state pairs of the product automaton that
-``languages_equal`` and ``has_common_word`` inspect are breadth-first,
-and ``is_finite_language`` reads the strongly connected components.
+reachable and co-accessible states, the subset construction of
+``compile_min_dfa``, whose subsets are sets of positions of the regex's
+position automaton (it has no empty moves, so a subset needs no
+closure), the two numberings of ``minimize`` and the reachable state
+pairs of the product automaton that ``languages_equal`` and
+``has_common_word`` inspect are breadth-first, and
+``is_finite_language`` reads the strongly connected components.
 ``minimize`` and the syntactic order's pair marking share one table of
 each state's predecessors under each letter, ``_predecessors``.
 
@@ -38,8 +40,7 @@ from collections import Counter
 from .errors import (AlphabetMismatch, EmptyAlphabet, MalformedTable,
                      ParseError, _checked_rows, listed)
 from .graphs import _scc_labels, breadth_first, reachable
-from .regex import (Node, _check_tree, nfa_of_regex, parse_regex,
-                    regex_alphabet)
+from .regex import Node, nfa_of_regex, parse_regex, regex_alphabet
 
 
 class Dfa:
@@ -117,8 +118,8 @@ class Dfa:
         n = len(order)
         final = [q in self.accepting for q in order]
         preds = _predecessors(trans, k)
-        blocks = [b for b in ([q for q in range(n) if final[q]],
-                              [q for q in range(n) if not final[q]]) if b]
+        blocks = [b for b in ({q for q in range(n) if final[q]},
+                              {q for q in range(n) if not final[q]}) if b]
         blocks.sort(key=len)
         block_of = [0] * n
         for i, b in enumerate(blocks):
@@ -134,14 +135,14 @@ class Dfa:
             touched = {}
             for r in blocks[b]:
                 for q in preds[a][r]:
-                    touched.setdefault(block_of[q], []).append(q)
+                    touched.setdefault(block_of[q], set()).add(q)
             for c, inside in touched.items():
-                if len(inside) == len(blocks[c]):
+                rest = blocks[c]
+                if len(inside) == len(rest):
                     continue
-                moved = set(inside)
-                rest = [q for q in blocks[c] if q not in moved]
+                # what stays costs nothing: a split costs the moved states
+                rest -= inside
                 new = len(blocks)
-                blocks[c] = rest
                 blocks.append(inside)
                 for q in inside:
                     block_of[q] = new
@@ -150,9 +151,9 @@ class Dfa:
                     pending = (new if (c, x) in waiting else half, x)
                     waiting.add(pending)
                     work.append(pending)
-        border, qtrans = breadth_first(
-            block_of[0], lambda b: [block_of[r] for r in trans[blocks[b][0]]])
-        qaccept = {i for i, b in enumerate(border) if final[blocks[b][0]]}
+        border, qtrans = breadth_first(block_of[0], lambda b: [
+            block_of[r] for r in trans[min(blocks[b])]])
+        qaccept = {i for i, b in enumerate(border) if final[min(blocks[b])]}
         return Dfa._of(self.alphabet, qtrans, 0, qaccept)
 
 
@@ -168,15 +169,15 @@ def _predecessors(transitions, k):
 
 def compile_min_dfa(r, alphabet=None):
     """Minimal complete DFA of a regex, a str or a syntax tree, over the
-    given (or inferred) alphabet.  A tree is checked to be a regex's; text
-    gets a tree from parse_regex, which is one."""
+    given (or inferred) alphabet.  A tree is checked to be a regex's by
+    nfa_of_regex, which reads it first; text gets a tree from parse_regex,
+    which is one."""
     if isinstance(r, str):
         r = parse_regex(r)
-    elif isinstance(r, Node):
-        _check_tree(r)
-    else:
+    elif not isinstance(r, Node):
         raise ParseError("a regex is a str or a regex.Node tree, not %s"
                          % type(r).__name__)
+    n, trans, start, accept = nfa_of_regex(r)
     letters = regex_alphabet(r)
     if alphabet is not None:
         extra = letters - set(alphabet)
@@ -187,26 +188,18 @@ def compile_min_dfa(r, alphabet=None):
     if not letters:
         raise EmptyAlphabet("regex has no letters and no alphabet was given")
     alpha = tuple(sorted(letters))
-    n, trans, start, accept = nfa_of_regex(r)
-    eps = [[] for _ in range(n)]
-    by_letter = [{} for _ in range(n)]
-    for s, ch, t in trans:
-        if ch is None:
-            eps[s].append(t)
-        else:
-            by_letter[s].setdefault(ch, []).append(t)
-
-    def closure(states):
-        return frozenset(reachable(states, eps.__getitem__))
+    moves = [{} for _ in range(n)]
+    for p, ch, q in trans:
+        moves[p].setdefault(ch, []).append(q)
 
     def successors(subset):
-        return [closure([t for q in subset for t in by_letter[q].get(ch, ())])
+        return [frozenset([q for p in subset for q in moves[p].get(ch, ())])
                 for ch in alpha]
 
-    # the subset construction: the ε-closed subsets reachable from the
-    # closure of the start state
-    order, dtrans = breadth_first(closure([start]), successors)
-    daccept = {i for i, subset in enumerate(order) if accept in subset}
+    # the subset construction over the sets of positions reachable from
+    # the start
+    order, dtrans = breadth_first(frozenset([start]), successors)
+    daccept = {i for i, subset in enumerate(order) if accept & subset}
     return Dfa._of(alpha, dtrans, 0, daccept).minimize()
 
 

@@ -7,16 +7,16 @@ first in first out, successors in the order given, so their output order
 is fixed by the graph alone:
 
 - ``reachable``: the reachable and co-accessible states of a DFA, the
-  ε-closures of the subset construction, the state pairs reachable in the
-  product of two DFAs (language equality and intersection), the
-  subsemigroup spanned by the generators (Light's test), the ideal of
-  the infinite syntactic classes, the elements a caller's right Cayley
-  graph generates, and the groups of the catalogue built by permutation
-  and matrix closures;
+  state pairs reachable in the product of two DFAs (language equality
+  and intersection), the subsemigroup spanned by the generators (Light's
+  test), the ideal of the infinite syntactic classes, the elements a
+  caller's right Cayley graph generates, and the groups of the catalogue
+  built by permutation and matrix closures;
 - ``breadth_first``, for the walks that need each node's successor
-  positions: the subset construction, the two numberings of
-  ``Dfa.minimize`` and the syntactic closure of ``syntactic_semigroup``,
-  whose rows are kept as the right Cayley automaton.
+  positions: the subset construction over the sets of positions of a
+  regex's position automaton, the two numberings of ``Dfa.minimize`` and
+  the syntactic closure of ``syntactic_semigroup``, whose rows are kept
+  as the right Cayley automaton.
 
 The component walk, ``_scc_labels``, is Tarjan's depth-first search over
 a graph on 0..n-1 given by its successor lists.  Green's R-, L- and

@@ -1,4 +1,4 @@
-"""Regular expressions: abstract syntax, parser, Thompson automaton.
+"""Regular expressions: abstract syntax, parser, position automaton.
 
 Concrete syntax is ASCII: single-character letters, juxtaposition for
 concatenation, ``|`` for union, postfix ``*`` and ``+``, parentheses.
@@ -14,7 +14,7 @@ The nodes of both tree families, these and the terms', derive from
 stack, so they return on a word of any length: the left-nested
 concatenations of a long word are as deep as it is long.
 
-Every walk over a regex tree (its alphabet, the Thompson automaton, the
+Every walk over a regex tree (its alphabet, the position automaton, the
 concrete syntax) is a fold over `_postorder`, the node list with each
 node after its subexpressions, so no walk recurses however deep the tree.
 `dfa_to_regex` goes the other way, from an automaton straight to the
@@ -142,22 +142,6 @@ def _postorder(r):
     return out
 
 
-_KINDS = (Empty, Sym, Union, Concat, Star, Plus)
-
-
-def _check_tree(r):
-    """Raise ParseError, naming the first offending type, unless every
-    node of r is a regex node: a term tree, or a field that is not a node
-    at all, is no regex."""
-    for node in _postorder(r):
-        kind = type(node)
-        if kind not in _KINDS:
-            module = kind.__module__.rpartition(".")[2]
-            raise ParseError("a regex tree is made of regex nodes, not %s" % (
-                kind.__qualname__ if module == "builtins"
-                else module + "." + kind.__qualname__))
-
-
 def regex_alphabet(r):
     return {node.ch for node in _postorder(r) if type(node) is Sym}
 
@@ -201,39 +185,63 @@ def parse_regex(text):
 
 
 def nfa_of_regex(r):
-    """Thompson's epsilon-NFA as (n_states, transitions, start, accept).
+    """Glushkov's position automaton, which has no empty moves, as
+    (n_states, transitions, start, accepting) (Glushkov, "The abstract
+    theory of automata", 1961; Berry & Sethi, "From regular expressions
+    to deterministic automata", TCS 1986).
 
-    A fold over the postorder: each node allocates its states after its
-    children's and leaves its fragment's (start, end) on the stack."""
-    trans, frags, n = [], [], 0
+    State 0 is the start, and state p >= 1 is the p-th letter of r in
+    postorder; a move (p, a, q) reads a, the letter of q.  A fold over
+    the postorder keeps (nullable, first positions, last positions) for
+    each subexpression on a stack, and adds a move from each last
+    position to each first one of the next factor at a concatenation,
+    and of the body itself at a star or a plus.  The start moves to the
+    first positions of r, and the accepting states are its last
+    positions, with 0 when r is nullable.
+
+    The moves are as many as the pairs of positions that can follow one
+    another: a star of a union of n equal letters, ``(a|a|...|a)*``, has
+    n^2 of them.
+
+    A node of any other type, a term tree or a field that is not a node
+    at all, raises ParseError naming the first one in postorder."""
+    letter, trans, stack = [None], [], []
     for node in _postorder(r):
         kind = type(node)
-        if kind is Empty:
-            frags.append((n, n))
-            n += 1
-            continue
-        if kind is Concat:
-            (s1, e1), (s2, e2) = frags.pop(-2), frags.pop()
-            trans.append((e1, None, s2))
-            frags.append((s1, e2))
-            continue
-        s, e = n, n + 1
-        n += 2
         if kind is Sym:
-            trans.append((s, node.ch, e))
+            stack.append((False, [len(letter)], [len(letter)]))
+            letter.append(node.ch)
+        elif kind is Empty:
+            stack.append((True, [], []))
         elif kind is Union:
-            (s1, e1), (s2, e2) = frags.pop(-2), frags.pop()
-            trans += [(s, None, s1), (s, None, s2),
-                      (e1, None, e), (e2, None, e)]
+            # each list belongs to one stack entry, so it is extended in
+            # place: a long union of letters costs its length, not its square
+            n2, f2, l2 = stack.pop()
+            n1, f1, l1 = stack[-1]
+            f1 += f2
+            l1 += l2
+            stack[-1] = n1 or n2, f1, l1
+        elif kind is Concat:
+            n2, f2, l2 = stack.pop()
+            n1, f1, l1 = stack[-1]
+            trans += [(p, letter[q], q) for p in l1 for q in f2]
+            if n1:
+                f1 += f2
+            if n2:
+                l2 += l1
+            stack[-1] = n1 and n2, f1, l2
+        elif kind is Star or kind is Plus:
+            n1, f1, l1 = stack[-1]
+            trans += [(p, letter[q], q) for p in l1 for q in f1]
+            stack[-1] = n1 or kind is Star, f1, l1
         else:
-            # e+ = e e*, sharing one copy of the body via the loop edge;
-            # e* adds the edge that skips the body
-            s1, e1 = frags.pop()
-            trans += [(s, None, s1), (e1, None, s1), (e1, None, e)]
-            if kind is Star:
-                trans.append((s, None, e))
-        frags.append((s, e))
-    return n, trans, *frags.pop()
+            module = kind.__module__.rpartition(".")[2]
+            raise ParseError("a regex tree is made of regex nodes, not %s" % (
+                kind.__qualname__ if module == "builtins"
+                else module + "." + kind.__qualname__))
+    nullable, first, last = stack.pop()
+    trans += [(0, letter[q], q) for q in first]
+    return len(letter), trans, 0, set(last + [0] * nullable)
 
 
 def _operand(label, need):

@@ -5,6 +5,8 @@ and the minimised trimmed one, the pair-marking state preorder equals
 the repeated sweep, and the text of state elimination equals the text of
 the former elimination over trees (oracles in util)."""
 
+import time
+
 from hypothesis import assume, given, settings
 
 from omsemi.dfa import Dfa, compile_min_dfa
@@ -38,6 +40,15 @@ def test_hopcroft_edge_cases():
         assert same_dfa(m, moore_minimize(d))
         assert m.n_states == 1
         assert m.accepting == ({0} if 0 in accepting else set())
+
+
+def test_minimizing_a_long_word_is_not_quadratic():
+    # a split costs the states it moves, not the block they leave; costing
+    # the block makes this 20000-letter word's chain take seconds
+    t = time.perf_counter()
+    d = compile_min_dfa("ab" * 10000)
+    assert time.perf_counter() - t < 2.0
+    assert d.n_states == 20002
 
 
 def assert_class_languages_match_oracles(sp):

@@ -23,6 +23,8 @@ from omsemi.regex import (
     Star,
     Sym,
     Union,
+    _postorder,
+    nfa_of_regex,
     parse_regex,
     regex_alphabet,
 )
@@ -148,12 +150,22 @@ def test_minimal_dfa_canonical_bytes():
     assert same_dfa(d1, d2)
 
 
+def deep_random_regexes():
+    rng = random.Random(41)
+    return [random_regex(rng, 5) for _ in range(40)]
+
+
 def test_compile_agrees_with_naive_matcher():
+    # the nullable, first and last positions of the position automaton are
+    # easiest to get wrong under nested stars and empty branches
     fixed = ["(ab)*", "a*b*", "(a|b)*abb", "aab|b+", "(a+b)*|b",
-             "((aab)(aab))*|((abb)(abb))*", "aaa*bb*aa"]
+             "((aab)(aab))*|((abb)(abb))*", "aaa*bb*aa", "(()*)*a",
+             "(a*)*b", "(|a)+b", "((a|())*)*", "a(|b)(|a)b",
+             "(a|b)*a(a|b)(a|b)"]
     rng = random.Random(31)
     trees = [parse_regex(s) for s in fixed]
     trees += [random_regex(rng, 3) for _ in range(40)]
+    trees += deep_random_regexes()
     for r in trees:
         if not regex_alphabet(r):
             continue
@@ -161,6 +173,16 @@ def test_compile_agrees_with_naive_matcher():
         memo = {}
         for w in all_words("ab", 6):
             assert d.accepts(w) == naive_matches(r, w, memo), (r, w)
+
+
+def test_position_automaton_has_no_empty_moves():
+    # state 0 is the start and state p the p-th letter, so every move
+    # reads a letter of the regex, and every letter is read
+    for r in deep_random_regexes():
+        n, trans, start, accepting = nfa_of_regex(r)
+        assert all(ch is not None for _, ch, _ in trans)
+        assert n == 1 + sum(type(node) is Sym for node in _postorder(r))
+        assert {ch for _, ch, _ in trans} == regex_alphabet(r)
 
 
 def test_compiled_dfa_is_minimal():
