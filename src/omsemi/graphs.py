@@ -8,30 +8,28 @@ is fixed by the graph alone:
 
 - ``reachable``: the reachable and co-accessible states of a DFA, the
   state pairs reachable in the product of two DFAs (language equality
-  and intersection), the subsemigroup spanned by the generators (Light's
-  test), the ideal of the infinite syntactic classes, the elements a
-  caller's right Cayley graph generates, and the groups of the catalogue
-  built by permutation and matrix closures;
+  and intersection), the ideal of the infinite syntactic classes and the
+  groups of the catalogue built by permutation and matrix closures;
 - ``breadth_first``, for the walks that need each node's successor
   positions: the subset construction over the sets of positions of a
   regex's position automaton, the two numberings of ``Dfa.minimize`` and
   the syntactic closure of ``syntactic_semigroup``, whose rows are kept
-  as the right Cayley automaton.
+  as the right Cayley automaton.  One pass over those rows in order
+  follows each class's tree edge, the first edge into it, and labels the
+  class with its word and fills its column of the table from its
+  parent's.
 
 The component walk, ``_scc_labels``, is Tarjan's depth-first search over
 a graph on 0..n-1 given by its successor lists.  Green's R-, L- and
 J-classes (``semigroup.green_classes``) and the finiteness test of
 ``dfa.is_finite_language`` read their components off it.
 
-Three walks are their own loops, each over a list that grows as nodes
-are found, as ``reachable`` does:
+Two walks are their own loops, each over a list that grows as nodes are
+found, as ``reachable`` does:
 
 - ``reducibility.simple_path_word`` walks the right Cayley graph,
   records each node's word when it first finds the node and returns when
   its target comes up;
-- ``FiniteSemigroup._of_right_cayley`` walks the right Cayley graph from
-  the generators and fills each element's column of the table when it
-  first finds the element, from its parent's column;
 - ``SyntacticPresentation._residual_keys`` numbers the residual keys of
   a class language breadth-first, as ``breadth_first`` would, keeping
   the first Cayley state found with each key; with no successor

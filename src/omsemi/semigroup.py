@@ -2,34 +2,19 @@
 
 Elements are integers 0..n-1.  A table is a list of n rows of n entries,
 ``table[a][b]`` being the product ab.  A table is proven associative where
-it enters: the public constructor and `FiniteSemigroup.from_right_cayley`
-check what they are given and prove it by Light's test over a generating
-set.  When the generating set is known (a caller's right Cayley graph
-or ``generators``) this costs n^2 per generator; otherwise the
-generators are all n elements and it is the full n^3 proof.  A smaller
-generating set is first checked to generate the table, by the
-breadth-first closure of ``omsemi.graphs`` under right multiplication by
-the generators.  A semigroup may optionally carry a stable partial order
-and a distinguished identity element; a monoid is just a semigroup whose
-``identity`` is set.
+it enters: the public constructor checks what it is given and proves it
+by Light's test over every element, the full n^3 proof, then checks the
+identity and the order it is given.  A semigroup may optionally carry a
+stable partial order and a distinguished identity element; a monoid is
+just a semigroup whose ``identity`` is set.
 
 The tables the package derives itself are associative, generated and
 neutral at their identity by construction, so they are built through the
 private `FiniteSemigroup._of`, which sets the fields and proves nothing:
 cyclic semigroups, adjoined identities, direct products, the groups of
-``omsemi.groups_catalog`` and the tables of ``omsemi.enumeration``.
-
-A semigroup may also be given by its right Cayley graph over the
-generators, x -> xg for each generator g.  The table is filled inside
-the class from the graph, one column per element along a breadth-first
-spanning tree from the generators, by the private
-`FiniteSemigroup._of_right_cayley`, which proves nothing either: that is
-how syntactic semigroups are built, from the letter actions of a minimal
-DFA, a transition semigroup and so associative by construction.  A
-caller's graph goes through `FiniteSemigroup.from_right_cayley`, which
-checks the graph's n entries per generator and that the generators
-reach every element, then runs the same fill, Light's test and the
-identity check.
+``omsemi.groups_catalog``, the tables of ``omsemi.enumeration`` and the
+syntactic semigroups of ``omsemi.syntactic``, whose tables are filled
+column by column along the closure that finds their elements.
 
 Green's relations are the strongly connected components of the Cayley
 graphs over the generators (Froidure & Pin, "Algorithms for computing
@@ -49,7 +34,7 @@ from operator import itemgetter
 
 from .errors import (MalformedTable, NotAssociative, NotAPartialOrder,
                      UnboundLetter, _checked_rows, listed)
-from .graphs import _scc_labels, reachable
+from .graphs import _scc_labels
 
 
 # The power sequence of one element, with its index and period.  The
@@ -62,29 +47,30 @@ MonogenicData = namedtuple("MonogenicData", "index period powers")
 class FiniteSemigroup:
     """A multiplication table, proven associative where it enters.
 
-    The public constructor and `from_right_cayley` check what they are
-    given and prove it; `_of` sets the fields of a table the package
-    derived itself, and `_of_right_cayley` fills one from the package's
-    own right Cayley graph; neither proves anything.  `generators` is a
-    set of elements that generates the semigroup; it defaults to every
-    element.
+    The public constructor checks what it is given and proves it; `_of`
+    sets the fields of a table the package derived itself and proves
+    nothing.  `generators` is a set of elements that generates the
+    semigroup: every element for a caller's table, the letters' classes
+    of a syntactic semigroup, the generator of a cyclic one.
     Associativity and the stability of `order` are proven over it, and
     Green's classes walk the Cayley graphs over it, so a small generating
     set makes all three cheaper.
     """
 
-    def __init__(self, table, order=None, identity=None, generators=None):
+    def __init__(self, table, order=None, identity=None):
         t = _checked_rows(table)
-        n = len(t)
-        if generators is not None:
-            gens = _checked_generators(listed(generators, "generators"), n)
-            generators = tuple(sorted(set(gens)))
-            if len(generators) < n and len(reachable(
-                    gens, lambda a: map(t[a].__getitem__, gens))) != n:
-                raise MalformedTable("generators do not generate the table")
         # the fields are set as _of sets them, then proven in place
-        vars(self).update(vars(self._of(t, generators, identity)))
-        self._prove()
+        vars(self).update(vars(self._of(t, identity=identity)))
+        self._check_associative()
+        if identity is not None:
+            if type(identity) is not int or not 0 <= identity < self.n:
+                raise MalformedTable("identity out of range: %r"
+                                     % (identity,))
+            row = t[identity]
+            for j in range(self.n):
+                if row[j] != j or t[j][identity] != j:
+                    raise MalformedTable("element %d is not an identity"
+                                         % identity)
         if order is not None:
             self.order = self._check_order(order)
 
@@ -95,9 +81,9 @@ class FiniteSemigroup:
         frozenset `order` as given, and nothing checked or proven.  The
         package builds its own tables here, associative, generated,
         neutral at `identity` and ordered stably by construction.  The
-        public constructors set their fields here too and prove them
-        after; __init__ then attaches a caller's order once it is proven,
-        as `ordered_semigroup` attaches the syntactic order."""
+        public constructor sets its fields here too and proves them
+        after, then attaches a caller's order once it is proven, as
+        `ordered_semigroup` attaches the syntactic order."""
         S = cls.__new__(cls)
         S.table = table
         S.n = n = len(table)
@@ -106,77 +92,6 @@ class FiniteSemigroup:
         S.order = order
         S._mono = {}
         return S
-
-    @classmethod
-    def from_right_cayley(cls, rows, generators, identity=None):
-        """The semigroup whose right Cayley graph over `generators` is
-        `rows`: rows[x][i] is the product of x and generators[i].
-
-        The rows, generators and identity are checked: a generator listed
-        twice must have the same column each time, and the generators
-        must reach every element along the graph.  The table is then
-        filled by `_of_right_cayley`, so every entry is a value of a
-        checked row, and Light's test and the identity check run as in
-        __init__."""
-        generators = listed(generators, "generators")
-        rows = _checked_rows(rows, len(generators))
-        _checked_generators(generators, len(rows))
-        columns = {}
-        for g, col in zip(generators, zip(*rows)):
-            if columns.setdefault(g, col) != col:
-                raise MalformedTable("generator %d has two different columns"
-                                     % g)
-        if len(reachable(generators, rows.__getitem__)) != len(rows):
-            raise MalformedTable("generators do not generate the table")
-        S = cls._of_right_cayley(rows, generators, identity)
-        S._prove()
-        return S
-
-    @classmethod
-    def _of_right_cayley(cls, rows, generators, identity=None):
-        """The semigroup of the right Cayley graph `rows` over the list
-        `generators`, with nothing checked or proven.  The table is filled
-        one column per element, x -> xw for the element w, along a
-        breadth-first spanning tree from the generators: the column of
-        w = pg_i is the column of p followed by one step of the graph
-        (Froidure & Pin, "Algorithms for computing finite semigroups",
-        1997).  Syntactic semigroups are built here, from the letter
-        actions of a minimal DFA: a transition semigroup is associative,
-        generated by its letters and neutral at the class acting as the
-        empty word by construction.  The graph must be generated, and a
-        generator listed twice must have one column; `from_right_cayley`
-        proves both before it calls this."""
-        # right[i]: the column x -> x g_i of the graph
-        right = list(zip(*rows))
-        columns = [None] * len(rows)
-        for g, col in zip(generators, right):
-            columns[g] = col
-        found = list(dict.fromkeys(generators))
-        for p in found:     # the list grows as elements are found
-            for i, w in enumerate(rows[p]):
-                if columns[w] is None:
-                    # n >= 2 here, since the one element of a table of
-                    # order 1 is a generator, so itemgetter gives a tuple
-                    columns[w] = itemgetter(*columns[p])(right[i])
-                    found.append(w)
-        return cls._of(list(map(list, zip(*columns))),
-                       tuple(sorted(set(generators))), identity)
-
-    def _prove(self):
-        """Light's test, then the identity check: what both public
-        constructors run once the fields are set from a checked table
-        whose generators are known to generate it."""
-        self._check_associative()
-        identity = self.identity
-        if identity is not None:
-            if type(identity) is not int or not 0 <= identity < self.n:
-                raise MalformedTable("identity out of range: %r"
-                                     % (identity,))
-            row = self.table[identity]
-            for j in range(self.n):
-                if row[j] != j or self.table[j][identity] != j:
-                    raise MalformedTable("element %d is not an identity"
-                                         % identity)
 
     def _check_associative(self):
         """Light's test: the elements a with (xa)y = x(ay) for all x, y
@@ -332,14 +247,6 @@ class FiniteSemigroup:
         if a.identity is None or b.identity is None:
             return cls._of(table)
         return cls._of(table, identity=a.identity * b.n + b.identity)
-
-
-def _checked_generators(generators, n):
-    """The list generators, once each is proven an int in range(n)."""
-    for g in generators:
-        if type(g) is not int or not 0 <= g < n:
-            raise MalformedTable("generator out of range: %r" % (g,))
-    return generators
 
 
 def stabilized_prime_power_residue(p, period):

@@ -8,13 +8,18 @@ one breadth-first walk of the letter actions from the empty word.
 
 The walk composes each class with each letter once, in one C call per
 letter, which gives the right Cayley graph; its rows are kept as the
-right Cayley automaton.  They go, with the letter classes as the
-generators, to `FiniteSemigroup._of_right_cayley`, which fills the table
-from them column by column (Froidure & Pin, "Algorithms for computing
-finite semigroups", 1997) and proves nothing: a transition semigroup is
-associative and generated by its letters by construction, and the class
-that acts as the empty word is neutral, so neither the entry checks of
-`FiniteSemigroup.from_right_cayley` nor Light's test runs on it.
+right Cayley automaton.  One pass over its tree edges then labels each
+class with its word and fills the table column by column: the column of
+a class, x -> xw for every class x, is its parent's column followed by
+one step of the graph (Froidure & Pin, "Algorithms for computing finite
+semigroups", 1997).  The table goes to `FiniteSemigroup._of`, with the
+letter classes as the generators, and is not proven: a transition
+semigroup is associative and generated by its letters by construction,
+and the class that acts as the empty word is neutral.
+
+A minimal DFA of n states has at least n - 1 classes, the actions of
+words that take its start to each other state, so a DFA with more than
+one state past the cap is refused before the walk.
 
 A class language is read off the same table, with no minimisation: the
 residuals of the class of e are keyed by the solutions t of st = e, which
@@ -57,14 +62,14 @@ class SyntacticPresentation:
     start, state 1 + i the class i, and letter a takes the start to
     1 + [a] and 1 + i to 1 + i[a]."""
 
-    def __init__(self, dfa, elements, words, cayley, identity):
+    def __init__(self, dfa, elements, words, cayley, table, identity):
         self.dfa = dfa
         self.elements = elements
         self.words = words
         self.cayley = cayley
         letters = [q - 1 for q in cayley[0]]
-        self.semigroup = FiniteSemigroup._of_right_cayley(
-            [[q - 1 for q in row] for row in cayley[1:]], letters, identity)
+        self.semigroup = FiniteSemigroup._of(
+            table, tuple(sorted(set(letters))), identity)
         self.gens = GeneratorMap(self.semigroup,
                                  dict(zip(dfa.alphabet, letters)))
         self._order = None
@@ -295,6 +300,9 @@ def syntactic_semigroup(d, alphabet=None, max_elements=2000):
         d = d.minimize()
     else:
         d = compile_min_dfa(d, alphabet=alphabet)
+    if d.n_states - 1 > max_elements:
+        raise SizeTooLarge("transition semigroup exceeds %d elements"
+                           % max_elements)
     acts = [tuple(row[i] for row in d.transitions)
             for i in range(len(d.alphabet))]
     # successors is called once per node, in order: node k > max_elements
@@ -314,16 +322,25 @@ def syntactic_semigroup(d, alphabet=None, max_elements=2000):
 
     # node 0 is the empty word, node 1 + j the class j
     nodes, rows = breadth_first(None, successors)
+    # right[i]: the column x -> x a_i of the i-th letter, over the classes
+    right = [tuple(q - 1 for q in col) for col in zip(*rows[1:])]
     # the first edge into a node is its tree edge: its word is the
-    # parent's word and that letter
+    # parent's word and that letter, and its column is the letter's
+    # column read at each entry of the parent's, or the letter's own
+    # when the parent is the empty word
     words = [""] + [None] * (len(nodes) - 1)
+    columns = [None] * len(nodes)
     for p, row in enumerate(rows):
         for i, k in enumerate(row):
             if words[k] is None:
                 words[k] = words[p] + d.alphabet[i]
+                # p and k are two classes here, so itemgetter of the
+                # parent's n >= 2 entries gives a tuple
+                columns[k] = (itemgetter(*columns[p])(right[i]) if p
+                              else right[i])
     elements = nodes[1:]
     # the identity is the class of a word acting as the empty word does
     one = tuple(range(d.n_states))
     return SyntacticPresentation(
-        d, elements, words[1:], rows,
+        d, elements, words[1:], rows, list(map(list, zip(*columns[1:]))),
         next((j for j, t in enumerate(elements) if t == one), None))

@@ -381,17 +381,17 @@ def test_closed_stdout_pipe_exits_1_quietly():
 def test_package_built_tables_are_not_proven_again(monkeypatch, capsys):
     # every table and automaton these commands use is built by the
     # package, so none may pass through the public constructors, which
-    # check and prove a caller's input, nor through the proof they share;
-    # empty caches make the commands build their pools here, and leave
-    # the shared ones as they were
+    # check and prove a caller's input, nor through Light's test; empty
+    # caches make the commands build their pools here, and leave the
+    # shared ones as they were
     def tripwire(name):
         def trip(*args, **kwargs):
             raise AssertionError("%s called" % name)
         return trip
 
     for cls, name in ((FiniteSemigroup, "__init__"),
-                      (FiniteSemigroup, "from_right_cayley"),
-                      (FiniteSemigroup, "_prove"), (Dfa, "__init__")):
+                      (FiniteSemigroup, "_check_associative"),
+                      (Dfa, "__init__")):
         monkeypatch.setattr(cls, name,
                             tripwire("%s.%s" % (cls.__name__, name)))
     monkeypatch.setattr(enumeration, "_CACHE", {})

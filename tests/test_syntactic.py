@@ -8,6 +8,7 @@ from omsemi.dfa import (Dfa, compile_min_dfa, enumerate_accepted,
 from omsemi.errors import (AlphabetMismatch, ElementNotWordImage, InternalError,
                            SizeTooLarge)
 from omsemi.semigroup import GeneratorMap
+from omsemi import syntactic
 from omsemi.syntactic import syntactic_semigroup
 
 from test_regex_dfa import random_regex
@@ -206,6 +207,24 @@ def test_ordered_semigroup_is_the_semigroup():
 def test_size_guard():
     with pytest.raises(SizeTooLarge):
         syntactic_semigroup("((aab)(aab))*|((abb)(abb))*", max_elements=10)
+
+
+def test_size_guard_refuses_before_the_closure(monkeypatch):
+    # the minimal DFA of one word of 100 letters has 102 states, the 101
+    # prefixes and the dead state, so at least 101 classes: a cap below
+    # that is refused before the closure walks a single class, and the
+    # cap of 101 walks it
+    d = compile_min_dfa("ab" * 50)
+    assert d.n_states == 102
+
+    def tripwire(*args):
+        raise AssertionError("closure walked")
+
+    monkeypatch.setattr(syntactic, "breadth_first", tripwire)
+    with pytest.raises(SizeTooLarge, match="exceeds 100 elements"):
+        syntactic_semigroup(d, max_elements=100)
+    with pytest.raises(AssertionError, match="closure walked"):
+        syntactic_semigroup(d, max_elements=101)
 
 
 def test_case_study_com_language():

@@ -103,38 +103,6 @@ def generates(table, gens):
         got |= more
 
 
-def right_cayley_rows(table, gens):
-    """rows[x][i] = x gens[i]: the right Cayley graph of a table."""
-    return [[row[g] for g in gens] for row in table]
-
-
-def table_of_right_cayley(rows, gens):
-    """The table filled entry by entry from a right Cayley graph: x times
-    an element w follows x along a word of w: a generator's word is its
-    first position, and any other element's the positions of a path to
-    it from a generator, found depth first.  None if the graph does not
-    reach every element from the generators."""
-    words = {}
-    for i, g in enumerate(gens):
-        words.setdefault(g, (i,))
-    stack = list(words)
-    while stack:
-        w = stack.pop()
-        for i, v in enumerate(rows[w]):
-            if v not in words:
-                words[v] = words[w] + (i,)
-                stack.append(v)
-    if len(words) != len(rows):
-        return None
-
-    def times(x, w):
-        for i in words[w]:
-            x = rows[x][i]
-        return x
-
-    return [[times(x, w) for w in range(len(rows))] for x in range(len(rows))]
-
-
 def is_stable(table, pairs):
     """a <= b and c <= d give ac <= bd, tried on every two pairs."""
     return all((table[a][c], table[b][d]) in pairs
