@@ -3,6 +3,7 @@ search for omega-term solutions, and three scripted verification suites
 covering the commutative, group, and completely regular case studies."""
 
 from collections import namedtuple
+from operator import add, mul
 
 from .dfa import (
     compile_min_dfa,
@@ -210,6 +211,41 @@ def jplus_word_solution(triple, u, v):
     return u_simple, v_out
 
 
+def _search_steps(variety, letters, max_size, offsets):
+    """(letter forms, concat, power) of the bounded search over the
+    variety: each form is hashable as it is, and no step changes one.
+
+    ab and com pack a term's letter multiplicities into one integer, the
+    multiplicity of letters[i] as its signed digit i in base 2**width, so a
+    concatenation adds two forms and an omega+k power multiplies one by k:
+    ab reads omega+k as k, and com's value of omega+k is k.  reach[s] is
+    the largest absolute multiplicity a term of s nodes can give a letter,
+    and width leaves a sign bit above the largest, so no digit carries
+    into the next: two forms are equal iff their multiplicities are, and
+    so iff the normal forms of terms.VARIETY_STEPS are.  com adds two
+    bitmasks, bit i set for letters[i] present and for letters[i]
+    infinite: a concatenation ors them, and an omega power makes every
+    present letter infinite.  g keeps its VARIETY_STEPS, on runs frozen
+    as a tuple."""
+    if variety == "g":
+        letter, concat, power, _, freeze = VARIETY_STEPS["g"]
+        return ([freeze(letter(ch)) for ch in letters],
+                lambda left, right: freeze(concat(list(left), right)),
+                lambda form, k: freeze(power(list(form), k, True)))
+    c = max(map(abs, offsets), default=0)
+    reach = [0, 1]
+    for size in range(2, max_size + 1):
+        reach.append(max([c * reach[-1]] + [reach[n] + reach[size - 1 - n]
+                                            for n in range(1, size - 1)]))
+    width = max(reach).bit_length() + 1
+    if variety == "ab":
+        return ([1 << width * i for i in range(len(letters))], add, mul)
+    return ([(1 << width * i, 1 << i, 0) for i in range(len(letters))],
+            lambda left, right: (left[0] + right[0], left[1] | right[1],
+                                 left[2] | right[2]),
+            lambda form, k: (form[0] * k, form[1], form[1]))
+
+
 def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     """Bounded search for a term solution of x = y over the variety.
 
@@ -223,20 +259,20 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     Only the first term of each class (value in S, normal form) is kept,
     and powers and concatenations are built from kept terms alone.  A
     candidate's class is combined from its children's: its value by the
-    table or the cycle of its base's value, its normal form by the
-    variety's steps in terms.VARIETY_STEPS, the ones terms.normal_form
-    folds a whole term with.  Each kept term keeps its working form beside
-    its frozen one, and a concatenation extends a copy of the left child's
-    working form, so no kept form changes.  So a term's class depends only
+    table or the cycle of its base's value, its normal form by the steps
+    of _search_steps, which pack ab and com multiplicities into integers
+    and run g on terms.VARIETY_STEPS.  Every form is hashed as it is, with
+    no copy and no freeze per candidate.  So a term's class depends only
     on its children's classes, and putting the first term of a child's
     class in place of the child gives a term of the same class that comes
     earlier: every first term is built from kept terms, and the pair
-    returned is the one the search over all terms would return.  No
-    candidate term is folded, and a candidate's term is built only when
-    its class is new.  A non-integer bound or offset raises ValueError.
-    Every candidate gets its normal form, so in g an offset large enough
-    that some candidate's free group image passes terms.EXPANSION_CAP
-    runs raises SizeTooLarge, whatever that candidate's value."""
+    returned is the one the search over all terms, by terms.normal_form,
+    would return.  No candidate term is folded, and a candidate's term is
+    built only when its class is new.  A non-integer bound or offset raises
+    ValueError.  Every candidate gets its normal form, so in g an offset
+    large enough that some candidate's free group image passes
+    terms.EXPANSION_CAP runs raises SizeTooLarge, whatever that
+    candidate's value."""
     if variety not in VARIETY_STEPS:
         raise ValueError("variety must be one of ab, com, g")
     offsets = tuple(offsets)
@@ -245,47 +281,47 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
         raise ValueError("term node bound and offsets must be integers")
     if not 1 <= max_size <= 12:
         raise SizeTooLarge("term node bound must be between 1 and 12")
-    letter, concat, power, _, freeze = VARIETY_STEPS[variety]
     S, gens = triple.S, triple.gens
+    letters = sorted(gens.assignment)
+    letter_forms, concat, power = _search_steps(variety, letters, max_size,
+                                                offsets)
     table = S.table
     seen = set()
-    # size -> the kept (term, value, working form, normal form) with that
-    # many nodes
+    # size -> the kept (term, value, normal form) with that many nodes
     by_size = {}
 
     def candidates(size):
-        """(value, working form, node class, node arguments) of each
+        """(value, normal form, node class, node arguments) of each
         candidate of the given size, in search order."""
         if size == 1:
-            for ch in sorted(gens.assignment):
-                yield gens(ch), letter(ch), Letter, (ch,)
+            for ch, form in zip(letters, letter_forms):
+                yield gens(ch), form, Letter, (ch,)
             return
         for off in offsets:
-            for base, val, form, _ in by_size[size - 1]:
-                yield S.omega_plus_k(val, off), power(form, off, True), \
+            for base, val, form in by_size[size - 1]:
+                yield S.omega_plus_k(val, off), power(form, off), \
                     OmegaPower, (base, off)
         for lsize in range(1, size - 1):
             rights = by_size[size - 1 - lsize]
-            for left, lval, lform, _ in by_size[lsize]:
+            for left, lval, lform in by_size[lsize]:
                 row = table[lval]
-                for right, rval, rform, _ in rights:
-                    yield row[rval], concat(lform.copy(), rform), Concat, \
+                for right, rval, rform in rights:
+                    yield row[rval], concat(lform, rform), Concat, \
                         (left, right)
 
     for size in range(1, max_size + 1):
         bucket = []
         for val, form, node, args in candidates(size):
-            nf = freeze(form)
             # one hash of the class: it is new iff adding it grows seen
             known = len(seen)
-            seen.add((val, nf))
+            seen.add((val, form))
             if len(seen) > known:
-                bucket.append((node(*args), val, form, nf))
+                bucket.append((node(*args), val, form))
         by_size[size] = bucket
 
     kept = [entry for bucket in by_size.values() for entry in bucket]
-    best_u = {nf: term for term, val, _, nf in kept if val == triple.s}
-    for term, val, _, nf in kept:
+    best_u = {nf: term for term, val, nf in kept if val == triple.s}
+    for term, val, nf in kept:
         if val == triple.t and nf in best_u:
             return best_u[nf], term
     return None

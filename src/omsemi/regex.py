@@ -23,7 +23,7 @@ concrete syntax that `format_regex` would print for its tree.
 
 from functools import reduce
 
-from .errors import ParseError
+from .errors import ParseError, SizeTooLarge
 
 
 class Node:
@@ -285,6 +285,15 @@ def _cat(a, b):
     return _operand(a, 1) + _operand(b, 1), 1
 
 
+# The longest edge label dfa_to_regex builds.  State elimination can need
+# an expression exponentially longer than its automaton (Ehrenfeucht &
+# Zeiger, "Complexity measures for regular expressions", 1976), and a
+# label past this cap raises SizeTooLarge where it is joined; the class
+# expressions of the paper's languages and of the benchmark's pools stay
+# below 2000 characters.
+LABEL_CAP = 10 ** 5
+
+
 def dfa_to_regex(alphabet, rows, initial, accepting, states):
     """Concrete syntax for the language of a DFA, or None if it is empty.
 
@@ -318,7 +327,8 @@ def dfa_to_regex(alphabet, rows, initial, accepting, states):
 
     Each state keeps its edges out (out_of[i][j], the label) and the
     sources of its edges in (into[j]), so eliminating a state touches
-    only its own edges."""
+    only its own edges.  Every label is stored through `put`, which
+    raises SizeTooLarge for one longer than LABEL_CAP characters."""
     start, accept = object(), object()
     out_of = {q: {} for q in states}
     into = {q: {} for q in states}
@@ -328,10 +338,13 @@ def dfa_to_regex(alphabet, rows, initial, accepting, states):
     def put(i, j, label):
         out = out_of[i]
         if j in out:
-            out[j] = out[j][0] + "|" + label[0], 0
+            label = out[j][0] + "|" + label[0], 0
         else:
-            out[j] = label
             into[j][i] = None
+        if len(label[0]) > LABEL_CAP:
+            raise SizeTooLarge("regular expression exceeds %d characters"
+                               % LABEL_CAP)
+        out[j] = label
 
     for q in states:
         for ch, r in zip(alphabet, rows[q]):

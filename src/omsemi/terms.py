@@ -28,12 +28,14 @@ node's values over a block of assignments, taking the postorders once per
 pool.
 
 The normal forms over abelian groups (ab), commutative semigroups (com)
-and groups (g) are defined once each, as a (letter, concat, power, run,
-freeze) entry of `VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
-`com_exponents`, `ab_image` and `free_group_normal_form` read its result;
-the bounded search of `reducibility` combines its candidates' forms with
-the same steps.  com's form maps each letter to an (infinite, value)
-pair for its multiplicity in N u (omega+Z), (False, n) for n and
+and groups (g) are each a (letter, concat, power, run, freeze) entry of
+`VARIETY_STEPS`.  `normal_form` folds a whole term with them, and
+`com_exponents`, `ab_image` and `free_group_normal_form` read its
+result.  The bounded search of `reducibility` combines its candidates'
+g forms with the same steps, but packs ab and com multiplicities into
+integers; the test that its pairs are those of a search over all terms
+by `normal_form` ties the two encodings together.  com's form maps each
+letter to an (infinite, value) pair for its multiplicity in N u (omega+Z), (False, n) for n and
 (True, k) for omega+k, and `com_exponents` returns those pairs as a
 dict.  ab keeps plain int multiplicities, since the omega power of an
 element of a finite abelian group is 1: an ab multiplicity is the com
@@ -591,8 +593,9 @@ def reduced_power(word, k):
             core[-1:] + tail)
 
 
-# variety -> (letter, concat, power, run, freeze): the one definition of
-# its normal form.  A working form is built from letter(ch), concat(l, r)
+# variety -> (letter, concat, power, run, freeze): the definition of its
+# normal form that normal_form folds with; the bounded search shares g's
+# and packs ab and com multiplicities into integers.  A working form is built from letter(ch), concat(l, r)
 # for l r (it may extend l in place, so a fold stays linear in the word),
 # and power(l, e, is_omega) for l^(w+e) or, when is_omega is false, l^e.
 # run(word) is the form of a run of letters, the one concat of their

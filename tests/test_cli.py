@@ -10,6 +10,7 @@ import pytest
 
 from omsemi import cli, enumeration, groups_catalog, varieties
 from omsemi.dfa import Dfa
+from omsemi.regex import LABEL_CAP
 from omsemi.semigroup import FiniteSemigroup
 
 
@@ -73,6 +74,24 @@ def test_syn_full_rendering_is_pinned(regex, digest):
     r = run_cli("syn", regex, "--order", "--green", "--classes")
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+# 1433 classes, inside the class cap, on a 5-state minimal DFA; state
+# elimination blows some class expressions up past regex.LABEL_CAP
+LABEL_BLOWUP = ("(a|b)(a(a|b))*|(a|b)(a(a|b))*b(a|b)(a|b)"
+                "((a|b(a(a|b))*b)(a|b)(a|b))*(()|b(a(a|b))*)")
+
+
+def test_syn_class_expression_past_the_label_cap_exits_2():
+    # about a second on one core; the 20 s budget fails the test long
+    # before the unbounded elimination would exhaust memory
+    r = subprocess.run([sys.executable, "-m", "omsemi.cli", "syn",
+                        LABEL_BLOWUP, "--classes"],
+                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                       text=True, timeout=20)
+    assert r.returncode == 2
+    assert r.stderr == ("error: regular expression exceeds %d characters\n"
+                        % LABEL_CAP)
 
 
 def test_syn_parse_error_exits_2():

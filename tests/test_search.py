@@ -1,10 +1,11 @@
 """The bounded omega-term search: it returns the pair of the search over all
-terms (kept in util as its oracle), the class congruence that lets it keep
-one term per (value, normal form) class, the one normal-form definition
-per variety that the search and terms.normal_form share, checked against
-the recursive oracles (g's runs spelt out, with exponents up to 50 and up
-to 10^9), its pins on the commutative instance at bounds the full
-enumeration cannot reach, and its argument and size errors."""
+terms by terms.normal_form (kept in util as its oracle), which ties the
+search's packed ab and com multiplicities, and the g steps it shares, to
+the normal forms; the class congruence that lets it keep one term per
+(value, normal form) class; terms.normal_form checked against the
+recursive oracles (g's runs spelt out, with exponents up to 50 and up to
+10^9); its pins on the commutative instance at bounds the full
+enumeration cannot reach; and its argument and size errors."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,10 @@ search_settings = settings(max_examples=200, deadline=None, derandomize=True)
 
 VARIETIES = ("ab", "com", "g")
 OFFSETS = ((), (0,), (0, -1), (1, 0), (-1, 0, 1), (0, 0), (2,))
+# offsets whose multiplicities fill the ab and com search's packed digits;
+# in g a power of a large offset passes EXPANSION_CAP runs in the search
+# but not in the full enumeration, which folds only the terms it compares
+LARGE_OFFSETS = ((10 ** 6,), (-(2 ** 40), 3), (7, -7))
 COM_PAIR = ("y (x y y)^(w-1)", "x (x y x)^(w-1)")
 
 
@@ -34,15 +39,37 @@ def _formatted(pair):
 
 
 @search_settings
-@given(st.randoms(use_true_random=False), st.sampled_from(VARIETIES),
-       st.sampled_from(OFFSETS), st.integers(1, 7))
-def test_search_returns_the_pair_of_the_full_enumeration(rng, variety,
-                                                         offsets, bound):
+@given(st.randoms(use_true_random=False),
+       st.tuples(st.sampled_from(VARIETIES), st.sampled_from(OFFSETS)) |
+       st.tuples(st.sampled_from(("ab", "com")),
+                 st.sampled_from(LARGE_OFFSETS)),
+       st.integers(1, 7))
+def test_search_returns_the_pair_of_the_full_enumeration(rng, signature,
+                                                         bound):
+    variety, offsets = signature
     S = random_small_semigroup(rng)
     triple = SolutionTriple(S, rng.randrange(S.n), rng.randrange(S.n),
                             random_generator_map(rng, S))
     assert bounded_omega_solution_search(triple, variety, bound, offsets) == \
         all_terms_search(triple, variety, bound, offsets)
+
+
+def test_search_keeps_each_multiplicity_in_its_own_digit():
+    # in Z3 with y the identity a term's value is its x multiplicity mod 3,
+    # so terms of different values have different ab and com forms; at
+    # bound 5 with offsets (0, -1) the ab multiplicities (-1, 1) of
+    # y x^(w-1) and (3, 0) of x x x are the smallest that a digit one bit
+    # narrower would take for the same packed integer
+    Z3 = FiniteSemigroup.cyclic(1, 3)
+    gens = GeneratorMap(Z3, {"x": 0, "y": Z3.identity})
+    for s in range(Z3.n):
+        for t in range(Z3.n):
+            triple = SolutionTriple(Z3, s, t, gens)
+            for variety in ("ab", "com"):
+                for bound in range(1, 7):
+                    assert bounded_omega_solution_search(
+                        triple, variety, bound, (0, -1)) == \
+                        all_terms_search(triple, variety, bound, (0, -1))
 
 
 def _cancelled_copy(rng, t):
@@ -98,8 +125,8 @@ def _form(variety, t):
 @search_settings
 @given(st.randoms(use_true_random=False), st.sampled_from(VARIETIES))
 def test_normal_forms_match_the_recursive_oracles(rng, variety):
-    # the search and all_terms_search share these steps, so this property
-    # is what checks them
+    # all_terms_search folds with these steps, and the search's pairs are
+    # checked against it, so this property checks both encodings
     t = random_term(rng, depth=rng.randrange(1, 6), offsets=(-2, -1, 0, 1, 2),
                     primes=(2, 3) if rng.random() < 0.2 else ())
     assert _outcome(lambda t: _form(variety, t), t) == \
