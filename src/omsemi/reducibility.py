@@ -261,15 +261,15 @@ def bounded_omega_solution_search(triple, variety, max_size, offsets=(0,)):
     candidate's class is combined from its children's: its value by the
     table or the cycle of its base's value, its normal form by the steps
     of _search_steps, which pack ab and com multiplicities into integers
-    and run g on terms.VARIETY_STEPS.  Every form is hashed as it is, with
-    no copy and no freeze per candidate.  So a term's class depends only
-    on its children's classes, and putting the first term of a child's
-    class in place of the child gives a term of the same class that comes
-    earlier: every first term is built from kept terms, and the pair
-    returned is the one the search over all terms, by terms.normal_form,
-    would return.  No candidate term is folded, and a candidate's term is
-    built only when its class is new.  A non-integer bound or offset raises
-    ValueError.  Every candidate gets its normal form, so in g an offset
+    and run g on terms.VARIETY_STEPS.  An ab or com form is hashed as it
+    is, with no copy and no freeze per candidate.  So a term's class
+    depends only on its children's classes, and putting the first term of
+    a child's class in place of the child gives a term of the same class
+    that comes earlier: every first term is built from kept terms, and the
+    pair returned is the one the search over all terms, by
+    terms.normal_form, would return.  No candidate term is folded, and a
+    candidate's term is built only when its class is new.  A non-integer
+    bound or offset raises ValueError.  Every candidate gets its normal form, so in g an offset
     large enough that some candidate's free group image passes
     terms.EXPANSION_CAP runs raises SizeTooLarge, whatever that
     candidate's value."""
